@@ -3,8 +3,9 @@
 Contains the gated positional patch embedding, the standard patch embedding
 baseline (sinusoidal codes), the three attention kernels (full,
 linear-factorized, spatially reduced) wired for self or cross attention, and
-the conv-augmented feed-forward unit.  Blocks share weights across the two
-image streams and are pure functions of (weights, inputs).
+the conv-augmented feed-forward unit.  Blocks see the two image streams as
+one batch (A stacked over B), so weights are shared by construction; they are
+pure functions of (weights, inputs).
 """
 
 from __future__ import annotations
@@ -277,10 +278,12 @@ class MixFFN(Module):
 
 
 class AttentionBlock(Module):
-    """Pre-norm residual block; cross wiring swaps the key/value stream.
+    """Pre-norm residual block over both streams stacked on the batch axis.
 
-    Cross attention updates both streams simultaneously from pre-update
-    values, and weights are shared across streams.
+    The input holds stream A's batch over stream B's.  Self blocks attend
+    within each item; cross blocks take keys and values from the swapped
+    tensor, so both streams attend to their partner simultaneously from
+    pre-update values, with shared weights.
     """
 
     def __init__(self, rng, dim: int, heads: int, kind: str,
@@ -290,22 +293,10 @@ class AttentionBlock(Module):
         self.norm2 = LayerNorm(dim)
         self.ffn = MixFFN(rng, dim, expansion)
 
-    def _ffn_step(self, x: Tensor, hw: tuple) -> Tensor:
+    def __call__(self, x: Tensor, hw: tuple, cross: bool) -> Tensor:
+        n = self.norm1(x)
+        x = T.add(x, self.attn(n, T.swap_halves(n) if cross else n, hw))
         return T.add(x, self.ffn(self.norm2(x), hw))
-
-    def forward_single(self, x: Tensor, hw: tuple) -> Tensor:
-        y = self.attn(self.norm1(x), self.norm1(x), hw)
-        return self._ffn_step(T.add(x, y), hw)
-
-    def forward_pair(self, xa: Tensor, xb: Tensor, hw: tuple, cross: bool):
-        if xa.shape != xb.shape:
-            raise T.ShapeError("stream shapes differ")
-        if not cross:
-            return self.forward_single(xa, hw), self.forward_single(xb, hw)
-        na, nb = self.norm1(xa), self.norm1(xb)
-        xa = T.add(xa, self.attn(na, nb, hw))
-        xb = T.add(xb, self.attn(nb, na, hw))
-        return self._ffn_step(xa, hw), self._ffn_step(xb, hw)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +329,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             i += 1
             continue
         name = lines[i].strip()
-        if i + 2 >= len(lines) + 1:
+        if i + 2 >= len(lines):
             raise ValueError(f"{path}: truncated at tensor {name!r}")
         tokens = (lines[i + 1] + " " + lines[i + 2]).split()
         out[name] = T._parse_snapshot(tokens)

@@ -1,10 +1,10 @@
 """Four-stage hierarchical two-stream encoder with interleaved attention.
 
-Each stage applies a patch embedding shared across the two streams and then a
-fixed number of attention blocks, each flagged self or cross.  The per-stage
-self/cross pattern is fully configurable; the default follows the strongest
-arrangement, SSC SSC SCC SCC, with relatively more cross layers in the deeper
-stages.
+Both streams run as one batch, image A stacked over image B on the batch
+axis.  Each stage applies a patch embedding and then a fixed number of
+attention blocks, each flagged self or cross.  The per-stage self/cross
+pattern is fully configurable; the default follows the strongest arrangement,
+SSC SSC SCC SCC, with relatively more cross layers in the deeper stages.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def output_plan(cfg: ModelConfig, h: int, w: int):
 
 @dataclass
 class FeaturePyramid:
-    maps: list  # four [B, C, h, w] tensors
+    maps: list  # four [B, C, h, w] tensors; [2B, ...] from encode_pair
 
     def __iter__(self):
         return iter(self.maps)
@@ -224,20 +224,13 @@ class Stage(Module):
         self.norm = LayerNorm(cfg.channels)
         self.cfg = cfg
 
-    def forward_pair(self, xa: Tensor, xb: Tensor):
-        xa, xb = self.pe(xa), self.pe(xb)
-        _, _, h, w = xa.shape
-        sa, sb = map_to_seq(xa), map_to_seq(xb)
-        for block, cross in zip(self.blocks, self.cfg.cross_flags):
-            sa, sb = block.forward_pair(sa, sb, (h, w), cross)
-        return seq_to_map(self.norm(sa), h, w), seq_to_map(self.norm(sb), h, w)
-
-    def forward_single(self, x: Tensor):
+    def forward_pair(self, x: Tensor) -> Tensor:
+        """Both streams stacked on the batch axis, A over B."""
         x = self.pe(x)
         _, _, h, w = x.shape
         s = map_to_seq(x)
-        for block in self.blocks:
-            s = block.forward_single(s, (h, w))
+        for block, cross in zip(self.blocks, self.cfg.cross_flags):
+            s = block(s, (h, w), cross)
         return seq_to_map(self.norm(s), h, w)
 
 
@@ -250,25 +243,18 @@ class Encoder(Module):
             c_in = st.channels
         self.cfg = cfg
 
-    def encode_pair(self, img_a: Tensor, img_b: Tensor):
-        """Run both streams through all stages with shared weights."""
+    def encode_pair(self, img_a: Tensor, img_b: Tensor) -> FeaturePyramid:
+        """Run both streams through all stages as one batch, A stacked over B.
+
+        Returns the pyramid of stacked ``[2B, C, h, w]`` maps.
+        """
         if img_a.shape != img_b.shape:
             raise T.ShapeError("paired images must share a shape")
         check_input_extents(img_a.shape[2], img_a.shape[3])
-        maps_a, maps_b = [], []
-        xa, xb = img_a, img_b
-        for stage in self.stages:
-            xa, xb = stage.forward_pair(xa, xb)
-            maps_a.append(xa)
-            maps_b.append(xb)
-        return FeaturePyramid(maps_a), FeaturePyramid(maps_b)
-
-    def encode_single(self, img: Tensor) -> FeaturePyramid:
-        check_input_extents(img.shape[2], img.shape[3])
+        x = T.concat([img_a, img_b], axis=0)
         maps = []
-        x = img
         for stage in self.stages:
-            x = stage.forward_single(x)
+            x = stage.forward_pair(x)
             maps.append(x)
         return FeaturePyramid(maps)
 
@@ -298,27 +284,3 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         out[key] = value.strip()
     return out
-
-
-def model_config_from_dict(raw: dict[str, str], **defaults) -> ModelConfig:
-    """Build a ModelConfig from parsed config keys (unknown keys rejected
-    by the caller, which may own additional key groups)."""
-    kwargs = dict(defaults)
-    if "variant" in raw:
-        kwargs["variant"] = raw["variant"]
-    if "attention" in raw:
-        kwargs["attention"] = raw["attention"]
-    if "pe" in raw:
-        kwargs["patch_embed"] = raw["pe"]
-    if "channels" in raw:
-        kwargs["channels"] = tuple(int(v) for v in raw["channels"].split())
-    if "cross_flags" in raw:
-        name = raw["cross_flags"].strip().lower()
-        if name in NAMED_SCHEDULES:
-            kwargs["schedule"] = schedule_from_strings(NAMED_SCHEDULES[name])
-        else:
-            kwargs["schedule"] = schedule_from_strings(raw["cross_flags"].split())
-    for key in ("coarse_channels", "fine_channels", "fusion_channels"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    return make_config(**kwargs)

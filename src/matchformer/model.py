@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import tensor as T
 from .blocks import Module, apply_checkpoint, load_checkpoint, save_checkpoint
 from .decoder import FPNDecoder
 from .encoder import Encoder, ModelConfig, make_config
@@ -20,11 +21,15 @@ class MatchModel(Module):
         self.cfg = cfg
 
     def forward_pair(self, img_a: Tensor, img_b: Tensor):
-        """Returns (coarse_a, fine_a, coarse_b, fine_b)."""
-        pyr_a, pyr_b = self.encoder.encode_pair(img_a, img_b)
-        coarse_a, fine_a = self.decoder.fuse(pyr_a)
-        coarse_b, fine_b = self.decoder.fuse(pyr_b)
-        return coarse_a, fine_a, coarse_b, fine_b
+        """Returns (coarse_a, fine_a, coarse_b, fine_b).
+
+        Both images run through the encoder and decoder as one stacked batch;
+        the outputs are split back into the A and B halves.
+        """
+        coarse, fine = self.decoder.fuse(self.encoder.encode_pair(img_a, img_b))
+        a, b = slice(0, img_a.shape[0]), slice(img_a.shape[0], None)
+        return (T.slice_(coarse, (a,)), T.slice_(fine, (a,)),
+                T.slice_(coarse, (b,)), T.slice_(fine, (b,)))
 
     def save(self, path) -> None:
         save_checkpoint(path, self.named_parameters())

@@ -568,6 +568,19 @@ def slice_(x: Tensor, slices) -> Tensor:
     return _record(out, (x,), bwd)
 
 
+def swap_halves(x: Tensor) -> Tensor:
+    """Exchange the two halves of the leading axis: ``[A; B] -> [B; A]``.
+
+    The swap is its own inverse, so the gradient is swapped back the same way.
+    """
+    x = _as_tensor(x)
+    if x.ndim == 0 or x.shape[0] % 2:
+        raise ShapeError(f"swap_halves needs an even leading axis, got shape {x.shape}")
+    half = x.shape[0] // 2
+    out = Tensor(np.roll(x.data, half, axis=0))
+    return _record(out, (x,), lambda g: (np.roll(g, half, axis=0),))
+
+
 def take_pairs(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """Gather ``x[rows[k], cols[k]]`` from a 2-D tensor into a vector."""
     x = _as_tensor(x)
@@ -668,18 +681,15 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     cols = np.ascontiguousarray(np.moveaxis(win, (2, 3), (4, 5)))
     cols = cols.reshape(b_, groups, cin_g * k * k, ho * wo)   # [B, g, f, L]
     wg = w.data.reshape(groups, cout // groups, cin_g * k * k)
-    val = np.einsum("gof,bgfl->bgol", wg, cols, optimize=True)
-    val = val.reshape(b_, cout, ho, wo)
+    val = np.matmul(wg, cols).reshape(b_, cout, ho, wo)
     if bias is not None:
         val = val + bias.data[None, :, None, None]
     out = Tensor(_check_finite(val, "conv2d"))
 
     def bwd(g):
         gg = g.reshape(b_, groups, cout // groups, ho * wo)
-        dw = np.einsum("bgol,bgfl->gof", gg, cols, optimize=True)
-        dw = dw.reshape(w.shape)
-        dcols = np.einsum("gof,bgol->bgfl", wg, gg, optimize=True)
-        dcols = dcols.reshape(b_, cin, k, k, ho, wo)
+        dw = np.matmul(gg, np.swapaxes(cols, -1, -2)).sum(axis=0).reshape(w.shape)
+        dcols = np.matmul(np.swapaxes(wg, -1, -2), gg).reshape(b_, cin, k, k, ho, wo)
         dxp = np.zeros_like(xp)
         for ki in range(k):
             for kj in range(k):

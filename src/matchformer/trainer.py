@@ -101,7 +101,6 @@ def adam_step(params, state: AdamState, lr: float, beta1: float = 0.9,
 class TrainConfig:
     steps: int = 2000
     lr: float = 3e-4
-    batch_size: int = 1
     lambda_coarse: float = 1.0
     lambda_fine: float = 0.25
     beta1: float = 0.9

@@ -66,10 +66,10 @@ class TestCriterion1Gradients:
         worst = 0.0
         for kind, red in (("full", 1), ("la", 1), ("sea", 2)):
             block = AttentionBlock(np.random.default_rng(7), 8, 2, kind, red)
-            w = Tensor(rng.normal(size=(1, 16, 8)))
+            w = Tensor(rng.normal(size=(2, 16, 8)))
             rep = T.fd_check(
-                lambda x: T.reduce_sum(T.mul(block.forward_single(x, (4, 4)), w)),
-                Tensor(rng.normal(size=(1, 16, 8))), h=1e-5, tol=1e-3)
+                lambda x: T.reduce_sum(T.mul(block(x, (4, 4), cross=True), w)),
+                Tensor(rng.normal(size=(2, 16, 8))), h=1e-5, tol=1e-3)
             worst = max(worst, rep.max_rel_err)
         assert report("1b composite blocks", worst < 1e-3,
                       f"max rel err {worst:.2e} < 1e-3")
@@ -146,7 +146,7 @@ class TestCriterion2Table1:
         model = MatchModel(cfg, seed=0)
         img = Tensor(np.random.default_rng(0).uniform(size=(1, 1, 64, 64)))
         with T.no_grad():
-            pyr = model.encoder.encode_single(img)
+            pyr = model.encoder.encode_pair(img, img)
             coarse, fine = model.decoder.fuse(pyr)
         assert [m.shape[1:] for m in pyr] == [tuple(p) for p in stage_plan(cfg, 64, 64)]
         c_spec, f_spec = output_plan(cfg, 64, 64)
@@ -465,9 +465,9 @@ class TestCriterion10Ablations:
         a = Tensor(rng.uniform(size=(1, 1, 64, 64)))
         b = Tensor(rng.uniform(size=(1, 1, 64, 64)))
         with T.no_grad():
-            pa, _ = model.encoder.encode_pair(a, b)
-            pa2, _ = model.encoder.encode_pair(a, Tensor(1.0 - b.data))
-        ok = all(np.array_equal(x.data, y.data) for x, y in zip(pa, pa2))
+            p = model.encoder.encode_pair(a, b)
+            p2 = model.encoder.encode_pair(a, Tensor(1.0 - b.data))
+        ok = all(np.array_equal(x.data[:1], y.data[:1]) for x, y in zip(p, p2))
         assert report("10 no-cross factorization (self-only)", ok)
 
     def test_cross_sensitivity_for_default_schedule(self):
@@ -480,8 +480,8 @@ class TestCriterion10Ablations:
         b2 = b.copy()
         b2[0, 0, 13, 29] += 0.3
         with T.no_grad():
-            pa, _ = model.encoder.encode_pair(a, Tensor(b))
-            pa2, _ = model.encoder.encode_pair(a, Tensor(b2))
-        diff = np.abs(pa[3].data - pa2[3].data).max()
+            p = model.encoder.encode_pair(a, Tensor(b))
+            p2 = model.encoder.encode_pair(a, Tensor(b2))
+        diff = np.abs(p[3].data[:1] - p2[3].data[:1]).max()
         assert report("10 cross sensitivity (interleaving)", diff > 0,
                       f"F4 max diff {diff:.1e} > 0")

@@ -220,9 +220,13 @@ class TestMixFFN:
         rng = np.random.default_rng(24)
         block = AttentionBlock(rng, dim=8, heads=2, kind="la")
         w = Tensor(rng.normal(size=(1, 4, 8)))
-        rep = T.fd_check(lambda x: T.reduce_sum(T.mul(block.forward_single(x, (2, 2)), w)),
+        rep = T.fd_check(lambda x: T.reduce_sum(T.mul(block(x, (2, 2), cross=False), w)),
                          Tensor(rng.normal(size=(1, 4, 8))), tol=1e-3)
         assert rep.passed, rep.max_rel_err
+
+
+def stack(xa, xb):
+    return T.concat([xa, xb], axis=0)
 
 
 class TestAttentionBlock:
@@ -234,42 +238,42 @@ class TestAttentionBlock:
         block = self.make(26)
         xa = Tensor(rng.normal(size=(1, 9, 16)))
         xb = Tensor(rng.normal(size=(1, 9, 16)))
-        ya1, _ = block.forward_pair(xa, xb, (3, 3), cross=False)
-        ya2, _ = block.forward_pair(xa, Tensor(np.zeros((1, 9, 16))), (3, 3), cross=False)
-        assert np.array_equal(ya1.data, ya2.data)
+        y1 = block(stack(xa, xb), (3, 3), cross=False)
+        y2 = block(stack(xa, Tensor(np.zeros((1, 9, 16)))), (3, 3), cross=False)
+        assert np.array_equal(y1.data[:1], y2.data[:1])
 
     def test_cross_with_identical_streams_equals_self(self):
         rng = np.random.default_rng(27)
         block = self.make(28)
         x = Tensor(rng.normal(size=(1, 9, 16)))
-        ya, yb = block.forward_pair(x, x, (3, 3), cross=True)
-        ys = block.forward_single(x, (3, 3))
-        assert np.array_equal(ya.data, ys.data) and np.array_equal(yb.data, ys.data)
+        yc = block(stack(x, x), (3, 3), cross=True)
+        ys = block(stack(x, x), (3, 3), cross=False)
+        assert np.array_equal(yc.data, ys.data)
+        assert np.array_equal(yc.data[:1], yc.data[1:])
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(29)
         block = self.make(30)
         xa = Tensor(rng.normal(size=(1, 9, 16)))
         xb = Tensor(rng.normal(size=(1, 9, 16)))
-        ya, yb = block.forward_pair(xa, xb, (3, 3), cross=True)
-        yb2, ya2 = block.forward_pair(xb, xa, (3, 3), cross=True)
-        assert np.array_equal(ya.data, ya2.data) and np.array_equal(yb.data, yb2.data)
+        y_ab = block(stack(xa, xb), (3, 3), cross=True)
+        y_ba = block(stack(xb, xa), (3, 3), cross=True)
+        assert np.array_equal(y_ab.data, T.swap_halves(y_ba).data)
 
     def test_output_shape_preserved(self):
         rng = np.random.default_rng(31)
         for kind, red in (("full", 1), ("la", 1), ("sea", 2)):
             block = AttentionBlock(np.random.default_rng(32), 16, 4, kind, red)
             x = Tensor(rng.normal(size=(1, 16, 16)))
-            ya, yb = block.forward_pair(x, Tensor(x.data + 1), (4, 4), cross=True)
-            assert ya.shape == x.shape and yb.shape == x.shape
+            y = block(stack(x, Tensor(x.data + 1)), (4, 4), cross=True)
+            assert y.shape == (2, 16, 16)
 
     def test_all_parameters_receive_gradient(self):
         rng = np.random.default_rng(33)
         block = AttentionBlock(np.random.default_rng(34), 8, 2, "sea", 2)
-        xa = Tensor(rng.normal(size=(1, 16, 8)))
-        xb = Tensor(rng.normal(size=(1, 16, 8)))
-        ya, yb = block.forward_pair(xa, xb, (4, 4), cross=True)
-        T.backward(T.reduce_sum(T.mul(T.add(ya, yb), T.add(ya, yb))))
+        x = Tensor(rng.normal(size=(2, 16, 8)))
+        y = block(x, (4, 4), cross=True)
+        T.backward(T.reduce_sum(T.mul(y, y)))
         dead = [n for n, p in block.named_parameters()
                 if p.grad is None or np.abs(p.grad).max() == 0.0]
         assert dead == []
@@ -292,6 +296,15 @@ class TestCheckpoint:
         other = AttentionBlock(np.random.default_rng(37), 8, 2, "sea", 2)
         with pytest.raises(ValueError):
             apply_checkpoint(other, load_checkpoint(path))
+
+    def test_truncated_file_rejected(self, tmp_path):
+        block = AttentionBlock(np.random.default_rng(41), 8, 2, "full")
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, block.named_parameters()[:2])
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
 
     def test_seq_map_roundtrip(self):
         rng = np.random.default_rng(38)

@@ -69,6 +69,21 @@ class TestMatch:
         manifest = (out / "manifest.txt").read_text()
         assert "command: match" in manifest and "theta: 0.0" in manifest
 
+    def test_truncated_checkpoint_is_io_error(self, pgm_pair, tmp_path, capsys):
+        a, b = pgm_pair
+        cfgfile = tmp_path / "toy.cfg"
+        cfgfile.write_text(TOY_CONFIG)
+        ckpt = tmp_path / "ckpt.txt"
+        cfg = TrainConfig(channels=(8, 8, 8, 16), coarse_channels=8,
+                          fine_channels=8, fusion_channels=8)
+        MatchModel(cfg.model_config(), seed=0).save(ckpt)
+        lines = ckpt.read_text().splitlines()
+        ckpt.write_text("\n".join(lines[:-1]) + "\n")
+        code = main(["match", a, b, "--out", str(tmp_path / "o"), "--config",
+                     str(cfgfile), "--checkpoint", str(ckpt)])
+        assert code == 3
+        assert "truncated" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = main(["match", str(tmp_path / "nope.pgm"), str(tmp_path / "nope2.pgm"),
                      "--out", str(tmp_path / "o")])
@@ -108,6 +123,12 @@ class TestTrain:
             assert np.array_equal(a.data, b.data)
         assert (out / "metrics.csv").exists()
         assert (out / "manifest.txt").exists()
+
+    def test_batch_size_key_is_usage_error(self, tmp_path):
+        cfgfile = tmp_path / "toy.cfg"
+        cfgfile.write_text(TOY_CONFIG + "batch_size: 1\n")
+        assert main(["train", "--out", str(tmp_path / "run"), "--config",
+                     str(cfgfile)]) == 2
 
     def test_short_training_runs(self, tmp_path):
         cfgfile = tmp_path / "toy.cfg"

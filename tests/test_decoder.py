@@ -72,13 +72,13 @@ class TestEndToEndGradient:
         model = MatchModel(cfg, seed=4)
         rng = np.random.default_rng(5)
         img = rng.uniform(size=(1, 1, 32, 32))
-        wc = Tensor(rng.normal(size=(1, 8, 8, 8)))
+        wc = Tensor(rng.normal(size=(2, 8, 8, 8)))
 
         def loss_fn(pe_weight):
             model.encoder.stages[0].pe.proj.weight.data = pe_weight.data
             saved = model.encoder.stages[0].pe.proj.weight
             model.encoder.stages[0].pe.proj.weight = pe_weight
-            pyr = model.encoder.encode_single(Tensor(img))
+            pyr = model.encoder.encode_pair(Tensor(img), Tensor(img))
             coarse, _ = model.decoder.fuse(pyr)
             model.encoder.stages[0].pe.proj.weight = saved
             return T.reduce_sum(T.mul(coarse, wc))
@@ -86,3 +86,32 @@ class TestEndToEndGradient:
         probe = Tensor(model.encoder.stages[0].pe.proj.weight.data.copy())
         rep = T.fd_check(loss_fn, probe, tol=1e-3, max_coords=10)
         assert rep.passed, rep.max_rel_err
+
+
+class TestForwardPair:
+    def test_swap_symmetry_of_all_four_outputs(self):
+        cfg = make_config("lite", "sea", channels=(8, 12, 16, 24), coarse_channels=16,
+                          fine_channels=16, fusion_channels=16)
+        model = MatchModel(cfg, seed=6)
+        rng = np.random.default_rng(7)
+        a = Tensor(rng.uniform(size=(1, 1, 64, 64)))
+        b = Tensor(rng.uniform(size=(1, 1, 64, 64)))
+        with T.no_grad():
+            ca, fa, cb, fb = model.forward_pair(a, b)
+            cb2, fb2, ca2, fa2 = model.forward_pair(b, a)
+        for x, y in ((ca, ca2), (fa, fa2), (cb, cb2), (fb, fb2)):
+            assert x.shape[0] == 1
+            assert np.array_equal(x.data, y.data)
+
+    def test_decoder_runs_once_per_pair(self, monkeypatch):
+        cfg = make_config("lite", "la", channels=(8, 8, 8, 16), coarse_channels=8,
+                          fine_channels=8, fusion_channels=8)
+        model = MatchModel(cfg, seed=0)
+        calls = []
+        fuse = model.decoder.fuse
+        monkeypatch.setattr(model.decoder, "fuse",
+                            lambda pyr: calls.append(pyr) or fuse(pyr))
+        img = Tensor(np.random.default_rng(8).uniform(size=(1, 1, 32, 32)))
+        with T.no_grad():
+            model.forward_pair(img, img)
+        assert len(calls) == 1 and calls[0][0].shape[0] == 2

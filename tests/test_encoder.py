@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from matchformer import tensor as T
-from matchformer.encoder import (NAMED_SCHEDULES, default_schedule, make_config,
-                                 model_config_from_dict, output_plan,
-                                 parse_config_text, schedule_from_strings,
-                                 stage_plan, with_schedule)
+from matchformer.cli import _merge_model_keys
+from matchformer.encoder import (_MODEL_KEYS, NAMED_SCHEDULES, default_schedule,
+                                 make_config, output_plan, parse_config_text,
+                                 schedule_from_strings, stage_plan, with_schedule)
 from matchformer.model import MatchModel
 from matchformer.tensor import Tensor
+from matchformer.trainer import config_from_dict
 
 TOY = dict(channels=(8, 12, 16, 24), coarse_channels=16, fine_channels=16,
            fusion_channels=16)
@@ -17,6 +18,14 @@ TOY = dict(channels=(8, 12, 16, 24), coarse_channels=16, fine_channels=16,
 
 def toy_model(variant="lite", attention="sea", seed=0, **kw):
     return MatchModel(make_config(variant, attention, **{**TOY, **kw}), seed=seed)
+
+
+def model_config_from_text(text):
+    """The config-file path of the CLI: model keys folded into trainer keys."""
+    raw = parse_config_text(text)
+    model_raw = {k: v for k, v in raw.items() if k in _MODEL_KEYS}
+    train_raw = {k: v for k, v in raw.items() if k not in _MODEL_KEYS}
+    return config_from_dict(_merge_model_keys(train_raw, model_raw)).model_config()
 
 
 class TestSchedules:
@@ -96,9 +105,9 @@ class TestEncodePair:
         plan = stage_plan(model.cfg, 64, 64)
         a = Tensor(np.random.default_rng(0).uniform(size=(1, 1, 64, 64)))
         with T.no_grad():
-            pyr, _ = model.encoder.encode_pair(a, a)
+            pyr = model.encoder.encode_pair(a, a)
         for level, (c, h, w) in zip(pyr, plan):
-            assert level.shape == (1, c, h, w)
+            assert level.shape == (2, c, h, w)
 
     def test_swap_symmetry_exact(self):
         model = toy_model()
@@ -106,10 +115,10 @@ class TestEncodePair:
         a = Tensor(rng.uniform(size=(1, 1, 64, 64)))
         b = Tensor(rng.uniform(size=(1, 1, 64, 64)))
         with T.no_grad():
-            pa, pb = model.encoder.encode_pair(a, b)
-            pb2, pa2 = model.encoder.encode_pair(b, a)
-        for x, y in zip(list(pa) + list(pb), list(pa2) + list(pb2)):
-            assert np.array_equal(x.data, y.data)
+            p_ab = model.encoder.encode_pair(a, b)
+            p_ba = model.encoder.encode_pair(b, a)
+        for x, y in zip(p_ab, p_ba):
+            assert np.array_equal(x.data, T.swap_halves(y).data)
 
     def test_no_cross_factorization_to_last_bit(self):
         cfg = with_schedule(make_config("lite", "sea", **TOY),
@@ -119,12 +128,10 @@ class TestEncodePair:
         a = Tensor(rng.uniform(size=(1, 1, 64, 64)))
         b = Tensor(rng.uniform(size=(1, 1, 64, 64)))
         with T.no_grad():
-            pa, _ = model.encoder.encode_pair(a, b)
-            pa2, _ = model.encoder.encode_pair(a, Tensor(1.0 - b.data))
-            single = model.encoder.encode_single(a)
-        for x, y, z in zip(pa, pa2, single):
-            assert np.array_equal(x.data, y.data)
-            assert np.array_equal(x.data, z.data)
+            p = model.encoder.encode_pair(a, b)
+            p2 = model.encoder.encode_pair(a, Tensor(1.0 - b.data))
+        for x, y in zip(p, p2):
+            assert np.array_equal(x.data[:1], y.data[:1])
 
     def test_cross_sensitivity_under_default_schedule(self):
         model = toy_model()
@@ -134,9 +141,9 @@ class TestEncodePair:
         b2 = b.copy()
         b2[0, 0, 20, 20] += 0.25
         with T.no_grad():
-            pa, _ = model.encoder.encode_pair(a, Tensor(b))
-            pa2, _ = model.encoder.encode_pair(a, Tensor(b2))
-        assert np.abs(pa[3].data - pa2[3].data).max() > 0
+            p = model.encoder.encode_pair(a, Tensor(b))
+            p2 = model.encoder.encode_pair(a, Tensor(b2))
+        assert np.abs(p[3].data[:1] - p2[3].data[:1]).max() > 0
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(5)
@@ -145,7 +152,7 @@ class TestEncodePair:
         for _ in range(2):
             model = toy_model(seed=7)
             with T.no_grad():
-                pyr = model.encoder.encode_single(img)
+                pyr = model.encoder.encode_pair(img, img)
             outs.append(np.concatenate([m.data.reshape(-1) for m in pyr]))
         assert np.array_equal(outs[0], outs[1])
 
@@ -159,16 +166,16 @@ class TestEncodePair:
         model = toy_model(patch_embed="std")
         a = Tensor(np.random.default_rng(8).uniform(size=(1, 1, 64, 64)))
         with T.no_grad():
-            pyr = model.encoder.encode_single(a)
-        assert pyr[3].shape == (1, 24, 2, 2)
+            pyr = model.encoder.encode_pair(a, a)
+        assert pyr[3].shape == (2, 24, 2, 2)
 
 
 class TestConfigGrammar:
     def test_order_insensitive(self):
         text_a = "variant: large\nattention: la\n"
         text_b = "attention: la\nvariant: large\n"
-        cfg_a = model_config_from_dict(parse_config_text(text_a))
-        cfg_b = model_config_from_dict(parse_config_text(text_b))
+        cfg_a = model_config_from_text(text_a)
+        cfg_b = model_config_from_text(text_b)
         assert cfg_a == cfg_b
 
     def test_comments_and_blank_lines(self):
@@ -184,11 +191,11 @@ class TestConfigGrammar:
             parse_config_text("variant lite\n")
 
     def test_named_and_literal_schedules(self):
-        cfg1 = model_config_from_dict({"cross_flags": "sequential"})
-        cfg2 = model_config_from_dict({"cross_flags": "SSS SSS CCC CCC"})
+        cfg1 = model_config_from_text("cross_flags: sequential")
+        cfg2 = model_config_from_text("cross_flags: SSS SSS CCC CCC")
         assert [s.cross_flags for s in cfg1.stages] == [s.cross_flags for s in cfg2.stages]
 
     def test_channel_override_scales_heads(self):
-        cfg = model_config_from_dict({"channels": "8 12 16 24", "attention": "la"})
+        cfg = model_config_from_text("channels: 8 12 16 24\nattention: la")
         for st in cfg.stages:
             assert st.channels % st.heads == 0

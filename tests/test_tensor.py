@@ -252,6 +252,23 @@ class TestStructural:
         expect[1:3, 0:2] = 1.0
         assert np.array_equal(x.grad, expect)
 
+    def test_swap_halves_exchanges_and_is_self_inverse(self):
+        x = Tensor(np.random.default_rng(14).normal(size=(4, 3, 2)))
+        y = T.swap_halves(x)
+        assert np.array_equal(y.data[:2], x.data[2:]) and np.array_equal(y.data[2:], x.data[:2])
+        assert np.array_equal(T.swap_halves(y).data, x.data)
+
+    def test_swap_halves_gradient(self):
+        rng = np.random.default_rng(15)
+        w = Tensor(rng.normal(size=(2, 3, 4)))
+        rep = T.fd_check(lambda x: T.reduce_sum(T.mul(T.mul(T.swap_halves(x), x), w)),
+                         Tensor(rng.normal(size=(2, 3, 4))), tol=1e-4)
+        assert rep.passed, rep.max_rel_err
+
+    def test_swap_halves_odd_leading_axis_rejected(self):
+        with pytest.raises(T.ShapeError):
+            T.swap_halves(Tensor(np.zeros((3, 2))))
+
     def test_window_gather_matches_direct_crop(self):
         rng = np.random.default_rng(11)
         m = rng.normal(size=(3, 8, 8))
