@@ -334,6 +334,13 @@ def _draw_line(canvas, x1, y1, x2, y2, color) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _window(text: str) -> int:
+    try:
+        return M.check_window(int(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="matchformer",
                                      description=__doc__.split("\n")[0])
@@ -346,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--attention", choices=("la", "sea", "full"))
             p.add_argument("--tau", type=float, default=0.1)
             p.add_argument("--theta", type=float, default=0.2)
-            p.add_argument("--window", type=int, default=5)
+            p.add_argument("--window", type=_window, default=5)
             p.add_argument("--config")
 
     p = sub.add_parser("selftest", help="run the invariant suite")

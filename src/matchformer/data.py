@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matcher import cell_center_px
+
 
 class ImageFormatError(ValueError):
     """Malformed PGM/PPM header or payload."""
@@ -182,8 +184,7 @@ def gt_coarse_labels(h_mat: np.ndarray, size: tuple, r_c: int) -> np.ndarray:
     h_img, w_img = size
     hc, wc = h_img // r_c, w_img // r_c
     rows, cols = np.divmod(np.arange(hc * wc), wc)
-    centers = np.stack([(cols + 0.5) * r_c - 0.5, (rows + 0.5) * r_c - 0.5], axis=1)
-    mapped = hom_apply(h_mat, centers)
+    mapped = hom_apply(h_mat, cell_center_px(np.stack([cols, rows], axis=1), r_c))
     cell_x = np.floor((mapped[:, 0] + 0.5) / r_c).astype(int)
     cell_y = np.floor((mapped[:, 1] + 0.5) / r_c).astype(int)
     inside = (cell_x >= 0) & (cell_x < wc) & (cell_y >= 0) & (cell_y < hc)

@@ -5,16 +5,17 @@ l2-normalized) coarse descriptors, a dual softmax turning scores into mutual
 match probabilities, and threshold + mutual-nearest-neighbor selection.
 
 Fine stage: each selected coarse match is back-located onto the fine maps,
-a square window is cropped around the candidate on the B side, and the
-expectation of a softmax correlation against the A-side center vector gives a
-subpixel B coordinate.  The A side stays at coarse cell centers.
+and the expectation of a softmax correlation between the A-side center
+vector and a square window around the B-side cell gives a subpixel B
+coordinate.  The A side stays at coarse cell centers.  Training
+(``fine_offsets``) and inference (``fine_refine``) share that one window
+softmax.
 
-Coordinate conventions (pixels have their centers at integer coordinates):
-  coarse cell (r, c)   center pixel ((c + 0.5) * r_c - 0.5, (r + 0.5) * r_c - 0.5)
-  fine cell k          center pixel  (k + 0.5) * r_f - 0.5
-Fine correlation uses l2-normalized vectors with its own (sharper)
-temperature.  Windows that overrun the map are clamped to it and the softmax
-renormalizes over the surviving cells.
+Pixels have their centers at integer coordinates; ``cell_center_px`` maps a
+grid cell to its center pixel and ``fine_cells`` back-locates coarse cells
+onto the fine grid.  Fine correlation uses l2-normalized vectors with its own
+(sharper) temperature.  Windows that overrun the map are clamped to it and
+the softmax renormalizes over the surviving cells.
 """
 
 from __future__ import annotations
@@ -153,17 +154,27 @@ def select_coarse(probs, theta: float, grid_a=None, grid_b=None) -> CoarseMatchR
 # ---------------------------------------------------------------------------
 
 
-def _cell_center_px(cell: np.ndarray, stride: int) -> np.ndarray:
+def cell_center_px(cell, stride: int) -> np.ndarray:
+    """Pixel coordinate of the center of grid cell ``cell`` at ``stride``."""
     return (cell + 0.5) * stride - 0.5
 
 
-def _round_half_up(x: np.ndarray) -> np.ndarray:
-    return np.floor(x + 0.5).astype(int)
+def fine_cells(flat: np.ndarray, grid: tuple, r_c: int, r_f: int,
+               fine_hw: tuple) -> np.ndarray:
+    """[M, 2] (row, col) fine cells holding the centers of flat coarse cells.
+
+    Cells past the fine map (extents not divisible by the strides) are
+    clamped to its border.
+    """
+    rc = np.stack(np.divmod(flat, grid[1]), axis=1)
+    k = np.floor((rc + 0.5) * (r_c / r_f)).astype(np.intp)
+    return np.clip(k, 0, np.asarray(fine_hw) - 1)
 
 
-def _normalize_rows(m: np.ndarray) -> np.ndarray:
-    n = np.sqrt((m * m).sum(axis=0, keepdims=True))
-    return m / np.where(n > 0, n, 1.0)
+def check_window(window: int) -> int:
+    if window % 2 == 0 or window < 1:
+        raise ValueError("window must be odd and positive")
+    return window
 
 
 def fine_refine(coarse: CoarseMatchResult, fine_a: Tensor, fine_b: Tensor,
@@ -172,8 +183,9 @@ def fine_refine(coarse: CoarseMatchResult, fine_a: Tensor, fine_b: Tensor,
     """Refine coarse matches to subpixel B-side coordinates.
 
     For each coarse pair, the A coordinate is the coarse cell center; the B
-    coordinate is the window-softmax expectation around the back-located fine
-    cell, mapped back to pixels, plus the A query's known sub-cell offset.
+    coordinate is the ``fine_offsets`` expectation around the back-located
+    fine cell, mapped back to pixels, plus the A query's known sub-cell
+    offset.
 
     The correction term exists because the center vector is a single fine
     cell: when the coarse grid is finer than the fine grid (r_c < r_f), the
@@ -182,45 +194,19 @@ def fine_refine(coarse: CoarseMatchResult, fine_a: Tensor, fine_b: Tensor,
     Re-adding the query's offset from that center (exact under a locally
     rigid mapping) removes an otherwise irreducible +-0.25 r_f error.
     """
-    if window % 2 == 0 or window < 1:
-        raise ValueError("window must be odd and positive")
-    fa = _as_single_map(fine_a).data
-    fb = _as_single_map(fine_b).data
-    fa = _normalize_rows(fa.reshape(fa.shape[0], -1)).reshape(fa.shape)
-    fb = _normalize_rows(fb.reshape(fb.shape[0], -1)).reshape(fb.shape)
-    hf_a, wf_a = fa.shape[1:]
-    hf_b, wf_b = fb.shape[1:]
-    radius = window // 2
-    scale = r_c / r_f
-
-    rows = []
-    for (i, j), conf in zip(coarse.pairs, coarse.confidences):
-        ra, ca = divmod(int(i), coarse.grid_a[1])
-        rb, cb = divmod(int(j), coarse.grid_b[1])
-        x1 = _cell_center_px(np.float64(ca), r_c)
-        y1 = _cell_center_px(np.float64(ra), r_c)
-        # back-located fine cells (A center vector; B window center)
-        ka_r = min(max(_round_half_up((ra + 0.5) * scale - 0.5), 0), hf_a - 1)
-        ka_c = min(max(_round_half_up((ca + 0.5) * scale - 0.5), 0), wf_a - 1)
-        kb_r = min(max(_round_half_up((rb + 0.5) * scale - 0.5), 0), hf_b - 1)
-        kb_c = min(max(_round_half_up((cb + 0.5) * scale - 0.5), 0), wf_b - 1)
-        r_lo, r_hi = max(kb_r - radius, 0), min(kb_r + radius, hf_b - 1)
-        c_lo, c_hi = max(kb_c - radius, 0), min(kb_c + radius, wf_b - 1)
-        win = fb[:, r_lo:r_hi + 1, c_lo:c_hi + 1]
-        center = fa[:, ka_r, ka_c]
-        logits = np.einsum("c,cij->ij", center, win) / tau
-        e = np.exp(logits - logits.max())
-        p = e / e.sum()
-        dy = (p.sum(axis=1) * (np.arange(r_lo, r_hi + 1) - kb_r)).sum()
-        dx = (p.sum(axis=0) * (np.arange(c_lo, c_hi + 1) - kb_c)).sum()
-        x2 = _cell_center_px(kb_c + dx, r_f) + (x1 - _cell_center_px(np.float64(ka_c), r_f))
-        y2 = _cell_center_px(kb_r + dy, r_f) + (y1 - _cell_center_px(np.float64(ka_r), r_f))
-        # refined points stay inside the B image (the fine grid tiles it)
-        x2 = min(max(x2, 0.0), wf_b * r_f - 1.0)
-        y2 = min(max(y2, 0.0), hf_b * r_f - 1.0)
-        rows.append((x1, y1, x2, y2, float(conf)))
-    pts = np.array(rows, dtype=np.float64).reshape(-1, 5)
-    return MatchSet(points=pts)
+    check_window(window)
+    hw_b = np.asarray(fine_b.shape[-2:])
+    ka = fine_cells(coarse.pairs[:, 0], coarse.grid_a, r_c, r_f, fine_a.shape[-2:])
+    kb = fine_cells(coarse.pairs[:, 1], coarse.grid_b, r_c, r_f, hw_b)
+    with T.no_grad():
+        off = fine_offsets(fine_a, fine_b, ka, kb, radius=window // 2, tau=tau).data
+    yx1 = cell_center_px(np.stack(np.divmod(coarse.pairs[:, 0], coarse.grid_a[1]),
+                                  axis=1), r_c)
+    yx2 = cell_center_px(kb + off, r_f) + (yx1 - cell_center_px(ka, r_f))
+    # refined points stay inside the B image (the fine grid tiles it)
+    yx2 = np.clip(yx2, 0.0, hw_b * r_f - 1.0)
+    return MatchSet(points=np.column_stack([yx1[:, ::-1], yx2[:, ::-1],
+                                            coarse.confidences]))
 
 
 def fine_offsets(fine_a: Tensor, fine_b: Tensor, centers_a: np.ndarray,
@@ -229,8 +215,8 @@ def fine_offsets(fine_a: Tensor, fine_b: Tensor, centers_a: np.ndarray,
     """Differentiable expected (dy, dx) offsets, in fine-cell units.
 
     ``centers_*`` are [M, 2] integer (row, col) fine cells.  Windows that
-    overrun the B map are clamped exactly as in ``fine_refine``: slots
-    outside the map are masked out of the softmax.
+    overrun the B map are clamped to it: slots outside the map are masked
+    out of the softmax, which renormalizes over the cells inside.
     """
     fa = T.l2_normalize(_as_single_map(fine_a), axis=0)
     fb = T.l2_normalize(_as_single_map(fine_b), axis=0)

@@ -133,6 +133,7 @@ class TrainConfig:
         if self.lambda_coarse < 0 or self.lambda_fine < 0 \
                 or (self.lambda_coarse == 0 and self.lambda_fine == 0):
             raise ValueError("loss weights must be nonnegative and not both zero")
+        M.check_window(self.window)
 
     def model_config(self):
         schedule = schedule_from_strings(NAMED_SCHEDULES[self.schedule]) \
@@ -183,32 +184,18 @@ def _fine_supervision(cfg: TrainConfig, model, pairs: np.ndarray,
     grid_a, grid_b = grids
     r_c, r_f = model.cfg.coarse_stride, model.cfg.fine_stride
     radius = cfg.window // 2
-    hf, wf = fine_shape
-    scale = r_c / r_f
-
-    rows_a, cols_a = np.divmod(pairs[:, 0], grid_a[1])
-    rows_b, cols_b = np.divmod(pairs[:, 1], grid_b[1])
-    ka = np.stack([np.floor((rows_a + 0.5) * scale).astype(int),
-                   np.floor((cols_a + 0.5) * scale).astype(int)], axis=1)
-    kb = np.stack([np.floor((rows_b + 0.5) * scale).astype(int),
-                   np.floor((cols_b + 0.5) * scale).astype(int)], axis=1)
+    ka = M.fine_cells(pairs[:, 0], grid_a, r_c, r_f, fine_shape)
+    kb = M.fine_cells(pairs[:, 1], grid_b, r_c, r_f, fine_shape)
     # Target: where the A fine-cell CENTER lands in B fine coordinates.  The
     # center vector cannot see the query's sub-cell position, so supervising
-    # the cell center keeps the target a function of the available input
-    # (fine_refine re-adds the query's sub-cell offset at inference).
-    centers_px = np.stack([(ka[:, 1] + 0.5) * r_f - 0.5,
-                           (ka[:, 0] + 0.5) * r_f - 0.5], axis=1)
-    mapped = D.hom_apply(h_mat, centers_px)
-    gt_rc = np.stack([(mapped[:, 1] + 0.5) / r_f - 0.5,
-                      (mapped[:, 0] + 0.5) / r_f - 0.5], axis=1)
+    # the cell center keeps the target a function of the available input;
+    # fine_refine adds the query's offset from that center back in pixels.
+    mapped = D.hom_apply(h_mat, M.cell_center_px(ka, r_f)[:, ::-1])
+    gt_rc = (mapped[:, ::-1] + 0.5) / r_f - 0.5
     gt_off = gt_rc - kb
     # windows may be clamped at the map border (masked in fine_offsets);
     # only require the target itself to fall inside the window
-    usable = ((ka[:, 0] >= 0) & (ka[:, 0] <= hf - 1)
-              & (ka[:, 1] >= 0) & (ka[:, 1] <= wf - 1)
-              & (kb[:, 0] >= 0) & (kb[:, 0] <= hf - 1)
-              & (kb[:, 1] >= 0) & (kb[:, 1] <= wf - 1)
-              & (np.abs(gt_off) <= radius).all(axis=1))
+    usable = (np.abs(gt_off) <= radius).all(axis=1)
     idx = np.flatnonzero(usable)
     if len(idx) > cfg.max_fine_matches:
         idx = rng.choice(idx, size=cfg.max_fine_matches, replace=False)

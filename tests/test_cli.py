@@ -84,6 +84,19 @@ class TestMatch:
         assert code == 3
         assert "truncated" in capsys.readouterr().err
 
+    def test_even_window_is_usage_error_before_the_model_runs(self, pgm_pair,
+                                                               tmp_path, monkeypatch):
+        a, b = pgm_pair
+        monkeypatch.setattr(M, "match_pair", lambda *args, **kw: pytest.fail("model ran"))
+        manifest = tmp_path / "pairs.tsv"
+        D.save_manifest(manifest, [(0, np.eye(3))])
+        for argv in (["match", a, b, "--out", str(tmp_path / "o")],
+                     ["eval", "--manifest", str(manifest), "--out", str(tmp_path / "e")]):
+            for window in ("4", "0"):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + ["--window", window])
+                assert exc.value.code == 2
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = main(["match", str(tmp_path / "nope.pgm"), str(tmp_path / "nope2.pgm"),
                      "--out", str(tmp_path / "o")])
@@ -125,10 +138,12 @@ class TestTrain:
         assert (out / "manifest.txt").exists()
 
     def test_batch_size_key_is_usage_error(self, tmp_path):
+        # so is an even fine window
         cfgfile = tmp_path / "toy.cfg"
-        cfgfile.write_text(TOY_CONFIG + "batch_size: 1\n")
-        assert main(["train", "--out", str(tmp_path / "run"), "--config",
-                     str(cfgfile)]) == 2
+        for extra in ("batch_size: 1\n", "window: 4\n"):
+            cfgfile.write_text(TOY_CONFIG + extra)
+            assert main(["train", "--out", str(tmp_path / "run"), "--config",
+                         str(cfgfile)]) == 2
 
     def test_short_training_runs(self, tmp_path):
         cfgfile = tmp_path / "toy.cfg"

@@ -190,30 +190,63 @@ class TestFineRefine:
                           Tensor(np.zeros((1, 9, 9))), window=4, r_c=16, r_f=2)
 
     def test_differentiable_offsets_agree_with_inference(self):
-        rng = np.random.default_rng(5)
-        fine_a = rng.normal(size=(6, 12, 12))
-        fine_b = rng.normal(size=(6, 12, 12))
-        # coarse grid 6x6 at r_c=4 with r_f=2: cell (r, c) -> fine (2r+1, 2c+1)
-        pairs = np.array([[7, 14], [8, 9]])  # flat indices into the 6x6 grid
-        res = M.CoarseMatchResult(probs=np.ones((36, 36)) * 0.5, theta=0.0,
-                                  pairs=pairs,
-                                  confidences=np.array([0.5, 0.5]),
-                                  grid_a=(6, 6), grid_b=(6, 6))
-        ms = M.fine_refine(res, Tensor(fine_a), Tensor(fine_b), window=5,
-                           r_c=4, r_f=2, tau=0.1)
-        scale = 4 / 2
-        ra, ca = np.divmod(pairs[:, 0], 6)
-        rb, cb = np.divmod(pairs[:, 1], 6)
-        ka = np.stack([np.floor((ra + 0.5) * scale).astype(int),
-                       np.floor((ca + 0.5) * scale).astype(int)], axis=1)
-        kb = np.stack([np.floor((rb + 0.5) * scale).astype(int),
-                       np.floor((cb + 0.5) * scale).astype(int)], axis=1)
-        with T.no_grad():
-            offs = M.fine_offsets(Tensor(fine_a), Tensor(fine_b), ka, kb,
-                                  radius=2, tau=0.1).data
-        x2_ref = (kb[:, 1] + offs[:, 1] + 0.5) * 2 - 0.5 \
-            + ms.xy1[:, 0] - ((ka[:, 1] + 0.5) * 2 - 0.5)
-        assert np.abs(ms.xy2[:, 0] - x2_ref).max() < 1e-12
+        # fine_refine against a per-match crop-and-softmax loop, on interior
+        # windows and on windows clamped at every border of the fine map
+        for r_c, r_f, grid in ((4, 2, 6), (2, 2, 12), (4, 8, 12)):
+            rng = np.random.default_rng(5 + r_c + r_f)
+            hf = grid * r_c // r_f
+            fine_a = rng.normal(size=(6, hf, hf))
+            fine_b = rng.normal(size=(6, hf, hf))
+            n = grid * grid
+            pairs = np.concatenate([[[0, 0], [n - 1, n - 1], [grid - 1, n - grid],
+                                     [0, n // 2 + grid // 2]],
+                                    rng.integers(0, n, size=(8, 2))])
+            res = M.CoarseMatchResult(probs=np.ones((n, n)) * 0.5, theta=0.0,
+                                      pairs=pairs,
+                                      confidences=rng.uniform(size=len(pairs)),
+                                      grid_a=(grid, grid), grid_b=(grid, grid))
+            ms = M.fine_refine(res, Tensor(fine_a), Tensor(fine_b), window=5,
+                               r_c=r_c, r_f=r_f, tau=0.1)
+            ref = loop_refine(res, fine_a, fine_b, 5, r_c, r_f, 0.1)
+            assert ms.points.shape == ref.shape
+            assert np.abs(ms.points - ref).max() < 1e-12
+
+
+def loop_refine(coarse, fine_a, fine_b, window, r_c, r_f, tau):
+    """One match at a time: crop the window inside the map, softmax, expect."""
+    def unit(m):
+        n = np.sqrt((m * m).sum(axis=0, keepdims=True))
+        return m / np.where(n > 0, n, 1.0)
+
+    def center(k, r):
+        return (k + 0.5) * r - 0.5
+
+    def back_locate(k, size):
+        return min(max(int(np.floor((k + 0.5) * r_c / r_f)), 0), size - 1)
+
+    fa, fb = unit(fine_a), unit(fine_b)
+    hf, wf = fb.shape[1:]
+    radius = window // 2
+    rows = []
+    for (i, j), conf in zip(coarse.pairs, coarse.confidences):
+        ra, ca = divmod(int(i), coarse.grid_a[1])
+        rb, cb = divmod(int(j), coarse.grid_b[1])
+        ka_r, ka_c = back_locate(ra, fa.shape[1]), back_locate(ca, fa.shape[2])
+        kb_r, kb_c = back_locate(rb, hf), back_locate(cb, wf)
+        r_lo, r_hi = max(kb_r - radius, 0), min(kb_r + radius, hf - 1)
+        c_lo, c_hi = max(kb_c - radius, 0), min(kb_c + radius, wf - 1)
+        logits = np.einsum("c,cij->ij", fa[:, ka_r, ka_c],
+                           fb[:, r_lo:r_hi + 1, c_lo:c_hi + 1]) / tau
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        dy = (p.sum(axis=1) * (np.arange(r_lo, r_hi + 1) - kb_r)).sum()
+        dx = (p.sum(axis=0) * (np.arange(c_lo, c_hi + 1) - kb_c)).sum()
+        x1, y1 = center(ca, r_c), center(ra, r_c)
+        x2 = center(kb_c + dx, r_f) + x1 - center(ka_c, r_f)
+        y2 = center(kb_r + dy, r_f) + y1 - center(ka_r, r_f)
+        rows.append((x1, y1, min(max(x2, 0.0), wf * r_f - 1.0),
+                     min(max(y2, 0.0), hf * r_f - 1.0), conf))
+    return np.array(rows, dtype=np.float64).reshape(-1, 5)
 
 
 class TestMatchPair:
@@ -262,9 +295,18 @@ class TestMatchFileIO:
         assert path.read_text().splitlines()[0] == "# matchformer-matches v1"
 
     def test_empty_set_roundtrip(self, tmp_path):
-        path = tmp_path / "empty.tsv"
-        M.save_matches(path, M.MatchSet(points=np.zeros((0, 5))))
-        assert len(M.load_matches(path)) == 0
+        # fine_refine turns a coarse set without pairs into an empty set
+        res = M.CoarseMatchResult(probs=np.zeros((81, 81)), theta=0.0,
+                                  pairs=np.zeros((0, 2), dtype=int),
+                                  confidences=np.zeros(0),
+                                  grid_a=(9, 9), grid_b=(9, 9))
+        fine = Tensor(np.random.default_rng(6).normal(size=(4, 9, 9)))
+        refined = M.fine_refine(res, fine, fine, window=5, r_c=2, r_f=2)
+        for k, matches in enumerate([M.MatchSet(points=np.zeros((0, 5))), refined]):
+            path = tmp_path / f"empty{k}.tsv"
+            M.save_matches(path, matches)
+            assert matches.points.shape == (0, 5)
+            assert M.load_matches(path).points.shape == (0, 5)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -181,9 +181,11 @@ class TestTrainConfig:
         assert cfg.model_config().stages[0].cross_flags == (False, False, False)
 
     def test_unknown_key_rejected(self):
-        for key in ("leerning_rate", "batch_size"):
+        # an even or non-positive fine window is rejected the same way
+        for key, value in (("leerning_rate", "1"), ("batch_size", "1"),
+                           ("window", "4"), ("window", "0")):
             with pytest.raises(ValueError):
-                config_from_dict({key: "1"})
+                config_from_dict({key: value})
 
     @pytest.mark.parametrize("name", ["self_only", "cross_only", "sequential",
                                       "interleaving"])
