@@ -368,7 +368,7 @@ def gelu(x: Tensor) -> Tensor:
     """tanh-approximated GELU."""
     x = _as_tensor(x)
     d = x.data
-    inner = _GELU_C * (d + 0.044715 * d ** 3)
+    inner = _GELU_C * (d + 0.044715 * (d * d * d))
     t = np.tanh(inner)
     out = Tensor(_check_finite(0.5 * d * (1.0 + t), "gelu"))
 
