@@ -73,16 +73,31 @@ class Linear(Module):
 
 class Conv2d(Module):
     def __init__(self, rng, c_in: int, c_out: int, k: int, stride: int = 1,
-                 padding: int = 0, groups: int = 1):
-        fan_out = k * k * c_out // groups
-        self.weight = _param(rng.normal(0.0, math.sqrt(2.0 / fan_out),
-                                        size=(c_out, c_in // groups, k, k)))
+                 padding: int = 0):
+        self.weight = _param(rng.normal(0.0, math.sqrt(2.0 / (k * k * c_out)),
+                                        size=(c_out, c_in, k, k)))
         self.bias = _param(np.zeros(c_out))
-        self.stride, self.padding, self.groups = stride, padding, groups
+        self.stride, self.padding = stride, padding
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.weight, self.bias, stride=self.stride,
-                        padding=self.padding, groups=self.groups)
+                        padding=self.padding)
+
+
+class DepthwiseConv(Module):
+    """Depthwise kxk convolution on channels-last [B, H, W, C] maps.
+
+    The weight keeps the grouped-convolution shape [C, 1, k, k] and its
+    He draw (fan-out k*k), so checkpoints and seeded models carry over.
+    """
+
+    def __init__(self, rng, channels: int, k: int = 3):
+        self.weight = _param(rng.normal(0.0, math.sqrt(2.0 / (k * k)),
+                                        size=(channels, 1, k, k)))
+        self.bias = _param(np.zeros(channels))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return T.depthwise_conv2d(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -98,12 +113,6 @@ class LayerNorm(Module):
 # ---------------------------------------------------------------------------
 # Sequence/map layout helpers
 # ---------------------------------------------------------------------------
-
-
-def map_to_seq(x: Tensor) -> Tensor:
-    """[B, C, H, W] -> [B, H*W, C]"""
-    b, c, h, w = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 3, 1)), (b, h * w, c))
 
 
 def seq_to_map(x: Tensor, h: int, w: int) -> Tensor:
@@ -123,18 +132,19 @@ class PosPatchEmbed(Module):
     """Overlapping strided convolution gated by sigmoid(depthwise conv).
 
     The depthwise 3x3 gate encodes position implicitly through its zero
-    padding; the gate bias starts at 0 so the gate opens at 0.5.
+    padding; the gate bias starts at 0 so the gate opens at 0.5.  Takes a
+    [B, C_in, H, W] image or map and returns a channels-last [B, h, w, C].
     """
 
     def __init__(self, rng, c_in: int, c_out: int, k: int, stride: int, padding: int):
         self.proj = Conv2d(rng, c_in, c_out, k, stride=stride, padding=padding)
-        self.gate = Conv2d(rng, c_out, c_out, 3, stride=1, padding=1, groups=c_out)
+        self.gate = DepthwiseConv(rng, c_out)
         self.stride = stride
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.shape[2] % self.stride or x.shape[3] % self.stride:
             raise T.ShapeError(f"input extents {x.shape[2:]} not divisible by stride {self.stride}")
-        c = self.proj(x)
+        c = T.transpose(self.proj(x), (0, 2, 3, 1))
         return T.mul(c, T.sigmoid(self.gate(c)))
 
 
@@ -159,7 +169,10 @@ def sinusoidal_position_code(h: int, w: int, dim: int) -> np.ndarray:
 
 
 class StdPatchEmbed(Module):
-    """Non-overlapping PxP patches, linear projection, additive fixed code."""
+    """Non-overlapping PxP patches, linear projection, additive fixed code.
+
+    Returns a channels-last [B, h, w, C] map like ``PosPatchEmbed``.
+    """
 
     def __init__(self, rng, c_in: int, c_out: int, patch: int):
         self.proj = Linear(rng, c_in * patch * patch, c_out)
@@ -182,7 +195,7 @@ class StdPatchEmbed(Module):
         if key not in self._codes:
             self._codes[key] = sinusoidal_position_code(ho, wo, self.c_out)
         y = T.add(y, Tensor(self._codes[key]))
-        return seq_to_map(y, ho, wo)
+        return T.reshape(y, (b, ho, wo, self.c_out))
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +275,21 @@ class Attention(Module):
 
 
 class MixFFN(Module):
-    """linear C -> EC, depthwise 3x3 on the spatial map, GELU, linear EC -> C."""
+    """linear C -> EC, depthwise 3x3 on the channels-last spatial map, GELU,
+    linear EC -> C.  The [B, N, EC] sequence is viewed as [B, H, W, EC], so
+    no transpose is needed around the depthwise conv."""
 
     def __init__(self, rng, dim: int, expansion: int = 4):
         hidden = dim * expansion
         self.fc1 = Linear(rng, dim, hidden)
-        self.dw = Conv2d(rng, hidden, hidden, 3, stride=1, padding=1, groups=hidden)
+        self.dw = DepthwiseConv(rng, hidden)
         self.fc2 = Linear(rng, hidden, dim)
 
     def __call__(self, x: Tensor, hw: tuple) -> Tensor:
-        h, w = hw
+        b, n, _ = x.shape
         y = self.fc1(x)
-        y = map_to_seq(self.dw(seq_to_map(y, h, w)))
+        hidden = y.shape[-1]
+        y = T.reshape(self.dw(T.reshape(y, (b, *hw, hidden))), (b, n, hidden))
         return self.fc2(T.gelu(y))
 
 

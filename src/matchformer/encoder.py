@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from . import tensor as T
 from .blocks import (AttentionBlock, LayerNorm, Module, PosPatchEmbed,
-                     StdPatchEmbed, map_to_seq, seq_to_map)
+                     StdPatchEmbed, seq_to_map)
 from .tensor import Tensor
 
 VARIANTS = ("lite", "large")
@@ -226,9 +226,9 @@ class Stage(Module):
 
     def forward_pair(self, x: Tensor) -> Tensor:
         """Both streams stacked on the batch axis, A over B."""
-        x = self.pe(x)
-        _, _, h, w = x.shape
-        s = map_to_seq(x)
+        x = self.pe(x)                        # channels-last [2B, h, w, C]
+        b, h, w, c = x.shape
+        s = T.reshape(x, (b, h * w, c))
         for block, cross in zip(self.blocks, self.cfg.cross_flags):
             s = block(s, (h, w), cross)
         return seq_to_map(self.norm(s), h, w)

@@ -245,7 +245,8 @@ def flops_count(cfg: ModelConfig, height: int, width: int,
                 include_matcher: bool = False) -> FlopsBreakdown:
     """Analytic FLOPs for one matched pair (both streams counted).
 
-    conv: 2 k^2 (C_in/groups) C_out H_out W_out; linear: 2 N C_in C_out;
+    conv: 2 k^2 C_in C_out H_out W_out (depthwise: 2 k^2 C H_out W_out);
+    linear: 2 N C_in C_out;
     full/SEA attention: 2 N N' d per head for QK^T and again for PV, with N'
     reduced by R^2; LA: 2 N d^2 per head per factor.  The matcher adds the
     coarse score product and, as a documented upper-bound convention, one

@@ -5,6 +5,12 @@ every differentiable operation appends one node to the active ``Tape``, and
 ``backward`` replays the tape in reverse (execution order reversed is a
 reverse topological order, so each node is visited exactly once).
 
+Besides elementwise, reduction and layout ops, the model's layers use a
+dense ``conv2d`` ([B, C, H, W] maps, im2col + matmul), a channels-last
+``depthwise_conv2d`` ([B, H, W, C] maps, k*k shifted multiply-adds),
+``bilinear_upsample2x``, ``swap_halves`` for cross attention and
+``window_gather`` for fine refinement.
+
 Supported broadcasting is restricted to the two cases the model needs:
 scalars, and a smaller operand whose shape equals the trailing dimensions of
 the larger one (bias adds, affine gains).  Anything else is a shape error.
@@ -651,21 +657,20 @@ def window_valid_mask(shape_hw: tuple, rows: np.ndarray, cols: np.ndarray,
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
-    """2-D cross-correlation (no kernel flip), zero padding, square kernels.
+           stride: int = 1, padding: int = 0) -> Tensor:
+    """Dense 2-D cross-correlation (no kernel flip), zero padding, square kernels.
 
-    ``x``: [B, C_in, H, W]; ``w``: [C_out, C_in/groups, k, k].
-    ``groups == C_in`` with ``C_out == C_in`` gives depthwise behavior.
+    ``x``: [B, C_in, H, W]; ``w``: [C_out, C_in, k, k].
     """
     x, w = _as_tensor(x), _as_tensor(w)
     if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError("conv2d expects x[B,C,H,W] and w[Co,Ci/g,k,k]")
+        raise ShapeError("conv2d expects x[B,C,H,W] and w[Co,Ci,k,k]")
     b_, cin, h, wd = x.shape
-    cout, cin_g, k, k2 = w.shape
+    cout, cin_w, k, k2 = w.shape
     if k != k2 or k % 2 == 0:
         raise ShapeError("conv2d kernels must be square with odd extent")
-    if cin % groups or cout % groups or cin_g != cin // groups:
-        raise ShapeError(f"channel/group mismatch: C_in={cin}, C_out={cout}, groups={groups}")
+    if cin_w != cin:
+        raise ShapeError(f"channel mismatch: x has C_in={cin}, w expects {cin_w}")
     ho = (h + 2 * padding - k) // stride + 1
     wo = (wd + 2 * padding - k) // stride + 1
     if ho <= 0 or wo <= 0:
@@ -679,17 +684,17 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]                       # [B, Cin, Ho, Wo, k, k]
     cols = np.ascontiguousarray(np.moveaxis(win, (2, 3), (4, 5)))
-    cols = cols.reshape(b_, groups, cin_g * k * k, ho * wo)   # [B, g, f, L]
-    wg = w.data.reshape(groups, cout // groups, cin_g * k * k)
-    val = np.matmul(wg, cols).reshape(b_, cout, ho, wo)
+    cols = cols.reshape(b_, cin * k * k, ho * wo)             # [B, f, L]
+    wf = w.data.reshape(cout, cin * k * k)
+    val = np.matmul(wf, cols).reshape(b_, cout, ho, wo)
     if bias is not None:
         val = val + bias.data[None, :, None, None]
     out = Tensor(_check_finite(val, "conv2d"))
 
     def bwd(g):
-        gg = g.reshape(b_, groups, cout // groups, ho * wo)
+        gg = g.reshape(b_, cout, ho * wo)
         dw = np.matmul(gg, np.swapaxes(cols, -1, -2)).sum(axis=0).reshape(w.shape)
-        dcols = np.matmul(np.swapaxes(wg, -1, -2), gg).reshape(b_, cin, k, k, ho, wo)
+        dcols = np.matmul(wf.T, gg).reshape(b_, cin, k, k, ho, wo)
         dxp = np.zeros_like(xp)
         for ki in range(k):
             for kj in range(k):
@@ -702,6 +707,60 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
 
     parents = (x, w) if bias is None else (x, w, bias)
     return _record(out, parents, bwd)
+
+
+# Elements of one [B, rows, W, C] slab of the depthwise loops (256 KB): the
+# k*k passes over a slab then run from cache instead of from memory.
+_DEPTHWISE_SLAB = 1 << 15
+
+
+def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """Channels-last depthwise cross-correlation, stride 1, zero "same" padding.
+
+    ``x``: [B, H, W, C]; ``w``: [C, 1, k, k] with odd k; ``bias``: [C].
+    Each output is k*k shifted slices of the padded input times their
+    per-channel tap, so no im2col buffer is built.  The loops run over slabs
+    of output rows.
+    """
+    x, w, bias = _as_tensor(x), _as_tensor(w), _as_tensor(bias)
+    if x.ndim != 4:
+        raise ShapeError("depthwise_conv2d expects a channels-last x[B,H,W,C]")
+    b_, h, wd, c = x.shape
+    k = w.shape[-1] if w.ndim == 4 else 0
+    if w.shape != (c, 1, k, k) or k % 2 == 0:
+        raise ShapeError(f"depthwise_conv2d needs w[{c},1,k,k] with odd k, got {w.shape}")
+    if bias.shape != (c,):
+        raise ShapeError(f"depthwise_conv2d bias must have shape ({c},), got {bias.shape}")
+    p = k // 2
+    taps = np.ascontiguousarray(w.data.reshape(c, k * k).T)   # [k*k, C]
+    shifts = [(t // k, t % k) for t in range(k * k)]
+    rows = max(1, _DEPTHWISE_SLAB // max(1, b_ * wd * c))
+    slabs = [(r, min(h, r + rows)) for r in range(0, h, rows)]
+
+    xp = np.zeros((b_, h + 2 * p, wd + 2 * p, c))
+    xp[:, p:p + h, p:p + wd] = x.data
+    val = np.empty(x.shape)
+    tmp = np.empty((b_, min(rows, h), wd, c))
+    for r0, r1 in slabs:
+        v, tt = val[:, r0:r1], tmp[:, :r1 - r0]
+        np.multiply(xp[:, r0:r1, :wd], taps[0], out=v)
+        for t in range(1, k * k):
+            i, j = shifts[t]
+            v += np.multiply(xp[:, r0 + i:r1 + i, j:j + wd], taps[t], out=tt)
+    val += bias.data
+    out = Tensor(_check_finite(val, "depthwise_conv2d"))
+
+    def bwd(g):
+        dxp = np.zeros_like(xp)
+        dw = np.zeros((k * k, c))
+        for r0, r1 in slabs:
+            gs, tt = g[:, r0:r1], tmp[:, :r1 - r0]
+            for t, (i, j) in enumerate(shifts):
+                dxp[:, r0 + i:r1 + i, j:j + wd] += np.multiply(gs, taps[t], out=tt)
+                dw[t] += np.einsum("bhwc,bhwc->c", gs, xp[:, r0 + i:r1 + i, j:j + wd])
+        return (dxp[:, p:p + h, p:p + wd], dw.T.reshape(w.shape), g.sum(axis=(0, 1, 2)))
+
+    return _record(out, (x, w, bias), bwd)
 
 
 # ---------------------------------------------------------------------------

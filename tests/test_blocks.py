@@ -6,7 +6,7 @@ import pytest
 from matchformer import tensor as T
 from matchformer.blocks import (Attention, AttentionBlock, MixFFN, PosPatchEmbed,
                                 StdPatchEmbed, apply_checkpoint, load_checkpoint,
-                                map_to_seq, save_checkpoint, seq_to_map,
+                                save_checkpoint, seq_to_map,
                                 sinusoidal_position_code)
 from matchformer.tensor import Tensor
 
@@ -32,7 +32,7 @@ class TestPosPatchEmbed:
     def test_stage1_output_extent(self, stride, expect):
         pe = PosPatchEmbed(np.random.default_rng(1), 1, 128, 7, stride, 3)
         out = pe(Tensor(np.random.default_rng(2).uniform(size=(1, 1, 64, 64))))
-        assert out.shape == (1, 128, expect, expect)
+        assert out.shape == (1, expect, expect, 128)  # channels-last
 
     def test_saturated_gate_reduces_to_plain_conv(self):
         rng = np.random.default_rng(3)
@@ -41,7 +41,7 @@ class TestPosPatchEmbed:
         pe.gate.bias.data[:] = 50.0  # sigmoid(50) == 1 to double precision
         x = Tensor(rng.uniform(size=(1, 1, 32, 32)))
         plain = T.conv2d(x, pe.proj.weight, pe.proj.bias, stride=4, padding=3)
-        assert np.abs(pe(x).data - plain.data).max() < 1e-15
+        assert np.abs(pe(x).data - plain.data.transpose(0, 2, 3, 1)).max() < 1e-15
 
     def test_indivisible_extent_rejected(self):
         pe = PosPatchEmbed(np.random.default_rng(4), 1, 8, 7, 4, 3)
@@ -53,12 +53,13 @@ class TestStdPatchEmbed:
     def test_whole_image_patch_gives_single_token(self):
         pe = StdPatchEmbed(np.random.default_rng(5), 1, 16, 8)
         out = pe(Tensor(np.random.default_rng(6).uniform(size=(1, 1, 8, 8))))
-        assert out.shape == (1, 16, 1, 1)
+        assert out.shape == (1, 1, 1, 16)
 
     def test_token_count(self):
         pe = StdPatchEmbed(np.random.default_rng(7), 1, 16, 4)
         out = pe(Tensor(np.zeros((1, 1, 64, 64))))
-        assert out.shape[2] * out.shape[3] == 64 * 64 // 16
+        assert out.shape == (1, 16, 16, 16)
+        assert out.shape[1] * out.shape[2] == 64 * 64 // 16
 
     def test_position_code_origin_values(self):
         code = sinusoidal_position_code(4, 4, 16)
@@ -216,6 +217,19 @@ class TestMixFFN:
         ffn = MixFFN(np.random.default_rng(23), 128, 4)
         assert ffn.fc1.weight.shape == (128, 512)
 
+    def test_depthwise_weights_keep_checkpoint_names_and_shapes(self):
+        ffn = MixFFN(np.random.default_rng(25), 8, 4)
+        shapes = {n: p.shape for n, p in ffn.named_parameters()}
+        assert shapes["dw.weight"] == (32, 1, 3, 3) and shapes["dw.bias"] == (32,)
+        pe = PosPatchEmbed(np.random.default_rng(26), 1, 8, 7, 4, 3)
+        shapes = {n: p.shape for n, p in pe.named_parameters()}
+        assert shapes["gate.weight"] == (8, 1, 3, 3) and shapes["gate.bias"] == (8,)
+
+    def test_extent_mismatch_rejected(self):
+        ffn = MixFFN(np.random.default_rng(27), 8, 4)
+        with pytest.raises(T.ShapeError):
+            ffn(Tensor(np.zeros((1, 9, 8))), (2, 4))
+
     def test_gradient_through_block(self):
         rng = np.random.default_rng(24)
         block = AttentionBlock(rng, dim=8, heads=2, kind="la")
@@ -309,4 +323,5 @@ class TestCheckpoint:
     def test_seq_map_roundtrip(self):
         rng = np.random.default_rng(38)
         x = Tensor(rng.normal(size=(2, 4, 6, 5)))
-        assert np.array_equal(seq_to_map(map_to_seq(x), 6, 5).data, x.data)
+        seq = T.reshape(T.transpose(x, (0, 2, 3, 1)), (2, 30, 4))
+        assert np.array_equal(seq_to_map(seq, 6, 5).data, x.data)

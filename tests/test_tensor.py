@@ -163,23 +163,86 @@ class TestConv2d:
                        padding=padding).data
         assert np.abs(got - naive_conv2d(x, w, b, stride, padding)).max() < 1e-10
 
-    def test_depthwise_groups(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(1, 4, 5, 5))
-        w = rng.normal(size=(4, 1, 3, 3))
-        got = T.conv2d(Tensor(x), Tensor(w), padding=1, groups=4).data
-        for c in range(4):
-            ref = naive_conv2d(x[:, c:c + 1], w[c:c + 1], np.zeros(1), 1, 1)
-            assert np.abs(got[:, c:c + 1] - ref).max() < 1e-10
-
-    def test_group_divisibility_error(self):
+    def test_channel_mismatch_error(self):
         with pytest.raises(T.ShapeError):
-            T.conv2d(Tensor(np.ones((1, 3, 4, 4))), Tensor(np.ones((2, 1, 3, 3))),
-                     groups=2)
+            T.conv2d(Tensor(np.ones((1, 3, 4, 4))), Tensor(np.ones((2, 1, 3, 3))))
 
     def test_nonpositive_output_error(self):
         with pytest.raises(T.ShapeError):
             T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))))
+
+
+def naive_depthwise(x, w, bias):
+    """Channels-last depthwise conv as one single-channel naive conv per channel."""
+    xc = x.transpose(0, 3, 1, 2)
+    k = w.shape[-1]
+    out = np.stack([naive_conv2d(xc[:, c:c + 1], w[c:c + 1], bias[c:c + 1], 1, k // 2)[:, 0]
+                    for c in range(x.shape[-1])], axis=1)
+    return out.transpose(0, 2, 3, 1)
+
+
+class TestDepthwiseConv2d:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("shape", [(2, 1, 1, 3), (1, 1, 6, 1), (2, 5, 4, 3)])
+    def test_against_per_channel_naive_oracle(self, k, shape):
+        rng = np.random.default_rng(40 + k)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(shape[-1], 1, k, k))
+        b = rng.normal(size=shape[-1])
+        got = T.depthwise_conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        assert got.shape == shape
+        assert np.abs(got - naive_depthwise(x, w, b)).max() < 1e-10
+
+    @pytest.mark.parametrize("slab", [1, 24])
+    def test_row_slabs_agree_with_one_pass(self, slab, monkeypatch):
+        # one-row slabs, or two-row slabs with a ragged last one
+        rng = np.random.default_rng(46)
+        x = Tensor(rng.normal(size=(2, 5, 3, 2)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=2), requires_grad=True)
+        r = rng.normal(size=(2, 5, 3, 2))
+        grads = []
+        for size in (1 << 15, slab):
+            monkeypatch.setattr(T, "_DEPTHWISE_SLAB", size)
+            out = T.depthwise_conv2d(x, w, b)
+            T.backward(T.reduce_sum(T.mul(out, Tensor(r))))
+            grads.append((out.data, x.grad, w.grad, b.grad))
+            x.grad = w.grad = b.grad = None
+        assert np.abs(grads[1][0] - naive_depthwise(x.data, w.data, b.data)).max() < 1e-10
+        for one, sliced in zip(*grads):
+            assert np.abs(one - sliced).max() < 1e-12
+
+    @pytest.mark.parametrize("k,hw", [(3, (2, 3)), (5, (1, 4))])
+    def test_gradients_match_finite_differences(self, k, hw):
+        # every tap reaches into the zero border somewhere on maps this small
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=(2, *hw, 3))
+        w = rng.normal(size=(3, 1, k, k))
+        b = rng.normal(size=3)
+        r = Tensor(rng.normal(size=(2, *hw, 3)))
+
+        def loss(xx, ww, bb):
+            return T.reduce_sum(T.mul(T.depthwise_conv2d(xx, ww, bb), r))
+
+        for rep in (T.fd_check(lambda v: loss(v, Tensor(w), Tensor(b)), Tensor(x)),
+                    T.fd_check(lambda v: loss(Tensor(x), v, Tensor(b)), Tensor(w)),
+                    T.fd_check(lambda v: loss(Tensor(x), Tensor(w), v), Tensor(b))):
+            assert rep.passed, rep.max_rel_err
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+        ((4, 4, 3), (3, 1, 3, 3), (3,)),          # 3-D input
+        ((1, 4, 4, 3), (3, 3, 3, 3), (3,)),       # dense weight
+        ((1, 4, 4, 3), (2, 1, 3, 3), (3,)),       # channel count mismatch
+        ((1, 4, 4, 3), (3, 1, 3, 5), (3,)),       # non-square kernel
+        ((1, 4, 4, 3), (3, 1, 3), (3,)),          # 3-D weight
+        ((1, 4, 4, 3), (3, 1, 2, 2), (3,)),       # even kernel
+        ((1, 4, 4, 3), (3, 1, 3, 3), (4,)),       # bias of the wrong width
+        ((1, 4, 4, 3), (3, 1, 3, 3), (1, 3)),     # bias of the wrong rank
+    ])
+    def test_shape_errors(self, x_shape, w_shape, b_shape):
+        with pytest.raises(T.ShapeError):
+            T.depthwise_conv2d(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)),
+                               Tensor(np.ones(b_shape)))
 
 
 class TestLayerNorm:
