@@ -346,15 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_flags=True):
+    def common(p, matching=True):
         p.add_argument("--seed", type=int, default=None)
-        if model_flags:
-            p.add_argument("--variant", choices=("lite", "large"))
-            p.add_argument("--attention", choices=("la", "sea", "full"))
+        p.add_argument("--variant", choices=("lite", "large"))
+        p.add_argument("--attention", choices=("la", "sea", "full"))
+        p.add_argument("--config")
+        if matching:  # train takes these from its config file only
             p.add_argument("--tau", type=float, default=0.1)
             p.add_argument("--theta", type=float, default=0.2)
             p.add_argument("--window", type=_window, default=5)
-            p.add_argument("--config")
 
     p = sub.add_parser("selftest", help="run the invariant suite")
     p.add_argument("--seed", type=int, default=0)
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--progress", type=int, default=None)
-    common(p)
+    common(p, matching=False)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate matching on a dataset manifest")

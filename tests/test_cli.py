@@ -145,6 +145,20 @@ class TestTrain:
             assert main(["train", "--out", str(tmp_path / "run"), "--config",
                          str(cfgfile)]) == 2
 
+    def test_matching_flags_are_usage_errors(self, tmp_path, monkeypatch):
+        # train reads tau, theta and window from its config file only; the
+        # flags would otherwise be accepted and silently ignored
+        monkeypatch.setattr("matchformer.cli.train_toy",
+                            lambda *a, **kw: pytest.fail("training ran"))
+        cfgfile = tmp_path / "toy.cfg"
+        cfgfile.write_text(TOY_CONFIG)
+        for flag, value in (("--window", "7"), ("--tau", "0.3"), ("--theta", "0.5")):
+            with pytest.raises(SystemExit) as exc:
+                main(["train", "--out", str(tmp_path / "run"), "--config", str(cfgfile),
+                      "--steps", "0", flag, value])
+            assert exc.value.code == 2
+        assert not (tmp_path / "run").exists()
+
     def test_short_training_runs(self, tmp_path):
         cfgfile = tmp_path / "toy.cfg"
         cfgfile.write_text(TOY_CONFIG)
