@@ -346,6 +346,7 @@ def reference_run():
     return result, minutes, float(np.mean(mmas))
 
 
+@pytest.mark.slow  # every test here shares the 2000-step reference_run
 class TestCriterion8ToyTraining:
     def test_runtime_budget(self, reference_run):
         _, minutes, _ = reference_run
