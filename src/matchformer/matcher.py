@@ -223,11 +223,9 @@ def fine_offsets(fine_a: Tensor, fine_b: Tensor, centers_a: np.ndarray,
     m = len(centers_a)
     c = fa.shape[0]
     w = 2 * radius + 1
-    cvec = T.window_gather(fa, centers_a[:, 0], centers_a[:, 1], 0)
-    cvec = T.reshape(cvec, (m, 1, c))
-    wins = T.window_gather(fb, centers_b[:, 0], centers_b[:, 1], radius, clip=True)
-    wins = T.reshape(wins, (m, c, w * w))
-    logits = T.mul(T.reshape(T.matmul(cvec, wins), (m, w * w)), 1.0 / tau)
+    cvec = T.reshape(T.window_gather(fa, centers_a[:, 0], centers_a[:, 1], 0), (m, c))
+    logits = T.window_dot(cvec, fb, centers_b[:, 0], centers_b[:, 1], radius)
+    logits = T.mul(T.reshape(logits, (m, w * w)), 1.0 / tau)
     valid = T.window_valid_mask(fb.shape[1:], centers_b[:, 0], centers_b[:, 1],
                                 radius).reshape(m, w * w)
     if not valid.all():

@@ -8,8 +8,8 @@ reverse topological order, so each node is visited exactly once).
 Besides elementwise, reduction and layout ops, the model's layers use a
 dense ``conv2d`` ([B, C, H, W] maps, im2col + matmul), a channels-last
 ``depthwise_conv2d`` ([B, H, W, C] maps, k*k shifted multiply-adds),
-``bilinear_upsample2x``, ``swap_halves`` for cross attention and
-``window_gather`` for fine refinement.
+``bilinear_upsample2x``, ``swap_halves`` for cross attention, and
+``window_gather`` and ``window_dot`` for fine refinement.
 
 Supported broadcasting is restricted to the two cases the model needs:
 scalars, and a smaller operand whose shape equals the trailing dimensions of
@@ -604,13 +604,11 @@ def take_pairs(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def window_gather(x: Tensor, rows: np.ndarray, cols: np.ndarray, radius: int,
-                  clip: bool = False) -> Tensor:
+def window_gather(x: Tensor, rows: np.ndarray, cols: np.ndarray, radius: int) -> Tensor:
     """Crop square windows from a ``[C, H, W]`` map.
 
-    Returns ``[M, C, w, w]`` with ``w = 2*radius + 1``.  By default every
-    window must lie fully inside the map; with ``clip=True`` out-of-bounds
-    cells gather the clamped edge cell instead (callers mask those slots).
+    Returns ``[M, C, w, w]`` with ``w = 2*radius + 1``; every window must lie
+    fully inside the map.
     """
     x = _as_tensor(x)
     if x.ndim != 3:
@@ -621,10 +619,7 @@ def window_gather(x: Tensor, rows: np.ndarray, cols: np.ndarray, radius: int,
     off = np.arange(-radius, radius + 1)
     rr = rows[:, None, None] + off[None, :, None]   # [M, w, 1]
     cc = cols[:, None, None] + off[None, None, :]   # [M, 1, w]
-    if clip:
-        rr = np.clip(rr, 0, h - 1)
-        cc = np.clip(cc, 0, w - 1)
-    elif rows.min(initial=radius) < radius or rows.max(initial=0) > h - 1 - radius \
+    if rows.min(initial=radius) < radius or rows.max(initial=0) > h - 1 - radius \
             or cols.min(initial=radius) < radius or cols.max(initial=0) > w - 1 - radius:
         raise ShapeError("window exceeds map bounds")
     gathered = x.data[:, rr, cc]                    # [C, M, w, w]
@@ -637,6 +632,47 @@ def window_gather(x: Tensor, rows: np.ndarray, cols: np.ndarray, radius: int,
         return (np.moveaxis(dx_t, -1, 0),)
 
     return _record(out, (x,), bwd)
+
+
+def window_dot(v: Tensor, x: Tensor, rows: np.ndarray, cols: np.ndarray,
+               radius: int) -> Tensor:
+    """Dot products of ``v[m]`` with every cell of the square window of a
+    ``[C, H, W]`` map centred on ``(rows[m], cols[m])``.
+
+    ``v`` is ``[M, C]``; returns ``[M, w, w]`` with ``w = 2*radius + 1``.
+    Out-of-bounds cells read the clamped edge cell (callers mask those
+    slots).  Runs one window slot at a time, so no ``[M, C, w, w]`` copy of
+    the windows is made.
+    """
+    v, x = _as_tensor(v), _as_tensor(x)
+    if x.ndim != 3:
+        raise ShapeError("window_dot expects a [C, H, W] map")
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    c, h, w = x.shape
+    m, n = len(rows), 2 * radius + 1
+    if v.shape != (m, c) or cols.shape != rows.shape:
+        raise ShapeError(f"window_dot needs [M, {c}] vectors and M centres, got {v.shape}")
+    off = np.arange(-radius, radius + 1)
+    rr = np.clip(rows[:, None, None] + off[None, :, None], 0, h - 1)
+    cc = np.clip(cols[:, None, None] + off[None, None, :], 0, w - 1)
+    cells = (rr * w + cc).reshape(m, n * n)         # flat cell index per slot
+    xt = np.ascontiguousarray(x.data.reshape(c, h * w).T)
+    val = np.empty((m, n * n))
+    for t in range(n * n):
+        val[:, t] = np.einsum("mc,mc->m", v.data, xt[cells[:, t]])
+    out = Tensor(_check_finite(val.reshape(m, n, n), "window_dot"))
+
+    def bwd(g):
+        g = g.reshape(m, n * n)
+        dv = np.zeros_like(v.data)
+        dxt = np.zeros_like(xt)
+        for t in range(n * n):
+            dv += g[:, t, None] * xt[cells[:, t]]
+            np.add.at(dxt, cells[:, t], g[:, t, None] * v.data)
+        return (dv, dxt.T.reshape(x.shape))
+
+    return _record(out, (v, x), bwd)
 
 
 def window_valid_mask(shape_hw: tuple, rows: np.ndarray, cols: np.ndarray,

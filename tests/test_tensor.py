@@ -338,6 +338,45 @@ class TestStructural:
         got = T.window_gather(Tensor(m), np.array([3]), np.array([4]), 2).data
         assert np.array_equal(got[0], m[:, 1:6, 2:7])
 
+    def test_window_dot_matches_clamped_crop_oracle(self):
+        # interior windows and windows clamped at every border of a 5 x 6 map
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(3, 5, 6))
+        rows, cols = np.array([2, 0, 4, 1, 3]), np.array([3, 0, 5, 5, 0])
+        v = rng.normal(size=(5, 3))
+        got = T.window_dot(Tensor(v), Tensor(x), rows, cols, 2).data
+        assert got.shape == (5, 5, 5)
+        for k in range(5):
+            for i in range(5):
+                for j in range(5):
+                    r = min(max(rows[k] + i - 2, 0), 4)
+                    c = min(max(cols[k] + j - 2, 0), 5)
+                    assert abs(got[k, i, j] - v[k] @ x[:, r, c]) < 1e-12
+
+    def test_window_dot_gradients(self):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(3, 4, 4))
+        v = rng.normal(size=(3, 3))
+        rows, cols = np.array([0, 2, 3]), np.array([1, 2, 3])
+        w = Tensor(rng.normal(size=(3, 3, 3)))
+
+        def loss(vv, xx):
+            return T.reduce_sum(T.mul(T.window_dot(vv, xx, rows, cols, 1), w))
+
+        for rep in (T.fd_check(lambda t: loss(t, Tensor(x)), Tensor(v)),
+                    T.fd_check(lambda t: loss(Tensor(v), t), Tensor(x))):
+            assert rep.passed, rep.max_rel_err
+
+    def test_window_dot_empty_and_shape_errors(self):
+        x = Tensor(np.ones((3, 4, 4)))
+        none = np.zeros(0, dtype=int)
+        assert T.window_dot(Tensor(np.zeros((0, 3))), x, none, none, 2).shape == (0, 5, 5)
+        with pytest.raises(T.ShapeError):
+            T.window_dot(Tensor(np.ones((1, 2))), x, np.array([1]), np.array([1]), 1)
+        with pytest.raises(T.ShapeError):
+            T.window_dot(Tensor(np.ones((1, 4))), Tensor(np.ones((4, 4))),
+                         np.array([1]), np.array([1]), 1)
+
     def test_take_pairs(self):
         p = Tensor(np.arange(20.0).reshape(4, 5))
         got = T.take_pairs(p, np.array([0, 3]), np.array([1, 4])).data
