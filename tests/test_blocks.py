@@ -58,8 +58,7 @@ class TestStdPatchEmbed:
     def test_token_count(self):
         pe = StdPatchEmbed(np.random.default_rng(7), 1, 16, 4)
         out = pe(Tensor(np.zeros((1, 1, 64, 64))))
-        assert out.shape == (1, 16, 16, 16)
-        assert out.shape[1] * out.shape[2] == 64 * 64 // 16
+        assert out.shape == (1, 16, 16, 16)  # 64 * 64 / 16 tokens, channels-last
 
     def test_position_code_origin_values(self):
         code = sinusoidal_position_code(4, 4, 16)
