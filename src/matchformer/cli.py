@@ -41,11 +41,9 @@ from . import evalkit as E  # noqa: E402
 from . import matcher as M  # noqa: E402
 from . import tensor as T  # noqa: E402
 from . import selftest as S  # noqa: E402
-from .encoder import (make_config, output_plan, parse_config_text,  # noqa: E402
-                      stage_plan, _MODEL_KEYS)
+from .encoder import make_config, output_plan, parse_config_text, stage_plan  # noqa: E402
 from .model import MatchModel  # noqa: E402
-from .trainer import (TrainConfig, TrainingDivergedError, config_from_dict,  # noqa: E402
-                      train_toy)
+from .trainer import TrainingDivergedError, config_from_dict, train_toy  # noqa: E402
 
 
 class CliError(Exception):
@@ -62,30 +60,15 @@ def _write_manifest(out_dir, args_dict) -> None:
             fh.write(f"{key}: {args_dict[key]}\n")
 
 
-def _load_split_config(path):
-    """Split a config file into model keys and trainer keys."""
+def _read_config(args) -> dict:
+    """Parsed ``--config`` file, or an empty dict without one."""
+    if not args.config:
+        return {}
     try:
-        with open(path) as fh:
-            raw = parse_config_text(fh.read())
+        with open(args.config) as fh:
+            return parse_config_text(fh.read())
     except OSError as e:
-        raise CliError(f"cannot read config {path}: {e}", EXIT_IO)
-    model_raw = {k: v for k, v in raw.items() if k in _MODEL_KEYS}
-    train_raw = {k: v for k, v in raw.items() if k not in _MODEL_KEYS}
-    return model_raw, train_raw
-
-
-def _merge_model_keys(train_raw: dict, model_raw: dict) -> dict:
-    """Fold model-section keys into trainer-config key names."""
-    merged = dict(train_raw)
-    for k in ("variant", "attention", "channels", "coarse_channels",
-              "fine_channels", "fusion_channels"):
-        if k in model_raw:
-            merged[k] = model_raw[k]
-    if "pe" in model_raw:
-        merged["patch_embed"] = model_raw["pe"]
-    if "cross_flags" in model_raw:
-        merged["schedule"] = model_raw["cross_flags"]
-    return merged
+        raise CliError(f"cannot read config {args.config}: {e}", EXIT_IO)
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +113,7 @@ def cmd_match(args) -> int:
         img_b = D.read_pgm(args.image_b)
     except (OSError, D.ImageFormatError) as e:
         raise CliError(str(e), EXIT_IO)
-    model_raw = {}
-    train_raw = {}
-    if args.config:
-        model_raw, train_raw = _load_split_config(args.config)
-    model = _model_from_args(args, model_raw, train_raw)
+    model = _model_from_args(args, _read_config(args))
     if args.checkpoint:
         try:
             model.load(args.checkpoint)
@@ -158,18 +137,12 @@ def cmd_match(args) -> int:
 
 
 def cmd_train(args) -> int:
-    model_raw, train_raw = ({}, {})
-    if args.config:
-        model_raw, train_raw = _load_split_config(args.config)
-    for key, value in (("steps", args.steps), ("seed", args.seed)):
-        if value is not None:
-            train_raw[key] = str(value)
-    train_raw = _merge_model_keys(train_raw, model_raw)
-    for key in ("variant", "attention"):
-        if getattr(args, key, None):
-            train_raw[key] = getattr(args, key)
+    raw = _read_config(args)
+    for key in ("steps", "seed", "variant", "attention"):
+        if getattr(args, key) is not None:
+            raw[key] = str(getattr(args, key))
     try:
-        cfg = config_from_dict(train_raw)
+        cfg = config_from_dict(raw)
     except ValueError as e:
         raise CliError(str(e), EXIT_USAGE)
     os.makedirs(args.out, exist_ok=True)
@@ -179,7 +152,7 @@ def cmd_train(args) -> int:
                            progress=args.progress)
     except (T.NumericalError, TrainingDivergedError) as e:
         raise CliError(str(e), EXIT_NUMERIC)
-    _write_manifest(args.out, {"command": "train", **_cfg_dict(cfg),
+    _write_manifest(args.out, {"command": "train", **asdict(cfg),
                                "holdout_precision": result.holdout_precision})
     print(f"holdout precision@1cell: {result.holdout_precision:.3f}")
     print(f"checkpoint -> {args.out}/checkpoint.txt")
@@ -201,10 +174,7 @@ def cmd_eval(args) -> int:
         except (OSError, ValueError) as e:
             raise CliError(str(e), EXIT_IO)
     else:
-        model_raw, train_raw = ({}, {})
-        if args.config:
-            model_raw, train_raw = _load_split_config(args.config)
-        model = _model_from_args(args, model_raw, train_raw)
+        model = _model_from_args(args, _read_config(args))
         if args.checkpoint:
             try:
                 model.load(args.checkpoint)
@@ -278,20 +248,13 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cfg_dict(cfg: TrainConfig) -> dict:
-    return asdict(cfg)
-
-
-def _model_from_args(args, model_raw, train_raw) -> MatchModel:
+def _model_from_args(args, raw: dict) -> MatchModel:
     seed = args.seed if args.seed is not None else 0
-    if model_raw or train_raw:
-        merged = _merge_model_keys(train_raw, model_raw)
-        if getattr(args, "variant", None):
-            merged["variant"] = args.variant
-        if getattr(args, "attention", None):
-            merged["attention"] = args.attention
-        merged["seed"] = str(seed)
-        merged.setdefault("steps", "0")
+    if raw:
+        merged = {"steps": "0", **raw, "seed": str(seed)}
+        for key in ("variant", "attention"):
+            if getattr(args, key) is not None:
+                merged[key] = getattr(args, key)
         try:
             tcfg = config_from_dict(merged)
         except ValueError as e:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import tensor as T
 from .blocks import Conv2d, Module
-from .encoder import FeaturePyramid, ModelConfig
+from .encoder import ModelConfig
 
 
 class FPNDecoder(Module):
@@ -23,8 +23,8 @@ class FPNDecoder(Module):
         self.fine_head = Conv2d(rng, fw, cfg.fine_channels, 1)
         self.cfg = cfg
 
-    def fuse(self, pyramid: FeaturePyramid):
-        """FeaturePyramid -> (coarse [B,Cc,H/rc,W/rc], fine [B,Cf,H/8,W/8])."""
+    def fuse(self, pyramid: list):
+        """Four stage maps -> (coarse [B,Cc,H/rc,W/rc], fine [B,Cf,H/8,W/8])."""
         cfg = self.cfg
         expected = [st.channels for st in cfg.stages]
         actual = [m.shape[1] for m in pyramid]

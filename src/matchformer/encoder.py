@@ -197,20 +197,6 @@ def output_plan(cfg: ModelConfig, h: int, w: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FeaturePyramid:
-    maps: list  # four [B, C, h, w] tensors; [2B, ...] from encode_pair
-
-    def __iter__(self):
-        return iter(self.maps)
-
-    def __getitem__(self, i):
-        return self.maps[i]
-
-    def shapes(self):
-        return [m.shape for m in self.maps]
-
-
 class Stage(Module):
     def __init__(self, rng, cfg: StageConfig, c_in: int, patch_embed: str):
         if patch_embed == "pos":
@@ -243,10 +229,10 @@ class Encoder(Module):
             c_in = st.channels
         self.cfg = cfg
 
-    def encode_pair(self, img_a: Tensor, img_b: Tensor) -> FeaturePyramid:
+    def encode_pair(self, img_a: Tensor, img_b: Tensor) -> list:
         """Run both streams through all stages as one batch, A stacked over B.
 
-        Returns the pyramid of stacked ``[2B, C, h, w]`` maps.
+        Returns the pyramid: one stacked ``[2B, C, h, w]`` map per stage.
         """
         if img_a.shape != img_b.shape:
             raise T.ShapeError("paired images must share a shape")
@@ -256,17 +242,12 @@ class Encoder(Module):
         for stage in self.stages:
             x = stage.forward_pair(x)
             maps.append(x)
-        return FeaturePyramid(maps)
+        return maps
 
 
 # ---------------------------------------------------------------------------
 # Config file grammar
 # ---------------------------------------------------------------------------
-
-_MODEL_KEYS = {
-    "variant", "attention", "pe", "channels", "cross_flags",
-    "coarse_channels", "fine_channels", "fusion_channels",
-}
 
 
 def parse_config_text(text: str) -> dict[str, str]:

@@ -16,6 +16,9 @@ exactly, and no uniform counting that includes the quadratic attention terms
 can reproduce the published large-model totals).  The breakdown therefore
 carries every component, and ``table_gflops`` (used for comparisons against
 published numbers) is the conv+linear subtotal for a two-image pair.
+
+Runtime: median wall time of the model's own ``blocks.Attention`` over a
+sweep of token counts, and the fitted log-log scaling exponents.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
+from .blocks import Attention
 from .encoder import ModelConfig, stage_plan, output_plan
+from .tensor import Tensor
 
 MMA_THRESHOLDS = tuple(range(1, 11))
 
@@ -196,8 +202,6 @@ class FlopsEntry:
 @dataclass
 class FlopsBreakdown:
     entries: list = field(default_factory=list)
-    input_size: tuple = (0, 0)
-    n_images: int = 2
 
     def add(self, stage: str, kind: str, name: str, flops: float) -> None:
         self.entries.append(FlopsEntry(stage, kind, name, float(flops)))
@@ -252,7 +256,7 @@ def flops_count(cfg: ModelConfig, height: int, width: int,
     coarse score product and, as a documented upper-bound convention, one
     fine window correlation per A coarse cell.
     """
-    bd = FlopsBreakdown(input_size=(height, width), n_images=2)
+    bd = FlopsBreakdown()
     plan = stage_plan(cfg, height, width)
     pair = 2  # encoder/decoder run once per image
     c_in = cfg.in_channels
@@ -323,43 +327,23 @@ def fit_power_law(xs, ys) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _attention_kernel_numpy(kind: str, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                            chunk: int = 512):
-    d = q.shape[-1]
-    if kind == "la":
-        qe = np.exp(q - q.max(axis=-1, keepdims=True))
-        qn = qe / qe.sum(axis=-1, keepdims=True)
-        ke = np.exp(k - k.max(axis=-2, keepdims=True))
-        kn = ke / ke.sum(axis=-2, keepdims=True)
-        return qn @ (np.swapaxes(kn, -1, -2) @ v)
-    # full attention streamed over query chunks so the working set stays
-    # cache-resident and the wall clock tracks the arithmetic, not DRAM
-    kt = np.swapaxes(k, -1, -2)
-    out = np.empty_like(q)
-    for lo in range(0, q.shape[-2], chunk):
-        hi = lo + chunk
-        scores = q[..., lo:hi, :] @ kt / np.sqrt(d)
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        out[..., lo:hi, :] = (e / e.sum(axis=-1, keepdims=True)) @ v
-    return out
+BENCH_REPEATS = 5
 
 
-def bench_attention_kernel(kind: str, n_tokens: int, dim: int = 64,
-                           heads: int = 1, repeats: int = 5,
-                           seed: int = 0) -> float:
-    """Best wall-clock seconds of one attention-kernel evaluation."""
-    rng = np.random.default_rng(seed)
-    d = dim // heads
-    q = rng.normal(size=(1, heads, n_tokens, d))
-    k = rng.normal(size=(1, heads, n_tokens, d))
-    v = rng.normal(size=(1, heads, n_tokens, d))
-    _attention_kernel_numpy(kind, q, k, v)  # warm-up
+def bench_attention_kernel(kind: str, n_tokens: int, dim: int = 64) -> float:
+    """Median wall-clock seconds of one single-head ``blocks.Attention``
+    self-attention call over ``n_tokens`` tokens, with the tape off."""
+    rng = np.random.default_rng(0)
+    attn = Attention(rng, kind, dim, heads=1)
+    x = Tensor(rng.normal(size=(1, n_tokens, dim)))
     times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        _attention_kernel_numpy(kind, q, k, v)
-        times.append(time.perf_counter() - t0)
-    return float(min(times))
+    with T.no_grad():
+        attn(x, x, (n_tokens, 1))  # warm-up
+        for _ in range(BENCH_REPEATS):
+            t0 = time.perf_counter()
+            attn(x, x, (n_tokens, 1))
+            times.append(time.perf_counter() - t0)
+    return float(np.median(times))
 
 
 def complexity_exponents(ns=(256, 512, 1024, 2048, 4096), dim: int = 64,
@@ -370,8 +354,12 @@ def complexity_exponents(ns=(256, 512, 1024, 2048, 4096), dim: int = 64,
         counts = [attention_kernel_flops(kind, n, dim, 1) for n in ns]
         out[f"{kind}_analytic"] = fit_power_law(ns, counts)
         if measure_runtime:
-            times = [bench_attention_kernel(kind, n, dim) for n in ns]
-            out[f"{kind}_runtime"] = fit_power_law(ns, times)
+            # largest N first: the short calls are timed last, after the long
+            # ones have woken the BLAS threads and warmed the process, so
+            # start-up cost does not inflate them and flatten the exponent
+            big_first = sorted(ns, reverse=True)
+            times = [bench_attention_kernel(kind, n, dim) for n in big_first]
+            out[f"{kind}_runtime"] = fit_power_law(big_first, times)
     counts_sea = [attention_kernel_flops("sea", n, dim, 1, reduction=4) for n in ns]
     out["sea_analytic"] = fit_power_law(ns, counts_sea)
     return out

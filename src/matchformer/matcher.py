@@ -1,8 +1,8 @@
 """Coarse-to-fine matching.
 
-Coarse stage: temperature-scaled inner products between (by default
-l2-normalized) coarse descriptors, a dual softmax turning scores into mutual
-match probabilities, and threshold + mutual-nearest-neighbor selection.
+Coarse stage: temperature-scaled inner products between l2-normalized coarse
+descriptors, a dual softmax turning scores into mutual match probabilities,
+and threshold + mutual-nearest-neighbor selection.
 
 Fine stage: each selected coarse match is back-located onto the fine maps,
 and the expectation of a softmax correlation between the A-side center
@@ -48,15 +48,12 @@ DEFAULT_FINE_TAU = 0.025
 @dataclass
 class ScoreMatrix:
     scores: Tensor          # [N1, N2]
-    tau: float
     grid_a: tuple           # coarse grid (h, w) of image A
     grid_b: tuple
 
 
 @dataclass
 class CoarseMatchResult:
-    probs: np.ndarray       # [N1, N2] dual-softmax probabilities
-    theta: float
     pairs: np.ndarray       # [M, 2] int flat indices (i into A grid, j into B grid)
     confidences: np.ndarray # [M]
     grid_a: tuple
@@ -100,9 +97,8 @@ def _as_single_map(x: Tensor) -> Tensor:
     return x
 
 
-def coarse_scores(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1,
-                  normalize: bool = True) -> ScoreMatrix:
-    """S[i, j] = <a_i, b_j> / tau over flattened coarse grids."""
+def coarse_scores(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1) -> ScoreMatrix:
+    """S[i, j] = <a_i, b_j> / tau over flattened, l2-normalized coarse grids."""
     if tau <= 0:
         raise ValueError("temperature tau must be positive")
     a, b = _as_single_map(coarse_a), _as_single_map(coarse_b)
@@ -110,13 +106,10 @@ def coarse_scores(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1,
         raise T.ShapeError("coarse descriptor widths differ")
     c, ha, wa = a.shape
     _, hb, wb = b.shape
-    seq_a = T.transpose(T.reshape(a, (c, ha * wa)), (1, 0))
-    seq_b = T.transpose(T.reshape(b, (c, hb * wb)), (1, 0))
-    if normalize:
-        seq_a = T.l2_normalize(seq_a, axis=-1)
-        seq_b = T.l2_normalize(seq_b, axis=-1)
+    seq_a = T.l2_normalize(T.transpose(T.reshape(a, (c, ha * wa)), (1, 0)), axis=-1)
+    seq_b = T.l2_normalize(T.transpose(T.reshape(b, (c, hb * wb)), (1, 0)), axis=-1)
     s = T.mul(T.matmul(seq_a, T.transpose(seq_b, (1, 0))), 1.0 / tau)
-    return ScoreMatrix(scores=s, tau=tau, grid_a=(ha, wa), grid_b=(hb, wb))
+    return ScoreMatrix(scores=s, grid_a=(ha, wa), grid_b=(hb, wb))
 
 
 def dual_softmax(scores) -> Tensor:
@@ -145,8 +138,7 @@ def select_coarse(probs, theta: float, grid_a=None, grid_b=None) -> CoarseMatchR
     p = probs.data if isinstance(probs, Tensor) else np.asarray(probs)
     pairs = mutual_argmax_pairs(p, theta)
     conf = p[pairs[:, 0], pairs[:, 1]] if len(pairs) else np.zeros(0)
-    return CoarseMatchResult(probs=p, theta=theta, pairs=pairs, confidences=conf,
-                             grid_a=grid_a, grid_b=grid_b)
+    return CoarseMatchResult(pairs=pairs, confidences=conf, grid_a=grid_a, grid_b=grid_b)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +213,13 @@ def fine_offsets(fine_a: Tensor, fine_b: Tensor, centers_a: np.ndarray,
     fa = T.l2_normalize(_as_single_map(fine_a), axis=0)
     fb = T.l2_normalize(_as_single_map(fine_b), axis=0)
     m = len(centers_a)
-    c = fa.shape[0]
+    c, h_a, w_a = fa.shape
     w = 2 * radius + 1
-    cvec = T.reshape(T.window_gather(fa, centers_a[:, 0], centers_a[:, 1], 0), (m, c))
+    # A centre vectors from the [C, H*W] view, channel index fastest, so the
+    # gathered vector reshapes to [M, C] without a transpose
+    flat_a = centers_a[:, 0] * w_a + centers_a[:, 1]
+    cvec = T.reshape(T.take_pairs(T.reshape(fa, (c, h_a * w_a)), np.tile(np.arange(c), m),
+                                  np.repeat(flat_a, c)), (m, c))
     logits = T.window_dot(cvec, fb, centers_b[:, 0], centers_b[:, 1], radius)
     logits = T.mul(T.reshape(logits, (m, w * w)), 1.0 / tau)
     valid = T.window_valid_mask(fb.shape[1:], centers_b[:, 0], centers_b[:, 1],

@@ -190,9 +190,7 @@ def matcher_oracles(seed: int):
 
     # a uniform window leaves the coordinate at the query; a point mass at
     # the window corner shifts it by exactly 2 r_f
-    one_pair = M.CoarseMatchResult(probs=np.ones((1, 1)), theta=0.0,
-                                   pairs=np.array([[0, 0]]),
-                                   confidences=np.array([1.0]),
+    one_pair = M.CoarseMatchResult(pairs=np.array([[0, 0]]), confidences=np.array([1.0]),
                                    grid_a=(1, 1), grid_b=(1, 1))
     u = np.zeros((3, 1, 1)); u[0] = 1.0
     fine_a = np.tile(u, (1, 9, 9))

@@ -290,8 +290,17 @@ def write_metrics_csv(path, metrics) -> None:
         writer.writerows(metrics)
 
 
+# Config-file spellings of two TrainConfig fields; when a file gives both
+# spellings, the alias wins.
+CONFIG_ALIASES = {"pe": "patch_embed", "cross_flags": "schedule"}
+
+
 def config_from_dict(raw: dict) -> TrainConfig:
     """Build a TrainConfig from parsed `key: value` config text."""
+    raw = dict(raw)
+    for alias, key in CONFIG_ALIASES.items():
+        if alias in raw:
+            raw[key] = raw.pop(alias)
     kwargs = {}
     annotations = TrainConfig.__annotations__  # strings under PEP 563
     for key, value in raw.items():

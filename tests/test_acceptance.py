@@ -223,12 +223,8 @@ class TestCriterion4Complexity:
                       f"full {full:.3f} (2.0 +- 0.05), la {la:.3f} (1.0 +- 0.05)")
 
     def test_measured_runtime_exponents(self):
-        full_t = [E.bench_attention_kernel("full", n, dim=64, repeats=3)
-                  for n in SWEEP]
-        la_t = [E.bench_attention_kernel("la", n, dim=64, repeats=3)
-                for n in SWEEP]
-        full = E.fit_power_law(SWEEP, full_t)
-        la = E.fit_power_law(SWEEP, la_t)
+        exps = E.complexity_exponents(SWEEP, measure_runtime=True)
+        full, la = exps["full_runtime"], exps["la_runtime"]
         ok = abs(full - 2.0) < 0.3 and abs(la - 1.0) < 0.3
         assert report("4b measured runtime exponents", ok,
                       f"full {full:.2f} (2.0 +- 0.3), la {la:.2f} (1.0 +- 0.3)")

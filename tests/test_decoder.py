@@ -5,7 +5,7 @@ import pytest
 
 from matchformer import tensor as T
 from matchformer.decoder import FPNDecoder
-from matchformer.encoder import FeaturePyramid, make_config, stage_plan
+from matchformer.encoder import make_config, stage_plan
 from matchformer.model import MatchModel
 from matchformer.tensor import Tensor
 
@@ -17,7 +17,7 @@ def pyramid_for(cfg, h, w, fill=None, seed=0):
         data = np.full((1, c, hh, ww), fill) if fill is not None \
             else rng.normal(size=(1, c, hh, ww))
         maps.append(Tensor(data))
-    return FeaturePyramid(maps)
+    return maps
 
 
 class TestFuse:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from matchformer import tensor as T
-from matchformer.cli import _merge_model_keys
-from matchformer.encoder import (_MODEL_KEYS, NAMED_SCHEDULES, default_schedule,
+from matchformer.encoder import (NAMED_SCHEDULES, default_schedule,
                                  make_config, output_plan, parse_config_text,
                                  schedule_from_strings, stage_plan, with_schedule)
 from matchformer.model import MatchModel
@@ -21,11 +20,8 @@ def toy_model(variant="lite", attention="sea", seed=0, **kw):
 
 
 def model_config_from_text(text):
-    """The config-file path of the CLI: model keys folded into trainer keys."""
-    raw = parse_config_text(text)
-    model_raw = {k: v for k, v in raw.items() if k in _MODEL_KEYS}
-    train_raw = {k: v for k, v in raw.items() if k not in _MODEL_KEYS}
-    return config_from_dict(_merge_model_keys(train_raw, model_raw)).model_config()
+    """The config-file path of the CLI."""
+    return config_from_dict(parse_config_text(text)).model_config()
 
 
 class TestSchedules:

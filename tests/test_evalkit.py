@@ -5,6 +5,7 @@ import pytest
 
 from matchformer import data as D
 from matchformer import evalkit as E
+from matchformer.blocks import Attention
 from matchformer.encoder import make_config
 
 
@@ -178,6 +179,19 @@ class TestFlops:
         with_m = E.flops_count(cfg, 480, 640, include_matcher=True)
         assert "matcher" not in without.by_kind()
         assert with_m.by_kind()["matcher"] > 0
+
+    def test_runtime_bench_times_the_model_attention(self, monkeypatch):
+        calls = []
+        real = Attention.__call__
+
+        def counted(self, q_src, kv_src, kv_hw):
+            calls.append((self.kind, self.heads, q_src.shape, kv_hw))
+            return real(self, q_src, kv_src, kv_hw)
+
+        monkeypatch.setattr(Attention, "__call__", counted)
+        assert E.bench_attention_kernel("la", 32, dim=8) > 0
+        # one warm-up call, then the timed repeats
+        assert calls == [("la", 1, (1, 32, 8), (32, 1))] * (1 + E.BENCH_REPEATS)
 
     def test_power_law_fit(self):
         xs = [256, 512, 1024, 2048]

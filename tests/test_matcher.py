@@ -33,20 +33,21 @@ class TestCoarseScores:
     def test_orthogonal_one_hot_descriptors(self):
         eye = np.zeros((1, 4, 2, 2))
         eye[0, :, :, :] = np.eye(4).reshape(4, 2, 2)
-        sm = M.coarse_scores(Tensor(eye), Tensor(eye), tau=0.5, normalize=True)
+        sm = M.coarse_scores(Tensor(eye), Tensor(eye), tau=0.5)
         assert np.abs(sm.scores.data - np.eye(4) / 0.5).max() < 1e-12
 
     def test_matches_naive_inner_product_oracle(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(1, 8, 2, 3))
         b = rng.normal(size=(1, 8, 3, 2))
-        sm = M.coarse_scores(Tensor(a), Tensor(b), tau=0.25, normalize=False)
+        sm = M.coarse_scores(Tensor(a), Tensor(b), tau=0.25)
         seq_a = a[0].reshape(8, 6).T
         seq_b = b[0].reshape(8, 6).T
         ref = np.zeros((6, 6))
         for i in range(6):
             for j in range(6):
-                ref[i, j] = np.dot(seq_a[i], seq_b[j]) / 0.25
+                ref[i, j] = np.dot(seq_a[i] / np.linalg.norm(seq_a[i]),
+                                   seq_b[j] / np.linalg.norm(seq_b[j])) / 0.25
         assert np.abs(sm.scores.data - ref).max() < 1e-12
 
     def test_nonpositive_tau_rejected(self):
@@ -118,9 +119,7 @@ class TestSelectCoarse:
 
 
 def one_pair_result():
-    return M.CoarseMatchResult(probs=np.ones((1, 1)), theta=0.0,
-                               pairs=np.array([[0, 0]]),
-                               confidences=np.array([0.9]),
+    return M.CoarseMatchResult(pairs=np.array([[0, 0]]), confidences=np.array([0.9]),
                                grid_a=(1, 1), grid_b=(1, 1))
 
 
@@ -175,9 +174,7 @@ class TestFineRefine:
     def test_border_window_clamps_and_renormalizes(self):
         rng = np.random.default_rng(4)
         fine = rng.normal(size=(4, 9, 9))
-        res = M.CoarseMatchResult(probs=np.ones((1, 1)), theta=0.0,
-                                  pairs=np.array([[0, 0]]),
-                                  confidences=np.array([1.0]),
+        res = M.CoarseMatchResult(pairs=np.array([[0, 0]]), confidences=np.array([1.0]),
                                   grid_a=(1, 1), grid_b=(1, 1))
         # r_c=2, r_f=2 back-locates to fine cell (0, 0): window clamps
         ms = M.fine_refine(res, Tensor(fine), Tensor(fine), window=5,
@@ -201,15 +198,35 @@ class TestFineRefine:
             pairs = np.concatenate([[[0, 0], [n - 1, n - 1], [grid - 1, n - grid],
                                      [0, n // 2 + grid // 2]],
                                     rng.integers(0, n, size=(8, 2))])
-            res = M.CoarseMatchResult(probs=np.ones((n, n)) * 0.5, theta=0.0,
-                                      pairs=pairs,
-                                      confidences=rng.uniform(size=len(pairs)),
+            res = M.CoarseMatchResult(pairs=pairs, confidences=rng.uniform(size=len(pairs)),
                                       grid_a=(grid, grid), grid_b=(grid, grid))
             ms = M.fine_refine(res, Tensor(fine_a), Tensor(fine_b), window=5,
                                r_c=r_c, r_f=r_f, tau=0.1)
             ref = loop_refine(res, fine_a, fine_b, 5, r_c, r_f, 0.1)
             assert ms.points.shape == ref.shape
             assert np.abs(ms.points - ref).max() < 1e-12
+
+
+class TestFineOffsets:
+    # two matches share A centre (1, 2); B centre (0, 5) sits in a corner, so
+    # its window is clamped on two sides
+    centers_a = np.array([[1, 2], [1, 2], [3, 4], [4, 0]])
+    centers_b = np.array([[2, 3], [0, 5], [3, 1], [2, 2]])
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_gradient_matches_finite_differences(self, side):
+        rng = np.random.default_rng(7)
+        maps = {"a": rng.normal(size=(3, 5, 6)), "b": rng.normal(size=(3, 5, 6))}
+        wgt = Tensor(rng.normal(size=(4, 2)))
+
+        def loss(x):
+            fa = x if side == "a" else Tensor(maps["a"])
+            fb = x if side == "b" else Tensor(maps["b"])
+            off = M.fine_offsets(fa, fb, self.centers_a, self.centers_b, radius=2, tau=0.5)
+            return T.reduce_sum(T.mul(off, wgt))
+
+        rep = T.fd_check(loss, Tensor(maps[side]), tol=1e-5)
+        assert rep.passed, rep.max_rel_err
 
 
 def loop_refine(coarse, fine_a, fine_b, window, r_c, r_f, tau):
@@ -296,9 +313,7 @@ class TestMatchFileIO:
 
     def test_empty_set_roundtrip(self, tmp_path):
         # fine_refine turns a coarse set without pairs into an empty set
-        res = M.CoarseMatchResult(probs=np.zeros((81, 81)), theta=0.0,
-                                  pairs=np.zeros((0, 2), dtype=int),
-                                  confidences=np.zeros(0),
+        res = M.CoarseMatchResult(pairs=np.zeros((0, 2), dtype=int), confidences=np.zeros(0),
                                   grid_a=(9, 9), grid_b=(9, 9))
         fine = Tensor(np.random.default_rng(6).normal(size=(4, 9, 9)))
         refined = M.fine_refine(res, fine, fine, window=5, r_c=2, r_f=2)

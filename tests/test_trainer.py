@@ -180,6 +180,11 @@ class TestTrainConfig:
         assert cfg.steps == 7 and cfg.lr == 0.001 and cfg.attention == "sea"
         assert cfg.model_config().stages[0].cross_flags == (False, False, False)
 
+    def test_config_file_aliases_win_over_field_names(self):
+        cfg = config_from_dict({"pe": "std", "patch_embed": "pos",
+                                "cross_flags": "self_only", "schedule": "sequential"})
+        assert cfg.patch_embed == "std" and cfg.schedule == "self_only"
+
     def test_unknown_key_rejected(self):
         # an even or non-positive fine window is rejected the same way
         for key, value in (("leerning_rate", "1"), ("batch_size", "1"),
