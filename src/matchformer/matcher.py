@@ -213,13 +213,9 @@ def fine_offsets(fine_a: Tensor, fine_b: Tensor, centers_a: np.ndarray,
     fa = T.l2_normalize(_as_single_map(fine_a), axis=0)
     fb = T.l2_normalize(_as_single_map(fine_b), axis=0)
     m = len(centers_a)
-    c, h_a, w_a = fa.shape
+    c = fa.shape[0]
     w = 2 * radius + 1
-    # A centre vectors from the [C, H*W] view, channel index fastest, so the
-    # gathered vector reshapes to [M, C] without a transpose
-    flat_a = centers_a[:, 0] * w_a + centers_a[:, 1]
-    cvec = T.reshape(T.take_pairs(T.reshape(fa, (c, h_a * w_a)), np.tile(np.arange(c), m),
-                                  np.repeat(flat_a, c)), (m, c))
+    cvec = T.reshape(T.window_gather(fa, centers_a[:, 0], centers_a[:, 1], 0), (m, c))
     logits = T.window_dot(cvec, fb, centers_b[:, 0], centers_b[:, 1], radius)
     logits = T.mul(T.reshape(logits, (m, w * w)), 1.0 / tau)
     valid = T.window_valid_mask(fb.shape[1:], centers_b[:, 0], centers_b[:, 1],

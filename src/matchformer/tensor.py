@@ -9,7 +9,7 @@ Besides elementwise, reduction and layout ops, the model's layers use a
 dense ``conv2d`` ([B, C, H, W] maps, im2col + matmul), a channels-last
 ``depthwise_conv2d`` ([B, H, W, C] maps, k*k shifted multiply-adds),
 ``bilinear_upsample2x``, ``swap_halves`` for cross attention, and
-``take_pairs`` and ``window_dot`` for fine refinement.
+``window_gather`` and ``window_dot`` for fine refinement.
 
 Supported broadcasting is restricted to the two cases the model needs:
 scalars, and a smaller operand whose shape equals the trailing dimensions of
@@ -587,6 +587,36 @@ def take_pairs(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
         dx = np.zeros_like(x.data)
         np.add.at(dx, (rows, cols), g)
         return (dx,)
+
+    return _record(out, (x,), bwd)
+
+
+def window_gather(x: Tensor, rows: np.ndarray, cols: np.ndarray, radius: int) -> Tensor:
+    """Crop square windows from a ``[C, H, W]`` map.
+
+    Returns ``[M, C, w, w]`` with ``w = 2*radius + 1``; every window must lie
+    fully inside the map.
+    """
+    x = _as_tensor(x)
+    if x.ndim != 3:
+        raise ShapeError("window_gather expects a [C, H, W] map")
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    c, h, w = x.shape
+    off = np.arange(-radius, radius + 1)
+    rr = rows[:, None, None] + off[None, :, None]   # [M, w, 1]
+    cc = cols[:, None, None] + off[None, None, :]   # [M, 1, w]
+    if rows.min(initial=radius) < radius or rows.max(initial=0) > h - 1 - radius \
+            or cols.min(initial=radius) < radius or cols.max(initial=0) > w - 1 - radius:
+        raise ShapeError("window exceeds map bounds")
+    gathered = x.data[:, rr, cc]                    # [C, M, w, w]
+    out = Tensor(np.ascontiguousarray(np.moveaxis(gathered, 0, 1)))
+
+    def bwd(g):
+        dx_t = np.zeros((h, w, c))
+        g_t = np.moveaxis(g, 1, -1)                 # [M, w, w, C]
+        np.add.at(dx_t, (rr + np.zeros_like(cc), cc + np.zeros_like(rr)), g_t)
+        return (np.moveaxis(dx_t, -1, 0),)
 
     return _record(out, (x,), bwd)
 

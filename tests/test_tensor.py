@@ -332,6 +332,12 @@ class TestStructural:
         with pytest.raises(T.ShapeError):
             T.swap_halves(Tensor(np.zeros((3, 2))))
 
+    def test_window_gather_matches_direct_crop(self):
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(3, 8, 8))
+        got = T.window_gather(Tensor(m), np.array([3]), np.array([4]), 2).data
+        assert np.array_equal(got[0], m[:, 1:6, 2:7])
+
     def test_window_dot_matches_clamped_crop_oracle(self):
         # interior windows and windows clamped at every border of a 5 x 6 map
         rng = np.random.default_rng(16)
