@@ -114,11 +114,6 @@ def cmd_match(args) -> int:
     except (OSError, D.ImageFormatError) as e:
         raise CliError(str(e), EXIT_IO)
     model = _model_from_args(args, _read_config(args))
-    if args.checkpoint:
-        try:
-            model.load(args.checkpoint)
-        except (OSError, ValueError) as e:
-            raise CliError(f"checkpoint: {e}", EXIT_IO)
     matches = M.match_pair(img_a, img_b, model, tau=args.tau, theta=args.theta,
                            window=args.window)
     os.makedirs(args.out, exist_ok=True)
@@ -175,11 +170,6 @@ def cmd_eval(args) -> int:
             raise CliError(str(e), EXIT_IO)
     else:
         model = _model_from_args(args, _read_config(args))
-        if args.checkpoint:
-            try:
-                model.load(args.checkpoint)
-            except (OSError, ValueError) as e:
-                raise CliError(f"checkpoint: {e}", EXIT_IO)
     size = (args.height, args.width)
     curves, corner_errs, counts, inlier_counts = [], [], [], []
     for seed, h_mat in entries:
@@ -249,6 +239,8 @@ def cmd_bench(args) -> int:
 
 
 def _model_from_args(args, raw: dict) -> MatchModel:
+    """The model that ``--config``/``--variant``/``--attention`` describe,
+    loaded from ``--checkpoint`` when one is given."""
     seed = args.seed if args.seed is not None else 0
     if raw:
         merged = {"steps": "0", **raw, "seed": str(seed)}
@@ -256,13 +248,18 @@ def _model_from_args(args, raw: dict) -> MatchModel:
             if getattr(args, key) is not None:
                 merged[key] = getattr(args, key)
         try:
-            tcfg = config_from_dict(merged)
+            cfg = config_from_dict(merged).model_config()
         except ValueError as e:
             raise CliError(str(e), EXIT_USAGE)
-        return MatchModel(tcfg.model_config(), seed=seed)
-    variant = getattr(args, "variant", None) or "lite"
-    attention = getattr(args, "attention", None) or "la"
-    return MatchModel(make_config(variant, attention), seed=seed)
+    else:
+        cfg = make_config(args.variant or "lite", args.attention or "la")
+    model = MatchModel(cfg, seed=seed)
+    if args.checkpoint:
+        try:
+            model.load(args.checkpoint)
+        except (OSError, ValueError) as e:
+            raise CliError(f"checkpoint: {e}", EXIT_IO)
+    return model
 
 
 def render_overlay(img_a: np.ndarray, img_b: np.ndarray, matches) -> np.ndarray:
@@ -302,6 +299,21 @@ def _window(text: str) -> int:
         return M.check_window(int(text))
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e))
+
+
+def _ransac_iters(text: str) -> int:
+    iters = int(text)
+    if iters < 1:
+        raise argparse.ArgumentTypeError(f"RANSAC needs at least 1 trial, got {iters}")
+    return iters
+
+
+def _ransac_thresh(text: str) -> float:
+    thresh = float(text)
+    if not (np.isfinite(thresh) and thresh > 0):
+        raise argparse.ArgumentTypeError(
+            f"inlier threshold must be a finite number of pixels > 0, got {text}")
+    return thresh
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--width", type=int, default=64)
-    p.add_argument("--ransac-thresh", type=float, default=2.0)
-    p.add_argument("--ransac-iters", type=int, default=2000)
+    p.add_argument("--ransac-thresh", type=_ransac_thresh, default=2.0)
+    p.add_argument("--ransac-iters", type=_ransac_iters, default=2000)
     common(p)
     p.set_defaults(fn=cmd_eval)
 

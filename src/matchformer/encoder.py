@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import tensor as T
-from .blocks import (AttentionBlock, LayerNorm, Module, PosPatchEmbed,
-                     StdPatchEmbed, seq_to_map)
+from .blocks import (ATTENTION_KINDS, AttentionBlock, LayerNorm, Module,
+                     PosPatchEmbed, StdPatchEmbed, seq_to_map)
 from .tensor import Tensor
 
 VARIANTS = ("lite", "large")
-ATTENTIONS = ("la", "sea", "full")
 PATCH_EMBEDS = ("pos", "std")
 
 DEFAULT_CHANNELS = (128, 192, 256, 512)
@@ -25,12 +24,6 @@ SEA_HEADS = (1, 2, 4, 8)
 SEA_REDUCTIONS = (4, 2, 2, 1)
 LA_HEADS = (8, 8, 8, 8)
 FINE_STRIDE = 8
-
-
-def default_schedule() -> tuple:
-    """Cross flags for SSC SSC SCC SCC."""
-    return ((False, False, True), (False, False, True),
-            (False, True, True), (False, True, True))
 
 
 def schedule_from_strings(rows) -> tuple:
@@ -120,14 +113,15 @@ def make_config(variant: str = "lite", attention: str = "sea",
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    if attention not in ATTENTIONS:
-        raise ValueError(f"attention must be one of {ATTENTIONS}")
+    if attention not in ATTENTION_KINDS:
+        raise ValueError(f"attention must be one of {ATTENTION_KINDS}")
     if patch_embed not in PATCH_EMBEDS:
         raise ValueError(f"patch_embed must be one of {PATCH_EMBEDS}")
     channels = tuple(channels) if channels is not None else DEFAULT_CHANNELS
     if len(channels) != 4:
         raise ValueError("channels override needs 4 values")
-    schedule = tuple(schedule) if schedule is not None else default_schedule()
+    schedule = tuple(schedule) if schedule is not None \
+        else schedule_from_strings(NAMED_SCHEDULES["interleaving"])
     if len(schedule) != 4:
         raise ValueError("schedule needs 4 stages")
 
@@ -135,7 +129,6 @@ def make_config(variant: str = "lite", attention: str = "sea",
     pe_params = [(7, first_stride, 3), (3, 2, 1), (3, 2, 1), (3, 2, 1)]
     stages = []
     for i in range(4):
-        kind = "full" if attention == "full" else attention
         if attention == "sea":
             heads, red = SEA_HEADS[i], SEA_REDUCTIONS[i]
         else:
@@ -147,7 +140,7 @@ def make_config(variant: str = "lite", attention: str = "sea",
         k, s, p = pe_params[i]
         stages.append(StageConfig(channels=channels[i], pe_kernel=k, pe_stride=s,
                                   pe_padding=p, cross_flags=tuple(schedule[i]),
-                                  attention=kind, heads=heads, reduction=red))
+                                  attention=attention, heads=heads, reduction=red))
     fine_default = 192 if variant == "lite" else 256
     return ModelConfig(
         variant=variant, attention=attention, patch_embed=patch_embed,

@@ -1,7 +1,8 @@
 """Geometric evaluation and analytic FLOPs accounting.
 
-Geometry: Hartley-normalized DLT, seeded RANSAC with least-squares refit,
-mean corner error, and the per-threshold matching-accuracy curve.
+Geometry: Hartley-normalized DLT, seeded RANSAC that solves all its trials as
+one batch and refits by least squares, mean corner error, and the
+per-threshold matching-accuracy curve.
 
 FLOPs: closed-form multiply-add counts (1 MAC = 2 FLOPs) for every conv,
 linear, and attention product in the model, grouped per stage and operation
@@ -49,15 +50,22 @@ class RansacError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+# RANSAC scores its trials this many at a time, which bounds the
+# [block, n, 3] transfer-error temporaries.
+_SCORE_BLOCK = 256
+
+
 def _normalize_points(pts: np.ndarray):
-    centroid = pts.mean(axis=0)
-    dist = np.sqrt(((pts - centroid) ** 2).sum(axis=1)).mean()
-    scale = np.sqrt(2.0) / max(dist, 1e-12)
-    t = np.array([[scale, 0, -scale * centroid[0]],
-                  [0, scale, -scale * centroid[1]],
-                  [0, 0, 1.0]])
-    ph = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)
-    return (ph @ t.T)[:, :2], t
+    """Hartley normalization of [..., n, 2] points; returns them and [..., 3, 3] T."""
+    centroid = pts.mean(axis=-2)
+    dist = np.sqrt(((pts - centroid[..., None, :]) ** 2).sum(axis=-1)).mean(axis=-1)
+    scale = np.sqrt(2.0) / np.maximum(dist, 1e-12)
+    t = np.zeros(scale.shape + (3, 3))
+    t[..., 0, 0] = t[..., 1, 1] = scale
+    t[..., :2, 2] = -scale[..., None] * centroid
+    t[..., 2, 2] = 1.0
+    ph = np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1)
+    return (ph @ np.swapaxes(t, -1, -2))[..., :2], t
 
 
 def _match_points(matches) -> np.ndarray:
@@ -67,35 +75,49 @@ def _match_points(matches) -> np.ndarray:
     return pts[:, :4]
 
 
+def _dlt(pts: np.ndarray):
+    """Normalized DLT of every [n, 4] match set in ``pts[..., n, 4]``.
+
+    Returns (H, ok).  H is [..., 3, 3] with H[2,2] = 1.  ok is False where the
+    system's rank, read from the singular values of the SVD that solves it,
+    is below 8, or where H[2,2] vanishes; H means nothing there.
+    """
+    src, t_src = _normalize_points(pts[..., 0:2])
+    dst, t_dst = _normalize_points(pts[..., 2:4])
+    x, y = src[..., 0], src[..., 1]
+    u, v = dst[..., 0], dst[..., 1]
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    a = np.zeros(x.shape[:-1] + (2 * x.shape[-1], 9))
+    a[..., 0::2, :] = np.stack([x, y, one, zero, zero, zero, -u * x, -u * y, -u], axis=-1)
+    a[..., 1::2, :] = np.stack([zero, zero, zero, x, y, one, -v * x, -v * y, -v], axis=-1)
+    _, s, vt = np.linalg.svd(a)
+    tol = 1e-8 * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    h = np.linalg.inv(t_dst) @ vt[..., -1, :].reshape(vt.shape[:-2] + (3, 3)) @ t_src
+    scale = h[..., 2:3, 2:3]
+    ok = (s[..., 7] > tol) & (np.abs(scale[..., 0, 0]) >= 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return h / scale, ok
+
+
 def dlt_homography(matches) -> np.ndarray:
     """Hartley-normalized direct linear transform; returns H with H[2,2] = 1."""
     pts = _match_points(matches)
     if len(pts) < 4:
         raise ValueError("homography estimation needs at least 4 matches")
-    src, t_src = _normalize_points(pts[:, 0:2])
-    dst, t_dst = _normalize_points(pts[:, 2:4])
-    n = len(pts)
-    x, y = src[:, 0], src[:, 1]
-    u, v = dst[:, 0], dst[:, 1]
-    a = np.zeros((2 * n, 9))
-    a[0::2] = np.c_[x, y, np.ones(n), np.zeros((n, 3)), -u * x, -u * y, -u]
-    a[1::2] = np.c_[np.zeros((n, 3)), x, y, np.ones(n), -v * x, -v * y, -v]
-    if np.linalg.matrix_rank(a, tol=1e-8 * max(1.0, np.abs(a).max())) < 8:
-        raise GeometryError("degenerate configuration: DLT system is rank deficient")
-    _, _, vt = np.linalg.svd(a)
-    h_norm = vt[-1].reshape(3, 3)
-    h = np.linalg.inv(t_dst) @ h_norm @ t_src
-    if abs(h[2, 2]) < 1e-12:
-        raise GeometryError("degenerate homography (vanishing scale)")
-    return h / h[2, 2]
+    h, ok = _dlt(pts)
+    if not ok:
+        raise GeometryError("degenerate configuration: DLT system is rank "
+                            "deficient or its scale vanishes")
+    return h
 
 
 def _transfer_errors(h_mat: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """[..., n] transfer errors of the matches under [..., 3, 3] homographies."""
     ph = np.concatenate([pts[:, 0:2], np.ones((len(pts), 1))], axis=1)
-    q = ph @ h_mat.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        proj = q[:, :2] / q[:, 2:3]
-        err = np.sqrt(((proj - pts[:, 2:4]) ** 2).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = ph @ np.swapaxes(h_mat, -1, -2)
+        proj = q[..., :2] / q[..., 2:3]
+        err = np.sqrt(((proj - pts[:, 2:4]) ** 2).sum(axis=-1))
     # points sent to infinity (vanishing scale) count as unbounded error
     return np.where(np.isfinite(err), err, np.inf)
 
@@ -105,7 +127,8 @@ def ransac_homography(matches, inlier_thresh_px: float = 2.0, iters: int = 2000,
     """Best-consensus 4-point DLT, refit on the consensus set.
 
     Deterministic per seed: trial t draws from generator seeded (seed, t), and
-    the lowest trial index wins consensus ties.  Success needs a consensus of
+    the lowest trial index wins consensus ties.  All trials are solved as one
+    batch, and degenerate ones are skipped.  Success needs a consensus of
     min(n, max(8, 4 + ceil(0.08 n))), which sits above the measured chance
     consensus of wild minimal hypotheses on uniform outliers, so pure-outlier
     input raises instead of returning a chance self-fit.
@@ -115,20 +138,21 @@ def ransac_homography(matches, inlier_thresh_px: float = 2.0, iters: int = 2000,
     if n < 4:
         raise ValueError("RANSAC needs at least 4 matches")
     min_consensus = min(n, max(8, 4 - (-2 * n) // 25))
-    best_count, best_h = -1, None
-    for trial in range(iters):
-        idx = np.random.default_rng([seed, trial]).choice(n, size=4, replace=False)
-        try:
-            h_try = dlt_homography(pts[idx])
-        except GeometryError:
-            continue
-        count = int((_transfer_errors(h_try, pts) < inlier_thresh_px).sum())
-        if count > best_count:
-            best_count, best_h = count, h_try
-    if best_h is None or best_count < min_consensus:
+    best_count = -1
+    if iters > 0:
+        idx = np.array([np.random.default_rng([seed, trial]).choice(n, size=4, replace=False)
+                        for trial in range(iters)])
+        h_try, ok = _dlt(pts[idx])
+        counts = np.concatenate([
+            (_transfer_errors(h_try[lo:lo + _SCORE_BLOCK], pts) < inlier_thresh_px).sum(axis=-1)
+            for lo in range(0, iters, _SCORE_BLOCK)])
+        counts[~ok] = -1
+        best = int(np.argmax(counts))
+        best_count = int(counts[best])
+    if best_count < min_consensus:
         raise RansacError(f"no hypothesis reached consensus {min_consensus} "
                           f"(best {max(best_count, 0)})")
-    inliers = _transfer_errors(best_h, pts) < inlier_thresh_px
+    inliers = _transfer_errors(h_try[best], pts) < inlier_thresh_px
     h_fit = dlt_homography(pts[inliers])
     inliers = _transfer_errors(h_fit, pts) < inlier_thresh_px
     return h_fit, np.flatnonzero(inliers)

@@ -49,7 +49,7 @@ def coarse_loss(probs: Tensor, labels: np.ndarray) -> Tensor:
     if len(labeled) == 0:
         raise EmptyAssignmentError("no labeled cells; skip this sample")
     picked = T.take_pairs(probs, labeled, labels[labeled])
-    return -T.reduce_mean(T.log(T.maximum_scalar(picked, 1e-12)))
+    return T.mul(T.reduce_mean(T.log(T.maximum_scalar(picked, 1e-12))), -1.0)
 
 
 def fine_loss(pred_offsets: Tensor, gt_offsets: np.ndarray) -> Tensor:

@@ -79,10 +79,13 @@ class TestMatch:
         MatchModel(cfg.model_config(), seed=0).save(ckpt)
         lines = ckpt.read_text().splitlines()
         ckpt.write_text("\n".join(lines[:-1]) + "\n")
-        code = main(["match", a, b, "--out", str(tmp_path / "o"), "--config",
-                     str(cfgfile), "--checkpoint", str(ckpt)])
-        assert code == 3
-        assert "truncated" in capsys.readouterr().err
+        manifest = tmp_path / "pairs.tsv"
+        D.save_manifest(manifest, [(0, np.eye(3))])
+        for argv in (["match", a, b, "--out", str(tmp_path / "o")],
+                     ["eval", "--manifest", str(manifest), "--out", str(tmp_path / "e")]):
+            code = main(argv + ["--config", str(cfgfile), "--checkpoint", str(ckpt)])
+            assert code == 3
+            assert "truncated" in capsys.readouterr().err
 
     def test_even_window_is_usage_error_before_the_model_runs(self, pgm_pair,
                                                                tmp_path, monkeypatch):
@@ -96,6 +99,19 @@ class TestMatch:
                 with pytest.raises(SystemExit) as exc:
                     main(argv + ["--window", window])
                 assert exc.value.code == 2
+
+    def test_bad_ransac_flags_are_usage_errors_before_the_model_runs(self, tmp_path,
+                                                                      monkeypatch):
+        monkeypatch.setattr(M, "match_pair", lambda *args, **kw: pytest.fail("model ran"))
+        manifest = tmp_path / "pairs.tsv"
+        D.save_manifest(manifest, [(0, np.eye(3))])
+        argv = ["eval", "--manifest", str(manifest), "--out", str(tmp_path / "e")]
+        for flags in (["--ransac-iters", "0"], ["--ransac-iters", "-3"],
+                      ["--ransac-thresh", "0"], ["--ransac-thresh", "-1"],
+                      ["--ransac-thresh", "nan"], ["--ransac-thresh", "inf"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + flags)
+            assert exc.value.code == 2
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = main(["match", str(tmp_path / "nope.pgm"), str(tmp_path / "nope2.pgm"),

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from matchformer import tensor as T
-from matchformer.encoder import (NAMED_SCHEDULES, default_schedule,
-                                 make_config, output_plan, parse_config_text,
-                                 schedule_from_strings, stage_plan, with_schedule)
+from matchformer.encoder import (NAMED_SCHEDULES, make_config, output_plan,
+                                 parse_config_text, schedule_from_strings,
+                                 stage_plan, with_schedule)
 from matchformer.model import MatchModel
 from matchformer.tensor import Tensor
 from matchformer.trainer import config_from_dict
@@ -26,8 +26,9 @@ def model_config_from_text(text):
 
 class TestSchedules:
     def test_default_is_ssc_ssc_scc_scc(self):
-        assert default_schedule() == ((False, False, True), (False, False, True),
-                                      (False, True, True), (False, True, True))
+        flags = tuple(st.cross_flags for st in make_config().stages)
+        assert flags == ((False, False, True), (False, False, True),
+                         (False, True, True), (False, True, True))
 
     def test_self_only_schedule(self):
         flags = schedule_from_strings(NAMED_SCHEDULES["self_only"])

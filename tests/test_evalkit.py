@@ -30,13 +30,151 @@ class TestDlt:
         assert reproj.max() < 1e-8
 
     def test_three_collinear_points_rejected(self):
+        for pts in ([[0, 0], [1, 1], [2, 2], [5, 1]],     # rank 7
+                    [[0, 0], [0, 0], [5, 1], [2, 7]]):    # duplicated point, rank 6
+            pts = np.array(pts, dtype=float)
+            with pytest.raises(E.GeometryError):
+                E.dlt_homography(np.concatenate([pts, pts + 1], axis=1))
+
+    def test_batch_equals_single_calls(self):
+        h_gt = D.random_homography(8, size=(64, 64))
+        good = exact_matches(h_gt, 4, seed=8)
         pts = np.array([[0, 0], [1, 1], [2, 2], [5, 1]], dtype=float)
-        with pytest.raises(E.GeometryError):
-            E.dlt_homography(np.concatenate([pts, pts + 1], axis=1))
+        collinear = np.concatenate([pts, pts + 1], axis=1)
+        duplicated = good.copy()
+        duplicated[1] = duplicated[0]
+        h, ok = E._dlt(np.stack([good, collinear, duplicated]))
+        assert ok.tolist() == [True, False, False]
+        assert np.array_equal(h[0], E.dlt_homography(good))
 
     def test_fewer_than_four_rejected(self):
         with pytest.raises(ValueError):
             E.dlt_homography(np.zeros((3, 4)))
+
+
+def _oracle_normalize(pts):
+    centroid = pts.mean(axis=0)
+    dist = np.sqrt(((pts - centroid) ** 2).sum(axis=1)).mean()
+    scale = np.sqrt(2.0) / max(dist, 1e-12)
+    t = np.array([[scale, 0, -scale * centroid[0]],
+                  [0, scale, -scale * centroid[1]],
+                  [0, 0, 1.0]])
+    ph = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)
+    return (ph @ t.T)[:, :2], t
+
+
+def _oracle_dlt(pts):
+    """One DLT at a time: a rank check by its own SVD, then the solving SVD."""
+    src, t_src = _oracle_normalize(pts[:, 0:2])
+    dst, t_dst = _oracle_normalize(pts[:, 2:4])
+    n = len(pts)
+    x, y = src[:, 0], src[:, 1]
+    u, v = dst[:, 0], dst[:, 1]
+    a = np.zeros((2 * n, 9))
+    a[0::2] = np.c_[x, y, np.ones(n), np.zeros((n, 3)), -u * x, -u * y, -u]
+    a[1::2] = np.c_[np.zeros((n, 3)), x, y, np.ones(n), -v * x, -v * y, -v]
+    if np.linalg.matrix_rank(a, tol=1e-8 * max(1.0, np.abs(a).max())) < 8:
+        raise E.GeometryError("rank deficient")
+    _, _, vt = np.linalg.svd(a)
+    h = np.linalg.inv(t_dst) @ vt[-1].reshape(3, 3) @ t_src
+    if abs(h[2, 2]) < 1e-12:
+        raise E.GeometryError("vanishing scale")
+    return h / h[2, 2]
+
+
+def _oracle_errors(h_mat, pts):
+    ph = np.concatenate([pts[:, 0:2], np.ones((len(pts), 1))], axis=1)
+    q = ph @ h_mat.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        proj = q[:, :2] / q[:, 2:3]
+        err = np.sqrt(((proj - pts[:, 2:4]) ** 2).sum(axis=1))
+    return np.where(np.isfinite(err), err, np.inf)
+
+
+def _oracle_ransac(pts, thresh, iters, seed):
+    """RANSAC one trial at a time, as it ran before all trials were batched.
+
+    Returns (H, inlier indices, indices of the skipped degenerate trials).
+    """
+    n = len(pts)
+    min_consensus = min(n, max(8, 4 - (-2 * n) // 25))
+    best_count, best_h, skipped = -1, None, []
+    for trial in range(iters):
+        idx = np.random.default_rng([seed, trial]).choice(n, size=4, replace=False)
+        try:
+            h_try = _oracle_dlt(pts[idx])
+        except E.GeometryError:
+            skipped.append(trial)
+            continue
+        count = int((_oracle_errors(h_try, pts) < thresh).sum())
+        if count > best_count:
+            best_count, best_h = count, h_try
+    if best_h is None or best_count < min_consensus:
+        raise E.RansacError(f"no hypothesis reached consensus {min_consensus} "
+                            f"(best {max(best_count, 0)})")
+    h_fit = _oracle_dlt(pts[_oracle_errors(best_h, pts) < thresh])
+    return h_fit, np.flatnonzero(_oracle_errors(h_fit, pts) < thresh), skipped
+
+
+def _ransac_sets():
+    """(name, matches, iters) on exact, noisy, outlier and degenerate inputs."""
+    rng = np.random.default_rng(11)
+    h_gt = D.random_homography(11, size=(64, 64))
+    exact = exact_matches(h_gt, 40, seed=11)
+    noisy = exact_matches(h_gt, 80, seed=12)
+    noisy[:, 2:4] += rng.normal(0, 0.5, (80, 2))
+    outliers = exact_matches(h_gt, 100, seed=13)
+    bad = rng.choice(100, 30, replace=False)
+    outliers[bad, 2:4] = rng.uniform(0, 63, size=(30, 2))
+    # 30 copies of three points next to 20 distinct ones: many trials draw
+    # a repeated point and are rank deficient
+    duplicated = exact_matches(h_gt, 50, seed=14)
+    duplicated[20:] = duplicated[rng.integers(0, 3, 30)]
+    # a 4x4 grid: many trials draw three collinear points (rank 7)
+    g = np.stack(np.meshgrid(np.arange(4.0), np.arange(4.0)), -1).reshape(-1, 2)
+    grid = np.concatenate([8 + 14 * g, D.hom_apply(h_gt, 8 + 14 * g)], axis=1)
+    return [("exact", exact, 300), ("noisy", noisy, 500), ("outliers", outliers, 2000),
+            ("duplicated", duplicated, 500), ("grid", grid, 500)]
+
+
+RANSAC_SETS = _ransac_sets()
+
+
+class TestRansacOracle:
+    @pytest.mark.parametrize("name,m,iters", RANSAC_SETS, ids=[s[0] for s in RANSAC_SETS])
+    def test_same_h_and_inliers_as_per_trial_loop(self, name, m, iters):
+        h_o, inl_o, skipped = _oracle_ransac(m, 2.0, iters, seed=5)
+        h_r, inl_r = E.ransac_homography(m, 2.0, iters, seed=5)
+        assert np.array_equal(h_r, h_o)
+        assert np.array_equal(inl_r, inl_o)
+        idx = np.array([np.random.default_rng([5, t]).choice(len(m), 4, replace=False)
+                        for t in range(iters)])
+        _, ok = E._dlt(m[idx])
+        assert np.flatnonzero(~ok).tolist() == skipped
+        if name in ("duplicated", "grid"):
+            assert skipped
+
+    @pytest.mark.parametrize("case", ["collinear", "duplicated", "pure_outliers",
+                                      "zero_iters"])
+    def test_same_error_as_per_trial_loop(self, case):
+        rng = np.random.default_rng(21)
+        iters = 500
+        if case == "collinear":
+            t = rng.uniform(0, 1, 30)
+            a = np.stack([3 + 50 * t, 5 + 40 * t], axis=1)
+            m = np.concatenate([a, a + 2], axis=1)
+        elif case == "duplicated":          # only three distinct matches
+            m = exact_matches(np.eye(3), 3, seed=21)[rng.integers(0, 3, 30)]
+        elif case == "pure_outliers":
+            m = np.concatenate([rng.uniform(0, 63, (60, 2)),
+                                rng.uniform(0, 63, (60, 2))], axis=1)
+        else:
+            m, iters = exact_matches(np.eye(3), 20, seed=21), 0
+        with pytest.raises(E.RansacError) as want:
+            _oracle_ransac(m, 2.0, iters, seed=3)
+        with pytest.raises(E.RansacError) as got:
+            E.ransac_homography(m, 2.0, iters, seed=3)
+        assert str(got.value) == str(want.value)
 
 
 class TestRansac:
