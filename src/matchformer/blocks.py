@@ -322,6 +322,30 @@ class AttentionBlock(Module):
 CHECKPOINT_MAGIC = "# matchformer-checkpoint v1"
 
 
+def _snapshot_str(arr: np.ndarray) -> str:
+    head = "shape: " + " ".join(str(d) for d in arr.shape)
+    body = " ".join(repr(float(v)) for v in arr.reshape(-1))
+    return head + "\n" + body + "\n"
+
+
+def _parse_snapshot(tokens: list[str]) -> np.ndarray:
+    if len(tokens) < 2 or tokens[0] != "shape:":
+        raise ValueError("tensor snapshot must start with 'shape:'")
+    shape = []
+    i = 1
+    while i < len(tokens):
+        try:
+            shape.append(int(tokens[i]))
+        except ValueError:
+            break
+        i += 1
+    count = int(np.prod(shape)) if shape else 1
+    vals = tokens[i:i + count]
+    if len(vals) != count:
+        raise ValueError(f"tensor snapshot expects {count} values, found {len(vals)}")
+    return np.array([float(v) for v in vals]).reshape(shape)
+
+
 def save_checkpoint(path, named_params) -> None:
     """One file: magic line, then per tensor a name line followed by its
     snapshot (``shape:`` header plus row-major decimals)."""
@@ -330,7 +354,7 @@ def save_checkpoint(path, named_params) -> None:
         for name, p in named_params:
             arr = p.data if isinstance(p, Tensor) else np.asarray(p)
             fh.write(name + "\n")
-            fh.write(T._snapshot_str(arr))
+            fh.write(_snapshot_str(arr))
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
@@ -348,7 +372,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if i + 2 >= len(lines):
             raise ValueError(f"{path}: truncated at tensor {name!r}")
         tokens = (lines[i + 1] + " " + lines[i + 2]).split()
-        out[name] = T._parse_snapshot(tokens)
+        out[name] = _parse_snapshot(tokens)
         i += 3
     return out
 

@@ -43,7 +43,8 @@ from . import tensor as T  # noqa: E402
 from . import selftest as S  # noqa: E402
 from .encoder import make_config, output_plan, parse_config_text, stage_plan  # noqa: E402
 from .model import MatchModel  # noqa: E402
-from .trainer import TrainingDivergedError, config_from_dict, train_toy  # noqa: E402
+from .trainer import (TrainConfig, TrainingDivergedError,  # noqa: E402
+                      config_from_dict, train_toy)
 
 
 class CliError(Exception):
@@ -60,15 +61,22 @@ def _write_manifest(out_dir, args_dict) -> None:
             fh.write(f"{key}: {args_dict[key]}\n")
 
 
-def _read_config(args) -> dict:
-    """Parsed ``--config`` file, or an empty dict without one."""
-    if not args.config:
-        return {}
+def _run_config(args) -> TrainConfig:
+    """The run's one configuration: the ``--config`` file, then every
+    TrainConfig field the user set by flag, then ``config_from_dict``."""
+    raw = {}
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                raw = parse_config_text(fh.read())
+        except OSError as e:
+            raise CliError(f"cannot read config {args.config}: {e}", EXIT_IO)
+    raw.update({key: value for key, value in vars(args).items()
+                if key in TrainConfig.__annotations__ and value is not None})
     try:
-        with open(args.config) as fh:
-            return parse_config_text(fh.read())
-    except OSError as e:
-        raise CliError(f"cannot read config {args.config}: {e}", EXIT_IO)
+        return config_from_dict(raw)
+    except ValueError as e:
+        raise CliError(str(e), EXIT_USAGE)
 
 
 # ---------------------------------------------------------------------------
@@ -108,21 +116,19 @@ def cmd_shapes(args) -> int:
 
 
 def cmd_match(args) -> int:
+    cfg = _run_config(args)
     try:
         img_a = D.read_pgm(args.image_a)
         img_b = D.read_pgm(args.image_b)
     except (OSError, D.ImageFormatError) as e:
         raise CliError(str(e), EXIT_IO)
-    model = _model_from_args(args, _read_config(args))
-    matches = M.match_pair(img_a, img_b, model, tau=args.tau, theta=args.theta,
-                           window=args.window)
+    matches = _match(img_a, img_b, _load_model(cfg, args.checkpoint), cfg)
     os.makedirs(args.out, exist_ok=True)
     M.save_matches(os.path.join(args.out, "matches.tsv"), matches)
     D.write_ppm(os.path.join(args.out, "overlay.ppm"),
                 render_overlay(img_a, img_b, matches))
-    _write_manifest(args.out, {"command": "match", "image_a": args.image_a,
-                               "image_b": args.image_b, "tau": args.tau,
-                               "theta": args.theta, "window": args.window,
+    _write_manifest(args.out, {"command": "match", **asdict(cfg),
+                               "image_a": args.image_a, "image_b": args.image_b,
                                "checkpoint": args.checkpoint or "",
                                "matches": len(matches)})
     if len(matches) == 0:
@@ -132,14 +138,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_train(args) -> int:
-    raw = _read_config(args)
-    for key in ("steps", "seed", "variant", "attention"):
-        if getattr(args, key) is not None:
-            raw[key] = str(getattr(args, key))
-    try:
-        cfg = config_from_dict(raw)
-    except ValueError as e:
-        raise CliError(str(e), EXIT_USAGE)
+    cfg = _run_config(args)
     os.makedirs(args.out, exist_ok=True)
     try:
         result = train_toy(cfg, log_path=os.path.join(args.out, "metrics.csv"),
@@ -155,6 +154,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    cfg = _run_config(args)
     try:
         entries = D.load_manifest(args.manifest)
     except (OSError, ValueError) as e:
@@ -169,7 +169,7 @@ def cmd_eval(args) -> int:
         except (OSError, ValueError) as e:
             raise CliError(str(e), EXIT_IO)
     else:
-        model = _model_from_args(args, _read_config(args))
+        model = _load_model(cfg, args.checkpoint)
     size = (args.height, args.width)
     curves, corner_errs, counts, inlier_counts = [], [], [], []
     for seed, h_mat in entries:
@@ -178,8 +178,7 @@ def cmd_eval(args) -> int:
         else:
             image_a = D.gen_pattern(seed, *size)
             image_b, _ = D.warp(image_a, h_mat)
-            matches = M.match_pair(image_a, image_b, model, tau=args.tau,
-                                   theta=args.theta, window=args.window)
+            matches = _match(image_a, image_b, model, cfg)
         counts.append(len(matches))
         try:
             h_est, inl = E.ransac_homography(matches.points, args.ransac_thresh,
@@ -205,9 +204,11 @@ def cmd_eval(args) -> int:
             fh.write(f"{key},{value}\n")
     for key, value in report.rows():
         print(f"{key:>16}: {value}")
-    _write_manifest(args.out, {"command": "eval", "manifest": args.manifest,
-                               "pairs": len(entries), "tau": args.tau,
-                               "theta": args.theta,
+    _write_manifest(args.out, {"command": "eval", **asdict(cfg),
+                               "manifest": args.manifest, "pairs": len(entries),
+                               "height": args.height, "width": args.width,
+                               "ransac_thresh": args.ransac_thresh,
+                               "ransac_iters": args.ransac_iters,
                                "checkpoint": args.checkpoint or "",
                                "matches_file": args.matches or ""})
     return EXIT_OK
@@ -238,28 +239,21 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _model_from_args(args, raw: dict) -> MatchModel:
-    """The model that ``--config``/``--variant``/``--attention`` describe,
-    loaded from ``--checkpoint`` when one is given."""
-    seed = args.seed if args.seed is not None else 0
-    if raw:
-        merged = {"steps": "0", **raw, "seed": str(seed)}
-        for key in ("variant", "attention"):
-            if getattr(args, key) is not None:
-                merged[key] = getattr(args, key)
+def _load_model(cfg: TrainConfig, checkpoint) -> MatchModel:
+    """The configured model, loaded from ``checkpoint`` when one is given."""
+    model = MatchModel(cfg.model_config(), seed=cfg.seed)
+    if checkpoint:
         try:
-            cfg = config_from_dict(merged).model_config()
-        except ValueError as e:
-            raise CliError(str(e), EXIT_USAGE)
-    else:
-        cfg = make_config(args.variant or "lite", args.attention or "la")
-    model = MatchModel(cfg, seed=seed)
-    if args.checkpoint:
-        try:
-            model.load(args.checkpoint)
+            model.load(checkpoint)
         except (OSError, ValueError) as e:
             raise CliError(f"checkpoint: {e}", EXIT_IO)
     return model
+
+
+def _match(img_a, img_b, model, cfg: TrainConfig):
+    """``match_pair`` with the run's matching values."""
+    return M.match_pair(img_a, img_b, model, tau=cfg.tau, theta=cfg.theta,
+                        window=cfg.window, fine_tau=cfg.fine_tau)
 
 
 def render_overlay(img_a: np.ndarray, img_b: np.ndarray, matches) -> np.ndarray:
@@ -294,26 +288,24 @@ def _draw_line(canvas, x1, y1, x2, y2, color) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _window(text: str) -> int:
-    try:
-        return M.check_window(int(text))
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e))
+def _arg_type(kind, valid, expected: str):
+    """An argparse type: ``kind(text)`` if ``valid`` accepts it, otherwise a
+    usage error that names the ``expected`` value."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
 
-def _ransac_iters(text: str) -> int:
-    iters = int(text)
-    if iters < 1:
-        raise argparse.ArgumentTypeError(f"RANSAC needs at least 1 trial, got {iters}")
-    return iters
-
-
-def _ransac_thresh(text: str) -> float:
-    thresh = float(text)
-    if not (np.isfinite(thresh) and thresh > 0):
-        raise argparse.ArgumentTypeError(
-            f"inlier threshold must be a finite number of pixels > 0, got {text}")
-    return thresh
+_window = _arg_type(int, M.check_window, "an odd window size >= 1")
+_ransac_iters = _arg_type(int, lambda n: n >= 1, "a number of RANSAC trials >= 1")
+_ransac_thresh = _arg_type(float, lambda t: np.isfinite(t) and t > 0,
+                           "a finite inlier threshold in pixels > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,9 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--attention", choices=("la", "sea", "full"))
         p.add_argument("--config")
         if matching:  # train takes these from its config file only
-            p.add_argument("--tau", type=float, default=0.1)
-            p.add_argument("--theta", type=float, default=0.2)
-            p.add_argument("--window", type=_window, default=5)
+            p.add_argument("--tau", type=float)
+            p.add_argument("--theta", type=float)
+            p.add_argument("--window", type=_window)
 
     p = sub.add_parser("selftest", help="run the invariant suite")
     p.add_argument("--seed", type=int, default=0)

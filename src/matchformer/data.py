@@ -155,23 +155,18 @@ class PairSample:
     image_a: np.ndarray
     image_b: np.ndarray
     h_mat: np.ndarray      # maps A pixel coords to B pixel coords
-    valid_mask: np.ndarray
 
 
 def make_pair(seed: int, height: int = 64, width: int = 64,
               max_rot: float = 0.15, max_persp: float = 5e-4,
-              max_trans: float = 4.0, max_scale: float = 0.08,
-              noise: float = 0.0) -> PairSample:
+              max_trans: float = 4.0, max_scale: float = 0.08) -> PairSample:
     """One synthetic supervised pair; B is A warped by a known homography."""
     image_a = gen_pattern(seed, height, width)
     h_mat = random_homography(seed + 1, max_rot=max_rot, max_persp=max_persp,
                               max_trans=max_trans, max_scale=max_scale,
                               size=(height, width))
-    image_b, mask = warp(image_a, h_mat)
-    if noise > 0:
-        rng = np.random.default_rng(seed + 2)
-        image_b = np.clip(image_b + rng.normal(0, noise, image_b.shape), 0, 1)
-    return PairSample(image_a=image_a, image_b=image_b, h_mat=h_mat, valid_mask=mask)
+    image_b, _ = warp(image_a, h_mat)
+    return PairSample(image_a=image_a, image_b=image_b, h_mat=h_mat)
 
 
 def gt_coarse_labels(h_mat: np.ndarray, size: tuple, r_c: int) -> np.ndarray:

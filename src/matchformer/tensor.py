@@ -836,45 +836,3 @@ def fd_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
             rel = abs(a_flat[i] - num) / max(abs(a_flat[i]) + abs(num), 1e-4)
             max_rel = max(max_rel, rel)
     return FdReport(max_rel_err=max_rel, tol=tol, n_checked=len(idx))
-
-
-# ---------------------------------------------------------------------------
-# Snapshot text format
-# ---------------------------------------------------------------------------
-
-
-def save_tensor_txt(path, x) -> None:
-    """Write ``shape: d1 d2 ...`` then row-major decimals (full precision)."""
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    with open(path, "w") as fh:
-        fh.write(_snapshot_str(arr))
-
-
-def load_tensor_txt(path) -> Tensor:
-    with open(path) as fh:
-        text = fh.read()
-    return Tensor(_parse_snapshot(text.split()))
-
-
-def _snapshot_str(arr: np.ndarray) -> str:
-    head = "shape: " + " ".join(str(d) for d in arr.shape)
-    body = " ".join(repr(float(v)) for v in arr.reshape(-1))
-    return head + "\n" + body + "\n"
-
-
-def _parse_snapshot(tokens: list[str]) -> np.ndarray:
-    if len(tokens) < 2 or tokens[0] != "shape:":
-        raise ValueError("tensor snapshot must start with 'shape:'")
-    shape = []
-    i = 1
-    while i < len(tokens):
-        try:
-            shape.append(int(tokens[i]))
-        except ValueError:
-            break
-        i += 1
-    count = int(np.prod(shape)) if shape else 1
-    vals = tokens[i:i + count]
-    if len(vals) != count:
-        raise ValueError(f"tensor snapshot expects {count} values, found {len(vals)}")
-    return np.array([float(v) for v in vals]).reshape(shape)

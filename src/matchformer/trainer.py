@@ -117,7 +117,7 @@ class TrainConfig:
     fusion_channels: int = 64
     image_size: tuple = (64, 64)
     tau: float = 0.1
-    fine_tau: float = 0.025
+    fine_tau: float = M.DEFAULT_FINE_TAU
     theta: float = 0.2
     window: int = 5
     max_rot: float = 0.12
@@ -133,7 +133,13 @@ class TrainConfig:
         if self.lambda_coarse < 0 or self.lambda_fine < 0 \
                 or (self.lambda_coarse == 0 and self.lambda_fine == 0):
             raise ValueError("loss weights must be nonnegative and not both zero")
+        for name, value in (("tau", self.tau), ("fine_tau", self.fine_tau)):
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not 0 <= self.theta < 1:
+            raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
         M.check_window(self.window)
+        self.model_config()  # bad model keys fail here, before any model is built
 
     def model_config(self):
         schedule = schedule_from_strings(NAMED_SCHEDULES[self.schedule]) \

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from matchformer import tensor as T
-from matchformer.blocks import (Attention, AttentionBlock, MixFFN, PosPatchEmbed,
-                                StdPatchEmbed, apply_checkpoint, load_checkpoint,
-                                save_checkpoint, seq_to_map,
+from matchformer.blocks import (CHECKPOINT_MAGIC, Attention, AttentionBlock, MixFFN,
+                                PosPatchEmbed, StdPatchEmbed, apply_checkpoint,
+                                load_checkpoint, save_checkpoint, seq_to_map,
                                 sinusoidal_position_code)
 from matchformer.tensor import Tensor
 
@@ -317,6 +317,21 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_snapshot_header_and_exact_values(self, tmp_path):
+        arr = np.random.default_rng(14).normal(size=(3, 4, 2))
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, [("w", np.zeros((2, 3))), ("v", arr)])
+        lines = path.read_text().splitlines()
+        assert lines[1:3] == ["w", "shape: 2 3"]
+        assert lines[4:6] == ["v", "shape: 3 4 2"]
+        assert np.array_equal(load_checkpoint(path)["v"], arr)
+
+    def test_malformed_snapshot_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(CHECKPOINT_MAGIC + "\nw\nshap: 2 2\n1 2 3 4\n")
+        with pytest.raises(ValueError, match="shape:"):
             load_checkpoint(path)
 
     def test_seq_map_roundtrip(self):

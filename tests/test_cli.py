@@ -18,6 +18,20 @@ fine_channels: 8
 fusion_channels: 8
 steps: 2
 """
+TOY_FIELDS = dict(channels=(8, 8, 8, 16), coarse_channels=8, fine_channels=8,
+                  fusion_channels=8)
+
+
+@pytest.fixture
+def spy_match_pair(monkeypatch):
+    """Replaces matcher.match_pair; returns the list of (model, kwargs) calls."""
+    calls = []
+
+    def spy(img_a, img_b, model, **kw):
+        calls.append((model, kw))
+        return M.MatchSet(points=np.zeros((0, 5)))
+    monkeypatch.setattr(M, "match_pair", spy)
+    return calls
 
 
 @pytest.fixture
@@ -74,8 +88,7 @@ class TestMatch:
         cfgfile = tmp_path / "toy.cfg"
         cfgfile.write_text(TOY_CONFIG)
         ckpt = tmp_path / "ckpt.txt"
-        cfg = TrainConfig(channels=(8, 8, 8, 16), coarse_channels=8,
-                          fine_channels=8, fusion_channels=8)
+        cfg = TrainConfig(**TOY_FIELDS)
         MatchModel(cfg.model_config(), seed=0).save(ckpt)
         lines = ckpt.read_text().splitlines()
         ckpt.write_text("\n".join(lines[:-1]) + "\n")
@@ -87,31 +100,94 @@ class TestMatch:
             assert code == 3
             assert "truncated" in capsys.readouterr().err
 
-    def test_even_window_is_usage_error_before_the_model_runs(self, pgm_pair,
-                                                               tmp_path, monkeypatch):
+    def test_even_window_is_usage_error_before_the_model_runs(self, pgm_pair, tmp_path,
+                                                               monkeypatch, capsys):
         a, b = pgm_pair
         monkeypatch.setattr(M, "match_pair", lambda *args, **kw: pytest.fail("model ran"))
         manifest = tmp_path / "pairs.tsv"
         D.save_manifest(manifest, [(0, np.eye(3))])
         for argv in (["match", a, b, "--out", str(tmp_path / "o")],
                      ["eval", "--manifest", str(manifest), "--out", str(tmp_path / "e")]):
-            for window in ("4", "0"):
+            for window in ("4", "0", "abc"):
                 with pytest.raises(SystemExit) as exc:
                     main(argv + ["--window", window])
                 assert exc.value.code == 2
+                err = capsys.readouterr().err
+                assert "odd window size" in err and "_window" not in err
 
     def test_bad_ransac_flags_are_usage_errors_before_the_model_runs(self, tmp_path,
-                                                                      monkeypatch):
+                                                                      monkeypatch, capsys):
         monkeypatch.setattr(M, "match_pair", lambda *args, **kw: pytest.fail("model ran"))
         manifest = tmp_path / "pairs.tsv"
         D.save_manifest(manifest, [(0, np.eye(3))])
         argv = ["eval", "--manifest", str(manifest), "--out", str(tmp_path / "e")]
         for flags in (["--ransac-iters", "0"], ["--ransac-iters", "-3"],
+                      ["--ransac-iters", "abc"],
                       ["--ransac-thresh", "0"], ["--ransac-thresh", "-1"],
-                      ["--ransac-thresh", "nan"], ["--ransac-thresh", "inf"]):
+                      ["--ransac-thresh", "nan"], ["--ransac-thresh", "inf"],
+                      ["--ransac-thresh", "abc"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv + flags)
             assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "expected" in err and "_ransac" not in err
+
+    def test_out_of_range_matching_values_are_usage_errors_before_the_model_runs(
+            self, pgm_pair, tmp_path, monkeypatch):
+        a, b = pgm_pair
+        monkeypatch.setattr(M, "match_pair", lambda *args, **kw: pytest.fail("model ran"))
+        monkeypatch.setattr("matchformer.cli.MatchModel",
+                            lambda *args, **kw: pytest.fail("model built"))
+        cfgfile = tmp_path / "toy.cfg"
+        manifest = tmp_path / "pairs.tsv"
+        D.save_manifest(manifest, [(0, np.eye(3))])
+        for argv in (["match", a, b, "--out", str(tmp_path / "o")],
+                     ["eval", "--manifest", str(manifest), "--out", str(tmp_path / "e")]):
+            for flags in (["--theta", "1.5"], ["--theta", "-0.1"], ["--tau", "0"],
+                          ["--tau", "nan"]):
+                assert main(argv + flags) == 2
+            for extra in ("theta: 1.5\n", "tau: -1\n", "fine_tau: 0\n",
+                          "fine_tau: inf\n"):
+                cfgfile.write_text(TOY_CONFIG + extra)
+                assert main(argv + ["--config", str(cfgfile)]) == 2
+        assert not (tmp_path / "o").exists() and not (tmp_path / "e").exists()
+
+    def test_config_file_values_reach_the_matcher_and_manifest(self, pgm_pair, tmp_path,
+                                                               spy_match_pair):
+        a, b = pgm_pair
+        cfgfile = tmp_path / "toy.cfg"
+        cfgfile.write_text(TOY_CONFIG + "theta: 0.9\nwindow: 7\nfine_tau: 0.5\nseed: 4\n")
+        manifest = tmp_path / "pairs.tsv"
+        D.save_manifest(manifest, [(0, np.eye(3))])
+        expected = MatchModel(TrainConfig(**TOY_FIELDS).model_config(), seed=4)
+        for argv, out in ((["match", a, b], tmp_path / "o"),
+                          (["eval", "--manifest", str(manifest)], tmp_path / "e")):
+            assert main(argv + ["--out", str(out), "--config", str(cfgfile)]) == 0
+            model, kw = spy_match_pair.pop()
+            assert kw == {"tau": 0.1, "theta": 0.9, "window": 7, "fine_tau": 0.5}
+            for (_, p), (_, q) in zip(model.named_parameters(),
+                                      expected.named_parameters()):
+                assert np.array_equal(p.data, q.data)
+            manifest_text = (out / "manifest.txt").read_text()
+            for line in ("theta: 0.9", "window: 7", "fine_tau: 0.5", "seed: 4",
+                         "channels: (8, 8, 8, 16)", "fine_channels: 8"):
+                assert line in manifest_text.splitlines()
+
+    def test_flags_beat_config_file_values(self, pgm_pair, tmp_path, spy_match_pair):
+        a, b = pgm_pair
+        cfgfile = tmp_path / "toy.cfg"
+        cfgfile.write_text(TOY_CONFIG + "theta: 0.9\nwindow: 7\ntau: 0.2\nseed: 4\n")
+        manifest = tmp_path / "pairs.tsv"
+        D.save_manifest(manifest, [(0, np.eye(3))])
+        for argv, out in ((["match", a, b], tmp_path / "o"),
+                          (["eval", "--manifest", str(manifest)], tmp_path / "e")):
+            assert main(argv + ["--out", str(out), "--config", str(cfgfile),
+                                "--theta", "0.3", "--window", "3", "--tau", "0.05",
+                                "--seed", "5"]) == 0
+            _, kw = spy_match_pair.pop()
+            assert kw == {"tau": 0.05, "theta": 0.3, "window": 3, "fine_tau": 0.025}
+            lines = (out / "manifest.txt").read_text().splitlines()
+            assert "seed: 5" in lines and "theta: 0.3" in lines
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = main(["match", str(tmp_path / "nope.pgm"), str(tmp_path / "nope2.pgm"),
@@ -142,8 +218,7 @@ class TestTrain:
         code = main(["train", "--out", str(out), "--config", str(cfgfile),
                      "--steps", "0", "--seed", "0"])
         assert code == 0
-        cfg = TrainConfig(steps=0, seed=0, channels=(8, 8, 8, 16),
-                          coarse_channels=8, fine_channels=8, fusion_channels=8)
+        cfg = TrainConfig(steps=0, seed=0, **TOY_FIELDS)
         fresh = MatchModel(cfg.model_config(), seed=0)
         trained = MatchModel(cfg.model_config(), seed=1)
         trained.load(out / "checkpoint.txt")
@@ -153,13 +228,17 @@ class TestTrain:
         assert (out / "metrics.csv").exists()
         assert (out / "manifest.txt").exists()
 
-    def test_batch_size_key_is_usage_error(self, tmp_path):
-        # so is an even fine window
+    def test_batch_size_key_is_usage_error(self, tmp_path, monkeypatch):
+        # so are an even fine window and out-of-range matching values
+        monkeypatch.setattr("matchformer.cli.train_toy",
+                            lambda *a, **kw: pytest.fail("training ran"))
         cfgfile = tmp_path / "toy.cfg"
-        for extra in ("batch_size: 1\n", "window: 4\n"):
+        for extra in ("batch_size: 1\n", "window: 4\n", "theta: 1.5\n",
+                      "theta: -0.1\n", "tau: 0\n", "tau: nan\n", "fine_tau: 0\n"):
             cfgfile.write_text(TOY_CONFIG + extra)
             assert main(["train", "--out", str(tmp_path / "run"), "--config",
                          str(cfgfile)]) == 2
+        assert not (tmp_path / "run").exists()
 
     def test_matching_flags_are_usage_errors(self, tmp_path, monkeypatch):
         # train reads tau, theta and window from its config file only; the
@@ -174,6 +253,20 @@ class TestTrain:
                       "--steps", "0", flag, value])
             assert exc.value.code == 2
         assert not (tmp_path / "run").exists()
+
+    def test_trained_checkpoint_serves_match_and_eval_without_config(self, pgm_pair,
+                                                                     tmp_path):
+        # without --config all three commands build TrainConfig's default model
+        a, b = pgm_pair
+        run = tmp_path / "run"
+        assert main(["train", "--out", str(run), "--steps", "1"]) == 0
+        ckpt = str(run / "checkpoint.txt")
+        manifest = tmp_path / "pairs.tsv"
+        D.save_manifest(manifest, [(0, np.eye(3))])
+        assert main(["match", a, b, "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "m")]) == 0
+        assert main(["eval", "--manifest", str(manifest), "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "e"), "--ransac-iters", "50"]) == 0
 
     def test_short_training_runs(self, tmp_path):
         cfgfile = tmp_path / "toy.cfg"

@@ -482,23 +482,3 @@ class TestFdCheck:
         got = T.conv2d(Tensor(x), Tensor(wt), Tensor(bias), stride=stride,
                        padding=padding).data
         assert np.abs(got - naive_conv2d(x, wt, bias, stride, padding)).max() < 1e-10
-
-
-class TestSnapshot:
-    def test_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(14)
-        arr = rng.normal(size=(3, 4, 2))
-        path = tmp_path / "snap.txt"
-        T.save_tensor_txt(path, Tensor(arr))
-        assert np.array_equal(T.load_tensor_txt(path).data, arr)
-
-    def test_header_format(self, tmp_path):
-        path = tmp_path / "snap.txt"
-        T.save_tensor_txt(path, Tensor(np.zeros((2, 3))))
-        assert path.read_text().splitlines()[0] == "shape: 2 3"
-
-    def test_malformed_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("shap: 2 2\n1 2 3 4\n")
-        with pytest.raises(ValueError):
-            T.load_tensor_txt(path)
