@@ -343,7 +343,7 @@ def _parse_snapshot(tokens: list[str]) -> np.ndarray:
     vals = tokens[i:i + count]
     if len(vals) != count:
         raise ValueError(f"tensor snapshot expects {count} values, found {len(vals)}")
-    return np.array([float(v) for v in vals]).reshape(shape)
+    return np.array(vals, dtype=np.float64).reshape(shape)
 
 
 def save_checkpoint(path, named_params) -> None:
@@ -358,22 +358,21 @@ def save_checkpoint(path, named_params) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file (bad magic line)")
+    """Read a checkpoint one tensor at a time: after the magic line, each
+    tensor is a name line, a ``shape:`` header and a body line, parsed as soon
+    as its body is read.  Blank lines between tensors are skipped."""
     out: dict[str, np.ndarray] = {}
-    i = 1
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        name = lines[i].strip()
-        if i + 2 >= len(lines):
-            raise ValueError(f"{path}: truncated at tensor {name!r}")
-        tokens = (lines[i + 1] + " " + lines[i + 2]).split()
-        out[name] = _parse_snapshot(tokens)
-        i += 3
+    with open(path) as fh:
+        if fh.readline().strip() != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a checkpoint file (bad magic line)")
+        for line in fh:
+            name = line.strip()
+            if not name:
+                continue
+            header, body = fh.readline(), fh.readline()
+            if not body:
+                raise ValueError(f"{path}: truncated at tensor {name!r}")
+            out[name] = _parse_snapshot(header.split() + body.split())
     return out
 
 
@@ -387,4 +386,4 @@ def apply_checkpoint(module: Module, state: dict[str, np.ndarray]) -> None:
         if p.data.shape != state[name].shape:
             raise ValueError(f"checkpoint shape mismatch at {name}: "
                              f"{state[name].shape} vs {p.data.shape}")
-        p.data = state[name].astype(np.float64).copy()
+        p.data = np.array(state[name], dtype=np.float64)

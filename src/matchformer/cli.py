@@ -34,7 +34,7 @@ _apply_thread_cap()
 
 import numpy as np  # noqa: E402  (after the thread cap on purpose)
 
-from dataclasses import asdict  # noqa: E402
+from dataclasses import asdict, replace  # noqa: E402
 
 from . import data as D  # noqa: E402
 from . import evalkit as E  # noqa: E402
@@ -58,12 +58,16 @@ def _write_manifest(out_dir, args_dict) -> None:
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
         fh.write(f"timestamp: {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         for key in sorted(args_dict):
-            fh.write(f"{key}: {args_dict[key]}\n")
+            value = args_dict[key]
+            if isinstance(value, tuple):  # the config grammar's spelling
+                value = " ".join(str(v) for v in value)
+            fh.write(f"{key}: {value}\n")
 
 
 def _run_config(args) -> TrainConfig:
     """The run's one configuration: the ``--config`` file, then every
-    TrainConfig field the user set by flag, then ``config_from_dict``."""
+    TrainConfig field the user set by flag, then ``config_from_dict``.
+    ``--height``/``--width`` set the two halves of ``image_size``."""
     raw = {}
     if args.config:
         try:
@@ -74,7 +78,11 @@ def _run_config(args) -> TrainConfig:
     raw.update({key: value for key, value in vars(args).items()
                 if key in TrainConfig.__annotations__ and value is not None})
     try:
-        return config_from_dict(raw)
+        cfg = config_from_dict(raw)
+        h, w = cfg.image_size
+        height, width = getattr(args, "height", None), getattr(args, "width", None)
+        return replace(cfg, image_size=(h if height is None else height,
+                                        w if width is None else width))
     except ValueError as e:
         raise CliError(str(e), EXIT_USAGE)
 
@@ -170,7 +178,7 @@ def cmd_eval(args) -> int:
             raise CliError(str(e), EXIT_IO)
     else:
         model = _load_model(cfg, args.checkpoint)
-    size = (args.height, args.width)
+    size = cfg.image_size
     curves, corner_errs, counts, inlier_counts = [], [], [], []
     for seed, h_mat in entries:
         if fixed_matches is not None:
@@ -206,7 +214,6 @@ def cmd_eval(args) -> int:
         print(f"{key:>16}: {value}")
     _write_manifest(args.out, {"command": "eval", **asdict(cfg),
                                "manifest": args.manifest, "pairs": len(entries),
-                               "height": args.height, "width": args.width,
                                "ransac_thresh": args.ransac_thresh,
                                "ransac_iters": args.ransac_iters,
                                "checkpoint": args.checkpoint or "",
@@ -357,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint")
     p.add_argument("--matches", help="evaluate a saved match file instead of a model")
     p.add_argument("--out", required=True)
-    p.add_argument("--height", type=int, default=64)
-    p.add_argument("--width", type=int, default=64)
+    p.add_argument("--height", type=int, help="image_size rows")
+    p.add_argument("--width", type=int, help="image_size columns")
     p.add_argument("--ransac-thresh", type=_ransac_thresh, default=2.0)
     p.add_argument("--ransac-iters", type=_ransac_iters, default=2000)
     common(p)

@@ -106,6 +106,19 @@ class no_grad:
         return False
 
 
+class tape_scope:
+    """Context manager that empties the tape when its body raises, so the
+    nodes of an abandoned forward pass do not keep activations alive."""
+
+    def __enter__(self):
+        return _ACTIVE_TAPE
+
+    def __exit__(self, exc_type, *exc):
+        if exc_type is not None:
+            _ACTIVE_TAPE.clear()
+        return False
+
+
 # ---------------------------------------------------------------------------
 # Tensor
 # ---------------------------------------------------------------------------

@@ -139,6 +139,9 @@ class TrainConfig:
         if not 0 <= self.theta < 1:
             raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
         M.check_window(self.window)
+        if len(self.image_size) != 2 or any(n <= 0 or n % 32 for n in self.image_size):
+            raise ValueError(f"image_size must be two positive multiples of 32, "
+                             f"got {self.image_size}")
         self.model_config()  # bad model keys fail here, before any model is built
 
     def model_config(self):
@@ -220,48 +223,49 @@ def train_toy(cfg: TrainConfig, log_path=None, checkpoint_path=None,
     running_precision = 0.0
     fine_active = False
 
-    for step in range(cfg.steps):
-        sample = _sample_pair(cfg, step)
-        labels = D.gt_coarse_labels(sample.h_mat, cfg.image_size, r_c)
-        if (labels >= 0).sum() == 0:
-            continue
-        img_a = Tensor(sample.image_a[None, None])
-        img_b = Tensor(sample.image_b[None, None])
-        coarse_a, fine_a, coarse_b, fine_b = model.forward_pair(img_a, img_b)
-        sm = M.coarse_scores(coarse_a, coarse_b, tau=cfg.tau)
-        probs = M.dual_softmax(sm)
-        loss_c = coarse_loss(probs, labels)
+    with T.tape_scope():  # a step that raises leaves no nodes behind
+        for step in range(cfg.steps):
+            sample = _sample_pair(cfg, step)
+            labels = D.gt_coarse_labels(sample.h_mat, cfg.image_size, r_c)
+            if (labels >= 0).sum() == 0:
+                continue
+            img_a = Tensor(sample.image_a[None, None])
+            img_b = Tensor(sample.image_b[None, None])
+            coarse_a, fine_a, coarse_b, fine_b = model.forward_pair(img_a, img_b)
+            sm = M.coarse_scores(coarse_a, coarse_b, tau=cfg.tau)
+            probs = M.dual_softmax(sm)
+            loss_c = coarse_loss(probs, labels)
 
-        precision = _step_precision(probs.data, labels, cfg.theta, sm.grid_a)
-        running_precision = 0.9 * running_precision + 0.1 * precision
-        if running_precision > cfg.fine_warmup_precision:
-            fine_active = True
+            precision = _step_precision(probs.data, labels, cfg.theta, sm.grid_a)
+            running_precision = 0.9 * running_precision + 0.1 * precision
+            if running_precision > cfg.fine_warmup_precision:
+                fine_active = True
 
-        loss_f_val = 0.0
-        loss = T.mul(loss_c, cfg.lambda_coarse)
-        if fine_active and cfg.lambda_fine > 0:
-            labeled = np.flatnonzero(labels >= 0)
-            gt_pairs = np.stack([labeled, labels[labeled]], axis=1)
-            ka, kb, gt_off = _fine_supervision(cfg, model, gt_pairs, sample.h_mat,
-                                               (sm.grid_a, sm.grid_b),
-                                               fine_a.shape[2:], rng)
-            if len(ka):
-                offsets = M.fine_offsets(fine_a, fine_b, ka, kb,
-                                         radius=cfg.window // 2, tau=cfg.fine_tau)
-                loss_f = fine_loss(offsets, gt_off)
-                loss_f_val = float(loss_f.data)
-                loss = T.add(loss, T.mul(loss_f, cfg.lambda_fine))
+            loss_f_val = 0.0
+            loss = T.mul(loss_c, cfg.lambda_coarse)
+            if fine_active and cfg.lambda_fine > 0:
+                labeled = np.flatnonzero(labels >= 0)
+                gt_pairs = np.stack([labeled, labels[labeled]], axis=1)
+                ka, kb, gt_off = _fine_supervision(cfg, model, gt_pairs, sample.h_mat,
+                                                   (sm.grid_a, sm.grid_b),
+                                                   fine_a.shape[2:], rng)
+                if len(ka):
+                    offsets = M.fine_offsets(fine_a, fine_b, ka, kb,
+                                             radius=cfg.window // 2, tau=cfg.fine_tau)
+                    loss_f = fine_loss(offsets, gt_off)
+                    loss_f_val = float(loss_f.data)
+                    loss = T.add(loss, T.mul(loss_f, cfg.lambda_fine))
 
-        loss_val = float(loss.data)
-        if not np.isfinite(loss_val):
-            raise TrainingDivergedError(step, f"non-finite loss {loss_val}")
-        T.backward(loss)
-        adam_step(params, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-        model.zero_grad()
-        metrics.append((step, float(loss_c.data), loss_f_val, precision))
-        if progress and step % progress == 0:
-            print(f"step {step:5d}  loss_c {float(loss_c.data):.4f}  "
-                  f"loss_f {loss_f_val:.4f}  precision {precision:.3f}")
+            loss_val = float(loss.data)
+            if not np.isfinite(loss_val):
+                raise TrainingDivergedError(step, f"non-finite loss {loss_val}")
+            T.backward(loss)
+            adam_step(params, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+            model.zero_grad()
+            metrics.append((step, float(loss_c.data), loss_f_val, precision))
+            if progress and step % progress == 0:
+                print(f"step {step:5d}  loss_c {float(loss_c.data):.4f}  "
+                      f"loss_f {loss_f_val:.4f}  precision {precision:.3f}")
 
     holdout = holdout_precision(model, cfg)
     if log_path is not None:

@@ -1,5 +1,7 @@
 """Blocks: patch embeddings, attention kernels, FFN, residual wiring."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from matchformer.blocks import (CHECKPOINT_MAGIC, Attention, AttentionBlock, Mix
                                 PosPatchEmbed, StdPatchEmbed, apply_checkpoint,
                                 load_checkpoint, save_checkpoint, seq_to_map,
                                 sinusoidal_position_code)
+from matchformer.model import MatchModel
 from matchformer.tensor import Tensor
+from matchformer.trainer import TrainConfig
 
 
 def rng_pair(seed):
@@ -338,8 +342,137 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="shape:"):
             load_checkpoint(path)
 
+    def test_apply_checkpoint_copies_the_state(self, tmp_path):
+        block = AttentionBlock(np.random.default_rng(42), 8, 2, "la")
+        state = {name: p.data.copy() for name, p in block.named_parameters()}
+        other = AttentionBlock(np.random.default_rng(43), 8, 2, "la")
+        apply_checkpoint(other, state)
+        for arr in state.values():
+            arr[...] = 7.0
+        for (_, a), (_, b) in zip(block.named_parameters(), other.named_parameters()):
+            assert np.array_equal(a.data, b.data)
+
     def test_seq_map_roundtrip(self):
         rng = np.random.default_rng(38)
         x = Tensor(rng.normal(size=(2, 4, 6, 5)))
         seq = T.reshape(T.transpose(x, (0, 2, 3, 1)), (2, 30, 4))
         assert np.array_equal(seq_to_map(seq, 6, 5).data, x.data)
+
+
+# ---------------------------------------------------------------------------
+# Streaming checkpoint loader against the whole-file loader it replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_parse_snapshot(tokens):
+    if len(tokens) < 2 or tokens[0] != "shape:":
+        raise ValueError("tensor snapshot must start with 'shape:'")
+    shape = []
+    i = 1
+    while i < len(tokens):
+        try:
+            shape.append(int(tokens[i]))
+        except ValueError:
+            break
+        i += 1
+    count = int(np.prod(shape)) if shape else 1
+    vals = tokens[i:i + count]
+    if len(vals) != count:
+        raise ValueError(f"tensor snapshot expects {count} values, found {len(vals)}")
+    return np.array([float(v) for v in vals]).reshape(shape)
+
+
+def _oracle_load_checkpoint(path):
+    """The loader as it was before it streamed: the whole file, then its line
+    list, then one Python float per value."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0].strip() != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file (bad magic line)")
+    out = {}
+    i = 1
+    while i < len(lines):
+        if not lines[i].strip():
+            i += 1
+            continue
+        name = lines[i].strip()
+        if i + 2 >= len(lines):
+            raise ValueError(f"{path}: truncated at tensor {name!r}")
+        tokens = (lines[i + 1] + " " + lines[i + 2]).split()
+        out[name] = _oracle_parse_snapshot(tokens)
+        i += 3
+    return out
+
+
+def _outcome(load, path):
+    """Names in order with shapes and bytes, or the exception's type and text."""
+    try:
+        state = load(path)
+    except Exception as e:  # noqa: BLE001 - the type is what is compared
+        return type(e), str(e)
+    return [(name, arr.shape, arr.dtype, arr.tobytes()) for name, arr in state.items()]
+
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+                    1.7976931348623157e308, -1e-300, 1e300, 0.1, -1 / 3])
+MAGIC = CHECKPOINT_MAGIC
+WELL_FORMED = MAGIC + "\nw\nshape: 2\n1.0 -2.5\nv\nshape: 1 2\n3.0 4.0\n"
+EDGE_FILES = {  # malformed files, and odd ones the loader accepts
+    "bad-magic": "# matchformer-checkpoint v2\nw\nshape: 1\n1.0\n",
+    "empty-file": "",
+    "magic-not-first": "\n" + WELL_FORMED,
+    "truncated-after-name": MAGIC + "\nw\n",
+    "truncated-after-header": MAGIC + "\nw\nshape: 2\n",
+    "truncated-header-without-line-end": MAGIC + "\nw\nshape: 2",
+    "name-blank-end": MAGIC + "\nw\n\n",
+    "blank-header-and-body": MAGIC + "\nw\n\n\n",
+    "blank-lines-between-tensors":
+        MAGIC + "\n\n\nw\nshape: 2\n1.0 2.0\n\n\nv\nshape: 1\n3.0\n\n",
+    "short-body": MAGIC + "\nw\nshape: 2 2\n1.0 2.0 3.0\n",
+    "non-numeric-token": MAGIC + "\nw\nshape: 2\n1.0 abc\n",
+    "extra-values-ignored": MAGIC + "\nw\nshape: 2\n1.0 2.0 3.0\n",
+    "shap-header": MAGIC + "\nw\nshap: 2 2\n1 2 3 4\n",
+    "integer-body-tokens": MAGIC + "\nw\nshape: 2\n1 2\n",
+    "no-final-line-end": MAGIC + "  \nw\nshape: 2\n1.0 2.0",
+    "crlf": WELL_FORMED.replace("\n", "\r\n"),
+    "crlf-truncated": (MAGIC + "\nw\nshape: 2\n").replace("\n", "\r\n"),
+}
+
+
+class TestStreamingLoader:
+    def test_saved_checkpoints_load_as_with_the_whole_file(self, tmp_path):
+        block = AttentionBlock(np.random.default_rng(44), 8, 2, "sea", 2)
+        extra = [("special", SPECIAL.reshape(3, 4)), ("scalar", np.array(2.5)),
+                 ("empty", np.zeros((0, 3)))]
+        model = MatchModel(TrainConfig(channels=(8, 8, 8, 16), coarse_channels=8,
+                                       fine_channels=8, fusion_channels=8).model_config())
+        for k, params in enumerate((block.named_parameters() + extra,
+                                    model.named_parameters())):
+            path = tmp_path / f"ckpt{k}.txt"
+            save_checkpoint(path, params)
+            want = _outcome(_oracle_load_checkpoint, path)
+            assert [w[0] for w in want] == [name for name, _ in params]
+            assert _outcome(load_checkpoint, path) == want
+
+    @pytest.mark.parametrize("text", EDGE_FILES.values(), ids=EDGE_FILES.keys())
+    def test_edge_files_fail_or_load_as_with_the_whole_file(self, tmp_path, text):
+        path = tmp_path / "ckpt.txt"
+        path.write_bytes(text.encode())
+        assert _outcome(load_checkpoint, path) == _outcome(_oracle_load_checkpoint, path)
+
+    def test_peak_memory_is_one_tensor_not_the_file(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        rng = np.random.default_rng(45)
+        save_checkpoint(path, [(f"t{i}", rng.normal(size=400)) for i in range(250)])
+        size = path.stat().st_size
+        peaks = {}
+        for load in (load_checkpoint, _oracle_load_checkpoint):
+            tracemalloc.start()
+            try:
+                state = load(path)  # noqa: F841 - held so that it counts as kept
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks[load] = peak - kept
+        assert peaks[_oracle_load_checkpoint] > size  # the measure sees the file
+        assert peaks[load_checkpoint] < 0.1 * size

@@ -6,8 +6,9 @@ import pytest
 from matchformer import data as D
 from matchformer import matcher as M
 from matchformer.cli import main
+from matchformer.encoder import parse_config_text
 from matchformer.model import MatchModel
-from matchformer.trainer import TrainConfig
+from matchformer.trainer import TrainConfig, config_from_dict
 
 TOY_CONFIG = """\
 variant: lite
@@ -170,7 +171,7 @@ class TestMatch:
                 assert np.array_equal(p.data, q.data)
             manifest_text = (out / "manifest.txt").read_text()
             for line in ("theta: 0.9", "window: 7", "fine_tau: 0.5", "seed: 4",
-                         "channels: (8, 8, 8, 16)", "fine_channels: 8"):
+                         "channels: 8 8 8 16", "fine_channels: 8"):
                 assert line in manifest_text.splitlines()
 
     def test_flags_beat_config_file_values(self, pgm_pair, tmp_path, spy_match_pair):
@@ -229,12 +230,14 @@ class TestTrain:
         assert (out / "manifest.txt").exists()
 
     def test_batch_size_key_is_usage_error(self, tmp_path, monkeypatch):
-        # so are an even fine window and out-of-range matching values
+        # so are an even fine window, out-of-range matching values and an
+        # image_size that is not two positive multiples of 32
         monkeypatch.setattr("matchformer.cli.train_toy",
                             lambda *a, **kw: pytest.fail("training ran"))
         cfgfile = tmp_path / "toy.cfg"
         for extra in ("batch_size: 1\n", "window: 4\n", "theta: 1.5\n",
-                      "theta: -0.1\n", "tau: 0\n", "tau: nan\n", "fine_tau: 0\n"):
+                      "theta: -0.1\n", "tau: 0\n", "tau: nan\n", "fine_tau: 0\n",
+                      "image_size: 48 64\n", "image_size: 64 64 64\n"):
             cfgfile.write_text(TOY_CONFIG + extra)
             assert main(["train", "--out", str(tmp_path / "run"), "--config",
                          str(cfgfile)]) == 2
@@ -267,6 +270,19 @@ class TestTrain:
                      "--out", str(tmp_path / "m")]) == 0
         assert main(["eval", "--manifest", str(manifest), "--checkpoint", ckpt,
                      "--out", str(tmp_path / "e"), "--ransac-iters", "50"]) == 0
+
+    def test_manifest_config_keys_feed_back_through_config(self, tmp_path):
+        cfgfile = tmp_path / "toy.cfg"
+        cfgfile.write_text(TOY_CONFIG + "image_size: 96 64\nschedule: SSC SSC SCC SCC\n")
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out), "--config", str(cfgfile),
+                     "--steps", "0", "--seed", "3"]) == 0
+        raw = parse_config_text((out / "manifest.txt").read_text())
+        echoed = config_from_dict({k: v for k, v in raw.items()
+                                   if k in TrainConfig.__annotations__})
+        assert echoed == TrainConfig(steps=0, seed=3, image_size=(96, 64),
+                                     schedule="SSC SSC SCC SCC", **TOY_FIELDS)
+        assert raw["channels"] == "8 8 8 16" and raw["image_size"] == "96 64"
 
     def test_short_training_runs(self, tmp_path):
         cfgfile = tmp_path / "toy.cfg"
@@ -307,6 +323,32 @@ class TestEval:
         code = main(["eval", "--manifest", str(manifest), "--matches", str(mfile),
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_image_size_sets_the_generated_pairs(self, tmp_path, monkeypatch,
+                                                 spy_match_pair):
+        # from the config file, and from --height/--width over the file
+        sizes = []
+        real = D.gen_pattern
+
+        def spy(seed, h, w):
+            sizes.append((h, w))
+            return real(seed, h, w)
+        monkeypatch.setattr(D, "gen_pattern", spy)
+        cfgfile = tmp_path / "toy.cfg"
+        cfgfile.write_text(TOY_CONFIG + "image_size: 96 64\n")
+        manifest = tmp_path / "pairs.tsv"
+        D.save_manifest(manifest, [(0, np.eye(3))])
+        argv = ["eval", "--manifest", str(manifest), "--config", str(cfgfile),
+                "--ransac-iters", "10"]
+        for flags, size in (([], (96, 64)), (["--height", "32"], (32, 64)),
+                            (["--height", "32", "--width", "96"], (32, 96))):
+            out = tmp_path / f"e{len(flags)}"
+            assert main(argv + flags + ["--out", str(out)]) == 0
+            assert sizes.pop() == size
+            raw = parse_config_text((out / "manifest.txt").read_text())
+            assert raw["image_size"] == f"{size[0]} {size[1]}"
+            assert "height" not in raw and "width" not in raw
+        assert main(argv + ["--height", "48", "--out", str(tmp_path / "bad")]) == 2
 
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert main(["eval", "--manifest", str(tmp_path / "none.tsv"),

@@ -410,6 +410,27 @@ class TestBackward:
             y = T.mul(x, 3.0)
         assert not y.requires_grad
 
+    def test_tape_scope_drops_the_nodes_of_a_forward_that_raises(self):
+        T.active_tape().clear()
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(T.NumericalError):
+            T.log(T.mul(x, -1.0))
+        assert len(T.active_tape()) == 1  # what an unscoped forward leaves
+        T.active_tape().clear()
+        with pytest.raises(T.NumericalError):
+            with T.tape_scope():
+                T.log(T.mul(x, -1.0))
+        assert len(T.active_tape()) == 0
+
+    def test_tape_scope_keeps_the_nodes_of_a_forward_that_returns(self):
+        T.active_tape().clear()
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        with T.tape_scope():
+            y = T.reduce_sum(T.mul(x, x))
+        assert len(T.active_tape()) == 2
+        T.backward(y)
+        assert np.array_equal(x.grad, 2.0 * x.data)
+
 
 class TestFdCheck:
     def test_sum_is_exact(self):

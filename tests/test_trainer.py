@@ -5,12 +5,14 @@ import pytest
 
 from matchformer import matcher as M
 from matchformer import tensor as T
+from matchformer import trainer
 from matchformer.data import make_pair, gt_coarse_labels
 from matchformer.model import MatchModel
 from matchformer.tensor import Tensor
 from matchformer.trainer import (AdamState, EmptyAssignmentError, TrainConfig,
-                                 adam_step, coarse_loss, config_from_dict,
-                                 fine_loss, holdout_precision, train_toy)
+                                 TrainingDivergedError, adam_step, coarse_loss,
+                                 config_from_dict, fine_loss, holdout_precision,
+                                 train_toy)
 
 TINY = dict(channels=(8, 8, 8, 16), coarse_channels=8, fine_channels=8,
             fusion_channels=8)
@@ -164,6 +166,23 @@ class TestTrainToy:
         result = train_toy(tiny_config(steps=2))
         assert 0.0 <= result.holdout_precision <= 1.0
 
+    @pytest.mark.parametrize("error, corrupt", [
+        (TrainingDivergedError, lambda loss: T.mul(loss, np.nan)),
+        (T.NumericalError, lambda loss: T.log(T.mul(loss, -1.0))),
+    ])
+    def test_step_that_raises_leaves_an_empty_tape(self, monkeypatch, error, corrupt):
+        # the step's forward graph is abandoned; its nodes must not stay on
+        # the global tape holding their activations
+        if error is TrainingDivergedError:  # a NaN the op checks let through
+            monkeypatch.setattr(T, "_check_finite", lambda arr, op: arr)
+        real = trainer.coarse_loss
+        monkeypatch.setattr(trainer, "coarse_loss",
+                            lambda probs, labels: corrupt(real(probs, labels)))
+        T.active_tape().clear()
+        with pytest.raises(error):
+            train_toy(tiny_config(steps=1))
+        assert len(T.active_tape()) == 0
+
 
 class TestTrainConfig:
     def test_invalid_lr_rejected(self):
@@ -186,9 +205,11 @@ class TestTrainConfig:
         assert cfg.patch_embed == "std" and cfg.schedule == "self_only"
 
     def test_unknown_key_rejected(self):
-        # an even or non-positive fine window is rejected the same way
+        # an even or non-positive fine window, and an image_size that is not
+        # two positive multiples of 32, are rejected the same way
         for key, value in (("leerning_rate", "1"), ("batch_size", "1"),
-                           ("window", "4"), ("window", "0")):
+                           ("window", "4"), ("window", "0"), ("image_size", "48 64"),
+                           ("image_size", "0 64"), ("image_size", "64 64 64")):
             with pytest.raises(ValueError):
                 config_from_dict({key: value})
 
