@@ -328,21 +328,21 @@ def _snapshot_str(arr: np.ndarray) -> str:
     return head + "\n" + body + "\n"
 
 
-def _parse_snapshot(tokens: list[str]) -> np.ndarray:
-    if len(tokens) < 2 or tokens[0] != "shape:":
+def _parse_snapshot(header: str, body: str) -> np.ndarray:
+    """A tensor from its ``shape:`` header line and its body line of values;
+    values past the shape's count are ignored."""
+    head = header.split()
+    if not head or head[0] != "shape:":
         raise ValueError("tensor snapshot must start with 'shape:'")
-    shape = []
-    i = 1
-    while i < len(tokens):
-        try:
-            shape.append(int(tokens[i]))
-        except ValueError:
-            break
-        i += 1
-    count = int(np.prod(shape)) if shape else 1
-    vals = tokens[i:i + count]
-    if len(vals) != count:
+    if not all(t.isdecimal() for t in head[1:]):
+        raise ValueError(f"tensor shape must be non-negative integers, got {header.strip()!r}")
+    shape = [int(t) for t in head[1:]]
+    count = math.prod(shape)
+    vals = body.split()
+    if len(vals) < count:
         raise ValueError(f"tensor snapshot expects {count} values, found {len(vals)}")
+    if len(vals) > count:
+        vals = vals[:count]
     return np.array(vals, dtype=np.float64).reshape(shape)
 
 
@@ -372,7 +372,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             header, body = fh.readline(), fh.readline()
             if not body:
                 raise ValueError(f"{path}: truncated at tensor {name!r}")
-            out[name] = _parse_snapshot(header.split() + body.split())
+            out[name] = _parse_snapshot(header, body)
     return out
 
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import Attention
+from .data import hom_apply
 from .encoder import ModelConfig, stage_plan, output_plan
 from .tensor import Tensor
 
@@ -167,12 +168,8 @@ def corner_error(h_est: np.ndarray, h_gt: np.ndarray, width: int, height: int) -
     """Mean distance between the four image corners under both transforms."""
     corners = np.array([[0, 0], [width - 1, 0], [width - 1, height - 1],
                         [0, height - 1]], dtype=np.float64)
-
-    def apply(h):
-        ph = np.concatenate([corners, np.ones((4, 1))], axis=1) @ h.T
-        return ph[:, :2] / ph[:, 2:3]
-
-    return float(np.sqrt(((apply(h_est) - apply(h_gt)) ** 2).sum(axis=1)).mean())
+    diff = hom_apply(h_est, corners) - hom_apply(h_gt, corners)
+    return float(np.sqrt((diff ** 2).sum(axis=1)).mean())
 
 
 def mma(matches, h_gt: np.ndarray, thresholds=MMA_THRESHOLDS):
@@ -181,11 +178,11 @@ def mma(matches, h_gt: np.ndarray, thresholds=MMA_THRESHOLDS):
     Returns (curve, warned); an empty match set yields a zero curve with the
     warning flag set.
     """
-    pts = matches.points if hasattr(matches, "points") else np.asarray(matches, dtype=np.float64)
+    pts = _match_points(matches)
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if len(pts) == 0:
         return np.zeros(len(thresholds)), True
-    errs = _transfer_errors(h_gt, pts[:, :4])
+    errs = _transfer_errors(h_gt, pts)
     return (errs[None, :] <= thresholds[:, None]).mean(axis=1), False
 
 

@@ -1,8 +1,13 @@
-"""Self-contained invariant suite behind `matchformer selftest`.
+"""Self-contained invariant suite behind `matchformer selftest`, and the one
+copy of each reference check that the test suite shares with it.
 
 Each group re-derives its expected values from an independent oracle (naive
 loops, finite differences, brute-force scans) so a single corrupted rule
-anywhere in the stack turns the run red.
+anywhere in the stack turns the run red.  The reference checks compute their
+expected values with numpy alone: they read module weights, but call no
+`tensor` op and no module, so a fault in the code under test cannot also
+enter its reference.  The groups run them on fixed inputs; the tests run them
+with their own seeds, shapes and tolerances.
 """
 
 from __future__ import annotations
@@ -19,12 +24,165 @@ from .model import MatchModel
 from .tensor import Tensor
 
 
-def _group(fn):
-    fn._is_group = True
-    return fn
+# ---------------------------------------------------------------------------
+# Reference checks (numpy only)
+# ---------------------------------------------------------------------------
 
 
-@_group
+def _arr(x) -> np.ndarray:
+    return np.asarray(getattr(x, "data", x))  # a Tensor's values, or the array
+
+
+def naive_matmul(a, b):
+    """[m, k] @ [k, n] as a triple loop."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for i, j, p in np.ndindex(a.shape[0], b.shape[1], a.shape[1]):
+        out[i, j] += a[i, p] * b[p, j]
+    return out
+
+
+def naive_conv2d(x, w, bias, stride, padding):
+    """Zero-padded [B, C, H, W] convolution, one output value at a time."""
+    h, wd = x.shape[2:]
+    k = w.shape[-1]
+    out = np.zeros((len(x), len(w), (h + 2 * padding - k) // stride + 1,
+                    (wd + 2 * padding - k) // stride + 1))
+    for n, o, oy, ox in np.ndindex(out.shape):
+        acc = bias[o]
+        for c, ky, kx in np.ndindex(w.shape[1:]):
+            iy, ix = oy * stride + ky - padding, ox * stride + kx - padding
+            if 0 <= iy < h and 0 <= ix < wd:
+                acc += x[n, c, iy, ix] * w[o, c, ky, kx]
+        out[n, o, oy, ox] = acc
+    return out
+
+
+def _softmax(m, axis):
+    e = np.exp(m - m.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _linear(layer, x):
+    return x @ layer.weight.data + layer.bias.data
+
+
+def attention_error(got, attn: Attention, q_src, kv_src, kv_hw) -> float:
+    """Max |got - reference| for ``attn`` of any kind and reduction, over
+    [B, N, C] queries and [B, M, C] keys/values on the ``kv_hw`` grid.  The
+    reference gathers each RxR key/value block in a loop, and materialises
+    linear attention's N x N matrix."""
+    q_src, kv_src = _arr(q_src), _arr(kv_src)
+    if attn.kind == "sea" and attn.reduction > 1:
+        r, (h, w) = attn.reduction, kv_hw
+        kv_map = kv_src.reshape(len(kv_src), h, w, -1)
+        blocks = [kv_map[:, i:i + r, j:j + r].reshape(len(kv_map), -1)
+                  for i in range(0, h, r) for j in range(0, w, r)]
+        red = _linear(attn.sr, np.stack(blocks, axis=1))
+        mu = red.mean(-1, keepdims=True)
+        red = (red - mu) / np.sqrt(((red - mu) ** 2).mean(-1, keepdims=True) + attn.sr_norm.eps)
+        kv_src = red * attn.sr_norm.gain.data + attn.sr_norm.offset.data
+    b, n, dim = q_src.shape
+    d = dim // attn.heads
+
+    def heads(layer, x):
+        return _linear(layer, x).reshape(b, x.shape[1], attn.heads, d).transpose(0, 2, 1, 3)
+
+    q, k, v = heads(attn.q, q_src), heads(attn.k, kv_src), heads(attn.v, kv_src)
+    if attn.kind == "la":
+        mix = _softmax(q, -1) @ _softmax(k, -2).transpose(0, 1, 3, 2)
+    else:
+        mix = _softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(d), -1)
+    ref = (mix @ v).transpose(0, 2, 1, 3).reshape(b, n, dim)
+    return float(np.abs(_arr(got) - _linear(attn.out, ref)).max())
+
+
+def kv_permutation_error(attend, kv_src, perm) -> float:
+    """Max change of ``attend(kv)`` when the key/value tokens are reordered."""
+    kv_src = _arr(kv_src)
+    return float(np.abs(_arr(attend(kv_src)) - _arr(attend(kv_src[:, perm]))).max())
+
+
+def copy_weights(src, dst) -> None:
+    """Copy each parameter of ``src`` into the one at the same place in ``dst``."""
+    for (_, a), (_, b) in zip(src.named_parameters(), dst.named_parameters()):
+        b.data = a.data.copy()
+
+
+def mnn_matches_bruteforce(pairs, probs, theta: float) -> bool:
+    """Whether ``pairs`` lists, in row order, the cells (i, j) with P > theta
+    that hold the first maximum of both their row and their column."""
+    p = _arr(probs)
+    ref = []
+    for i, row in enumerate(p):
+        j = int(np.argmax(row))
+        if int(np.argmax(p[:, j])) == i and p[i, j] > theta:
+            ref.append([i, j])
+    return np.asarray(pairs).tolist() == ref
+
+
+def dual_softmax_error(probs, scores) -> float:
+    """Max deviation of P from row-softmax(S) * col-softmax(S), or excess of P
+    over the smaller factor; infinite where P leaves [0, 1]."""
+    p, s = _arr(probs), _arr(scores)
+    if not ((p >= 0).all() and (p <= 1).all()):
+        return float("inf")
+    r, c = _softmax(s, 1), _softmax(s, 0)
+    return float(max(np.abs(p - r * c).max(), (p - np.minimum(r, c)).max()))
+
+
+def swap_symmetric(p_ab, p_ba) -> bool:
+    """Whether pyramid (B, A) is (A, B) with every level's stream halves swapped."""
+    def swapped(y):
+        y = _arr(y)
+        return np.roll(y, len(y) // 2, axis=0)
+
+    return all(np.array_equal(_arr(x), swapped(y)) for x, y in zip(p_ab, p_ba))
+
+
+def stream_a_unchanged(p, p2) -> bool:
+    """Whether stream A (batch item 0) is bit-identical at every level."""
+    return all(np.array_equal(_arr(x)[:1], _arr(y)[:1]) for x, y in zip(p, p2))
+
+
+def stream_a_change(p, p2) -> float:
+    """Max change of stream A at the coarsest level."""
+    return float(np.abs(_arr(p[-1])[:1] - _arr(p2[-1])[:1]).max())
+
+
+def _project(h_mat, pts):
+    ph = np.concatenate([pts, np.ones((len(pts), 1))], axis=1) @ h_mat.T
+    return ph[:, :2] / ph[:, 2:3]
+
+
+def _distances(h_mat, pts_a, pts_b):
+    return np.sqrt(((_project(h_mat, pts_a) - pts_b) ** 2).sum(1))
+
+
+def reprojection_error(h_mat, pts_a, pts_b) -> float:
+    """Largest distance in px between H applied to ``pts_a`` and ``pts_b``."""
+    return float(_distances(h_mat, pts_a, pts_b).max())
+
+
+def mean_corner_distance(h_est, h_gt, width: int, height: int) -> float:
+    """Mean distance in px between the four image corners mapped by each."""
+    corners = np.array([[0, 0], [width - 1, 0], [width - 1, height - 1],
+                        [0, height - 1]], dtype=np.float64)
+    return float(_distances(h_est, corners, _project(h_gt, corners)).mean())
+
+
+def mma_error(curve, matches, h_gt, thresholds=E.MMA_THRESHOLDS) -> float:
+    """Max |curve - reference|: per threshold t, the share of matches (x1 y1
+    x2 y2 ...) within t px of H's mapping."""
+    m = _arr(matches)
+    d = _distances(h_gt, m[:, :2], m[:, 2:4])
+    return float(np.abs(np.asarray(curve) - [(d <= t).mean() for t in thresholds]).max())
+
+
+# ---------------------------------------------------------------------------
+# Invariant groups
+# ---------------------------------------------------------------------------
+
+
 def gradients_elementwise(seed: int):
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -45,7 +203,6 @@ def gradients_elementwise(seed: int):
     return worst < 1e-4, f"max rel err {worst:.2e} (tol 1e-4)"
 
 
-@_group
 def gradients_composite(seed: int):
     rng = np.random.default_rng(seed + 1)
     block = AttentionBlock(rng, dim=8, heads=2, kind="full")
@@ -66,79 +223,44 @@ def gradients_composite(seed: int):
     return r1.passed and r2.passed, f"max rel err {worst:.2e}"
 
 
-@_group
 def numeric_oracles(seed: int):
     rng = np.random.default_rng(seed + 2)
     a = rng.normal(size=(5, 7))
     b = rng.normal(size=(7, 3))
-    ref = np.zeros((5, 3))
-    for i in range(5):
-        for j in range(3):
-            for k in range(7):
-                ref[i, j] += a[i, k] * b[k, j]
-    err_mm = np.abs(T.matmul(Tensor(a), Tensor(b)).data - ref).max()
+    err_mm = np.abs(T.matmul(Tensor(a), Tensor(b)).data - naive_matmul(a, b)).max()
 
     x = rng.normal(size=(2, 3, 6, 6))
     w = rng.normal(size=(4, 3, 3, 3))
     bias = rng.normal(size=4)
     out = T.conv2d(Tensor(x), Tensor(w), Tensor(bias), stride=2, padding=1).data
-    ref_c = np.zeros_like(out)
-    for n in range(2):
-        for o in range(4):
-            for oy in range(out.shape[2]):
-                for ox in range(out.shape[3]):
-                    acc = bias[o]
-                    for c in range(3):
-                        for ky in range(3):
-                            for kx in range(3):
-                                iy, ix = oy * 2 + ky - 1, ox * 2 + kx - 1
-                                if 0 <= iy < 6 and 0 <= ix < 6:
-                                    acc += x[n, c, iy, ix] * w[o, c, ky, kx]
-                    ref_c[n, o, oy, ox] = acc
-    err_cv = np.abs(out - ref_c).max()
+    err_cv = np.abs(out - naive_conv2d(x, w, bias, 2, 1)).max()
     ok = err_mm < 1e-10 and err_cv < 1e-10
     return ok, f"matmul err {err_mm:.1e}, conv err {err_cv:.1e} (tol 1e-10)"
 
 
-@_group
 def attention_equivalences(seed: int):
     rng = np.random.default_rng(seed + 3)
     full = Attention(np.random.default_rng(seed + 50), "full", 32, 4)
     sea1 = Attention(np.random.default_rng(seed + 50), "sea", 32, 4, reduction=1)
-    for (_, p1), (_, p2) in zip(full.named_parameters(), sea1.named_parameters()):
-        p2.data = p1.data.copy()
+    copy_weights(full, sea1)
     x = Tensor(rng.normal(size=(1, 16, 32)))
     with T.no_grad():
         bitexact = np.array_equal(full(x, x, (4, 4)).data, sea1(x, x, (4, 4)).data)
 
     la = Attention(np.random.default_rng(seed + 51), "la", 32, 4)
     with T.no_grad():
-        y = la(x, x, (4, 4)).data
-    q = (x.data @ la.q.weight.data + la.q.bias.data).reshape(1, 16, 4, 8).transpose(0, 2, 1, 3)
-    k = (x.data @ la.k.weight.data + la.k.bias.data).reshape(1, 16, 4, 8).transpose(0, 2, 1, 3)
-    v = (x.data @ la.v.weight.data + la.v.bias.data).reshape(1, 16, 4, 8).transpose(0, 2, 1, 3)
-
-    def sm(m, ax):
-        e = np.exp(m - m.max(axis=ax, keepdims=True))
-        return e / e.sum(axis=ax, keepdims=True)
-
-    big = sm(q, -1) @ sm(k, -2).transpose(0, 1, 3, 2)
-    ref = ((big @ v).transpose(0, 2, 1, 3).reshape(1, 16, 32)
-           @ la.out.weight.data + la.out.bias.data)
-    err_la = np.abs(y - ref).max()
+        err_la = attention_error(la(x, x, (4, 4)), la, x, x, (4, 4))
 
     perm = np.random.default_rng(seed).permutation(16)
-    kv = Tensor(rng.normal(size=(1, 16, 32)))
-    kvp = Tensor(kv.data[:, perm])
+    kv = rng.normal(size=(1, 16, 32))
     with T.no_grad():
-        err_perm = max(np.abs(full(x, kv, (4, 4)).data - full(x, kvp, (4, 4)).data).max(),
-                       np.abs(la(x, kv, (4, 4)).data - la(x, kvp, (4, 4)).data).max())
+        err_perm = max(kv_permutation_error(lambda m: attn(x, Tensor(m), (4, 4)), kv, perm)
+                       for attn in (full, la))
     ok = bitexact and err_la < 1e-12 and err_perm < 1e-10
     return ok, (f"SEA(R=1)==FULL {bitexact}, LA-oracle err {err_la:.1e}, "
                 f"perm err {err_perm:.1e}")
 
 
-@_group
 def encoder_symmetries(seed: int):
     rng = np.random.default_rng(seed + 4)
     cfg = make_config("lite", "sea", channels=(8, 12, 16, 24),
@@ -149,44 +271,33 @@ def encoder_symmetries(seed: int):
     with T.no_grad():
         p_ab = model.encoder.encode_pair(a, b)
         p_ba = model.encoder.encode_pair(b, a)
-        swap_ok = all(np.array_equal(x.data, T.swap_halves(y).data)
-                      for x, y in zip(p_ab, p_ba))
+    swap_ok = swap_symmetric(p_ab, p_ba)
 
     cfg_nc = with_schedule(cfg, schedule_from_strings(("SSS",) * 4))
     m_nc = MatchModel(cfg_nc, seed=seed)
     with T.no_grad():
         q = m_nc.encoder.encode_pair(a, b)
         q2 = m_nc.encoder.encode_pair(a, Tensor(b.data + 1.0))
-    factor_ok = all(np.array_equal(x.data[:1], y.data[:1]) for x, y in zip(q, q2))
+    factor_ok = stream_a_unchanged(q, q2)
 
     bp = b.data.copy()
     bp[0, 0, 10, 10] += 0.5
     with T.no_grad():
         r2 = model.encoder.encode_pair(a, Tensor(bp))
-    sens = float(np.abs(p_ab[3].data[:1] - r2[3].data[:1]).max())
+    sens = stream_a_change(p_ab, r2)
     ok = swap_ok and factor_ok and sens > 0
     return ok, f"swap {swap_ok}, no-cross-factorization {factor_ok}, F4 sensitivity {sens:.1e}"
 
 
-@_group
 def matcher_oracles(seed: int):
     rng = np.random.default_rng(seed + 5)
     ok_sel = True
     for _ in range(30):
         p = rng.uniform(size=(10, 10))
-        got = M.mutual_argmax_pairs(p, 0.0)
-        ref = [(i, j) for i in range(10) for j in range(10)
-               if p[i, j] == p[i].max() and p[i, j] == p[:, j].max()
-               and j == int(p[i].argmax()) and i == int(p[:, j].argmax())]
-        ok_sel &= got.tolist() == [list(t) for t in ref]
+        ok_sel &= mnn_matches_bruteforce(M.mutual_argmax_pairs(p, 0.0), p, 0.0)
 
     s = rng.normal(size=(6, 7))
-    probs = M.dual_softmax(Tensor(s)).data
-    r = np.exp(s - s.max(1, keepdims=True)); r /= r.sum(1, keepdims=True)
-    c = np.exp(s - s.max(0, keepdims=True)); c /= c.sum(0, keepdims=True)
-    ok_ds = (np.abs(probs - r * c).max() < 1e-12
-             and (probs <= np.minimum(r, c) + 1e-12).all()
-             and probs.min() >= 0 and probs.max() <= 1)
+    ok_ds = dual_softmax_error(M.dual_softmax(Tensor(s)), s) < 1e-12
 
     # a uniform window leaves the coordinate at the query; a point mass at
     # the window corner shifts it by exactly 2 r_f
@@ -210,7 +321,6 @@ def matcher_oracles(seed: int):
                 f"corner point-mass {corner_ok}, uniform window {uniform_ok}")
 
 
-@_group
 def structural_identities(seed: int):
     rng = np.random.default_rng(seed + 6)
     x = Tensor(rng.normal(size=(3, 4, 5)))
@@ -227,21 +337,20 @@ def structural_identities(seed: int):
     return ok, f"softmax sum err {np.abs(sums - 1).max():.1e}"
 
 
-@_group
 def geometry_oracles(seed: int):
     rng = np.random.default_rng(seed + 7)
     h_gt = D.random_homography(seed + 70, size=(64, 64))
     pts_a = rng.uniform(2, 62, size=(40, 2))
     pts_b = D.hom_apply(h_gt, pts_a)
     h_est = E.dlt_homography(np.concatenate([pts_a, pts_b], axis=1))
-    reproj = np.sqrt(((D.hom_apply(h_est, pts_a) - pts_b) ** 2).sum(1)).max()
+    reproj = reprojection_error(h_est, pts_a, pts_b)
 
     pts_b_noisy = pts_b.copy()
     out_idx = rng.choice(40, 12, replace=False)
     pts_b_noisy[out_idx] = rng.uniform(0, 63, size=(12, 2))
     h_r, inl = E.ransac_homography(np.concatenate([pts_a, pts_b_noisy], 1), 2.0,
                                    1000, seed=seed)
-    cerr = E.corner_error(h_r, h_gt, 64, 64)
+    cerr = mean_corner_distance(h_r, h_gt, 64, 64)
 
     shift = np.eye(3)
     shift[0, 2] = 2.0
@@ -254,7 +363,6 @@ def geometry_oracles(seed: int):
     return ok, f"dlt reproj {reproj:.1e}, ransac corner err {cerr:.1e}"
 
 
-@_group
 def determinism(seed: int):
     rng = np.random.default_rng(seed + 8)
     cfg = make_config("lite", "la", channels=(8, 12, 16, 24),

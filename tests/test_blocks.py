@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from matchformer import selftest as S
 from matchformer import tensor as T
 from matchformer.blocks import (CHECKPOINT_MAGIC, Attention, AttentionBlock, MixFFN,
                                 PosPatchEmbed, StdPatchEmbed, apply_checkpoint,
@@ -17,11 +18,6 @@ from matchformer.trainer import TrainConfig
 
 def rng_pair(seed):
     return np.random.default_rng(seed), np.random.default_rng(seed)
-
-
-def clone_weights(src, dst):
-    for (_, a), (_, b) in zip(src.named_parameters(), dst.named_parameters()):
-        b.data = a.data.copy()
 
 
 class TestPosPatchEmbed:
@@ -87,19 +83,8 @@ class TestFullAttention:
         attn = Attention(rng, "full", 8, 2)
         q_src = Tensor(rng.normal(size=(1, 5, 8)))
         kv = Tensor(rng.normal(size=(1, 7, 8)))
-        got = attn(q_src, kv, (7, 1)).data
-        q = (q_src.data @ attn.q.weight.data + attn.q.bias.data).reshape(1, 5, 2, 4)
-        k = (kv.data @ attn.k.weight.data + attn.k.bias.data).reshape(1, 7, 2, 4)
-        v = (kv.data @ attn.v.weight.data + attn.v.bias.data).reshape(1, 7, 2, 4)
-        out = np.zeros((1, 5, 2, 4))
-        for h in range(2):
-            for i in range(5):
-                logits = np.array([q[0, i, h] @ k[0, j, h] / 2.0 for j in range(7)])
-                w = np.exp(logits - logits.max())
-                w /= w.sum()
-                out[0, i, h] = sum(w[j] * v[0, j, h] for j in range(7))
-        expect = out.reshape(1, 5, 8) @ attn.out.weight.data + attn.out.bias.data
-        assert np.abs(got - expect).max() < 1e-12
+        got = attn(q_src, kv, (7, 1))
+        assert S.attention_error(got, attn, q_src, kv, (7, 1)) < 1e-12
 
     def test_kv_permutation_invariance(self):
         rng = np.random.default_rng(10)
@@ -107,9 +92,8 @@ class TestFullAttention:
         q_src = Tensor(rng.normal(size=(1, 6, 16)))
         kv = Tensor(rng.normal(size=(1, 12, 16)))
         perm = rng.permutation(12)
-        a = attn(q_src, kv, (3, 4)).data
-        b = attn(q_src, Tensor(kv.data[:, perm]), (3, 4)).data
-        assert np.abs(a - b).max() < 1e-10
+        err = S.kv_permutation_error(lambda m: attn(q_src, Tensor(m), (3, 4)), kv, perm)
+        assert err < 1e-10
 
     def test_query_permutation_equivariance(self):
         rng = np.random.default_rng(11)
@@ -138,34 +122,21 @@ class TestLinearAttention:
         q_src = Tensor(rng.normal(size=(1, 5, 16)))
         kv = Tensor(rng.normal(size=(1, 16, 16)))
         perm = rng.permutation(16)
-        a = attn(q_src, kv, (4, 4)).data
-        b = attn(q_src, Tensor(kv.data[:, perm]), (4, 4)).data
-        assert np.abs(a - b).max() < 1e-12
+        err = S.kv_permutation_error(lambda m: attn(q_src, Tensor(m), (4, 4)), kv, perm)
+        assert err < 1e-12
 
     def test_agrees_with_unfactorized_oracle_n16(self):
         rng = np.random.default_rng(14)
         attn = Attention(rng, "la", 32, 4)
         x = Tensor(rng.normal(size=(1, 16, 32)))
-        got = attn(x, x, (4, 4)).data
-        q = (x.data @ attn.q.weight.data + attn.q.bias.data).reshape(1, 16, 4, 8).transpose(0, 2, 1, 3)
-        k = (x.data @ attn.k.weight.data + attn.k.bias.data).reshape(1, 16, 4, 8).transpose(0, 2, 1, 3)
-        v = (x.data @ attn.v.weight.data + attn.v.bias.data).reshape(1, 16, 4, 8).transpose(0, 2, 1, 3)
-
-        def sm(m, ax):
-            e = np.exp(m - m.max(axis=ax, keepdims=True))
-            return e / e.sum(axis=ax, keepdims=True)
-
-        explicit = sm(q, -1) @ sm(k, -2).transpose(0, 1, 3, 2)  # N x N materialized
-        ref = (explicit @ v).transpose(0, 2, 1, 3).reshape(1, 16, 32)
-        ref = ref @ attn.out.weight.data + attn.out.bias.data
-        assert np.abs(got - ref).max() < 1e-12
+        assert S.attention_error(attn(x, x, (4, 4)), attn, x, x, (4, 4)) < 1e-12
 
 
 class TestSpatialEfficientAttention:
     def test_r1_equals_full_bit_exact(self):
         full = Attention(np.random.default_rng(15), "full", 32, 4)
         sea = Attention(np.random.default_rng(16), "sea", 32, 4, reduction=1)
-        clone_weights(full, sea)
+        S.copy_weights(full, sea)
         x = Tensor(np.random.default_rng(17).normal(size=(2, 16, 32)))
         assert np.array_equal(full(x, x, (4, 4)).data, sea(x, x, (4, 4)).data)
 
@@ -181,26 +152,8 @@ class TestSpatialEfficientAttention:
         attn = Attention(rng, "sea", 8, 2, reduction=2)
         q_src = Tensor(rng.normal(size=(1, 16, 8)))
         kv = Tensor(rng.normal(size=(1, 16, 8)))
-        got = attn(q_src, kv, (4, 4)).data
-
-        # independent reduce-then-attend, written straight-line
-        kv_map = kv.data.reshape(1, 4, 4, 8)
-        blocks = np.zeros((1, 4, 2 * 2 * 8))
-        for bi, (r0, c0) in enumerate([(0, 0), (0, 2), (2, 0), (2, 2)]):
-            blocks[0, bi] = kv_map[0, r0:r0 + 2, c0:c0 + 2].reshape(-1)
-        red = blocks @ attn.sr.weight.data + attn.sr.bias.data
-        mu = red.mean(-1, keepdims=True)
-        var = ((red - mu) ** 2).mean(-1, keepdims=True)
-        red = (red - mu) / np.sqrt(var + 1e-6)
-        red = red * attn.sr_norm.gain.data + attn.sr_norm.offset.data
-        q = (q_src.data @ attn.q.weight.data + attn.q.bias.data).reshape(1, 16, 2, 4).transpose(0, 2, 1, 3)
-        k = (red @ attn.k.weight.data + attn.k.bias.data).reshape(1, 4, 2, 4).transpose(0, 2, 1, 3)
-        v = (red @ attn.v.weight.data + attn.v.bias.data).reshape(1, 4, 2, 4).transpose(0, 2, 1, 3)
-        scores = q @ k.transpose(0, 1, 3, 2) / 2.0
-        e = np.exp(scores - scores.max(-1, keepdims=True))
-        y = (e / e.sum(-1, keepdims=True)) @ v
-        ref = y.transpose(0, 2, 1, 3).reshape(1, 16, 8) @ attn.out.weight.data + attn.out.bias.data
-        assert np.abs(got - ref).max() < 1e-12
+        got = attn(q_src, kv, (4, 4))
+        assert S.attention_error(got, attn, q_src, kv, (4, 4)) < 1e-12
 
     def test_indivisible_reduction_rejected(self):
         attn = Attention(np.random.default_rng(20), "sea", 8, 2, reduction=4)
@@ -257,7 +210,7 @@ class TestAttentionBlock:
         xb = Tensor(rng.normal(size=(1, 9, 16)))
         y1 = block(stack(xa, xb), (3, 3), cross=False)
         y2 = block(stack(xa, Tensor(np.zeros((1, 9, 16)))), (3, 3), cross=False)
-        assert np.array_equal(y1.data[:1], y2.data[:1])
+        assert S.stream_a_unchanged([y1], [y2])
 
     def test_cross_with_identical_streams_equals_self(self):
         rng = np.random.default_rng(27)
@@ -275,7 +228,7 @@ class TestAttentionBlock:
         xb = Tensor(rng.normal(size=(1, 9, 16)))
         y_ab = block(stack(xa, xb), (3, 3), cross=True)
         y_ba = block(stack(xb, xa), (3, 3), cross=True)
-        assert np.array_equal(y_ab.data, T.swap_halves(y_ba).data)
+        assert S.swap_symmetric([y_ab], [y_ba])
 
     def test_output_shape_preserved(self):
         rng = np.random.default_rng(31)
@@ -432,7 +385,6 @@ EDGE_FILES = {  # malformed files, and odd ones the loader accepts
     "non-numeric-token": MAGIC + "\nw\nshape: 2\n1.0 abc\n",
     "extra-values-ignored": MAGIC + "\nw\nshape: 2\n1.0 2.0 3.0\n",
     "shap-header": MAGIC + "\nw\nshap: 2 2\n1 2 3 4\n",
-    "integer-body-tokens": MAGIC + "\nw\nshape: 2\n1 2\n",
     "no-final-line-end": MAGIC + "  \nw\nshape: 2\n1.0 2.0",
     "crlf": WELL_FORMED.replace("\n", "\r\n"),
     "crlf-truncated": (MAGIC + "\nw\nshape: 2\n").replace("\n", "\r\n"),
@@ -459,6 +411,22 @@ class TestStreamingLoader:
         path = tmp_path / "ckpt.txt"
         path.write_bytes(text.encode())
         assert _outcome(load_checkpoint, path) == _outcome(_oracle_load_checkpoint, path)
+
+    def test_integer_body_tokens_are_values(self, tmp_path):
+        # the whole-file loader read them as two more dimensions, shape [2, 1, 2]
+        path = tmp_path / "ckpt.txt"
+        path.write_text(MAGIC + "\nw\nshape: 2\n1 2\n")
+        w = load_checkpoint(path)["w"]
+        assert w.shape == (2,) and w.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("header", ["shape: 2 x", "shape: 2.0", "shape: -1",
+                                        "shape: 2 1.0 2.0"],
+                             ids=["letter", "decimal-point", "negative", "values"])
+    def test_shape_header_holds_integers_only(self, tmp_path, header):
+        path = tmp_path / "ckpt.txt"
+        path.write_text(f"{MAGIC}\nw\n{header}\n1.0 2.0\n")
+        with pytest.raises(ValueError, match="non-negative integers"):
+            load_checkpoint(path)
 
     def test_peak_memory_is_one_tensor_not_the_file(self, tmp_path):
         path = tmp_path / "ckpt.txt"

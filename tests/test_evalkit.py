@@ -5,6 +5,7 @@ import pytest
 
 from matchformer import data as D
 from matchformer import evalkit as E
+from matchformer import selftest as S
 from matchformer.blocks import Attention
 from matchformer.encoder import make_config
 
@@ -25,9 +26,7 @@ class TestDlt:
     def test_recovers_random_homography_exactly(self, seed):
         h_gt = D.random_homography(seed, size=(64, 64))
         m = exact_matches(h_gt, 20, seed=seed)
-        h = E.dlt_homography(m)
-        reproj = np.sqrt(((D.hom_apply(h, m[:, :2]) - m[:, 2:4]) ** 2).sum(1))
-        assert reproj.max() < 1e-8
+        assert S.reprojection_error(E.dlt_homography(m), m[:, :2], m[:, 2:4]) < 1e-8
 
     def test_three_collinear_points_rejected(self):
         for pts in ([[0, 0], [1, 1], [2, 2], [5, 1]],     # rank 7
@@ -192,7 +191,7 @@ class TestRansac:
         bad = rng.choice(100, 30, replace=False)
         m[bad, 2:4] = rng.uniform(0, 63, size=(30, 2))
         h_r, inliers = E.ransac_homography(m, 2.0, 2000, seed=0)
-        assert E.corner_error(h_r, h_gt, 64, 64) < 0.5
+        assert S.mean_corner_distance(h_r, h_gt, 64, 64) < 0.5
         assert len(inliers) >= 70
 
     def test_pure_outliers_raise(self):
@@ -225,8 +224,7 @@ class TestCornerError:
     def test_matches_four_corner_hand_computation(self):
         h_gt = np.eye(3)
         h_est = D.random_homography(9, size=(64, 48))
-        corners = np.array([[0, 0], [63, 0], [63, 47], [0, 47]], dtype=float)
-        expect = np.sqrt(((D.hom_apply(h_est, corners) - corners) ** 2).sum(1)).mean()
+        expect = S.mean_corner_distance(h_est, h_gt, 64, 48)
         assert abs(E.corner_error(h_est, h_gt, 64, 48) - expect) < 1e-12
 
 
@@ -250,9 +248,7 @@ class TestMma:
         m = exact_matches(h_gt, 50, seed=12)
         m[:, 2:4] += rng.normal(0, 2.0, size=(50, 2))
         curve, _ = E.mma(m, h_gt)
-        d = np.sqrt(((D.hom_apply(h_gt, m[:, :2]) - m[:, 2:4]) ** 2).sum(1))
-        for i, t in enumerate(E.MMA_THRESHOLDS):
-            assert curve[i] == (d <= t).mean()
+        assert S.mma_error(curve, m, h_gt) == 0.0
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(13)

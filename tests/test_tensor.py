@@ -4,40 +4,8 @@ import numpy as np
 import pytest
 
 from matchformer import tensor as T
+from matchformer.selftest import naive_conv2d, naive_matmul
 from matchformer.tensor import Tensor
-
-
-def naive_matmul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            for p in range(k):
-                out[i, j] += a[i, p] * b[p, j]
-    return out
-
-
-def naive_conv2d(x, w, bias, stride, padding):
-    bsz, cin, h, wd = x.shape
-    cout, _, k, _ = w.shape
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (wd + 2 * padding - k) // stride + 1
-    out = np.zeros((bsz, cout, ho, wo))
-    for n in range(bsz):
-        for o in range(cout):
-            for oy in range(ho):
-                for ox in range(wo):
-                    acc = bias[o]
-                    for c in range(cin):
-                        for ky in range(k):
-                            for kx in range(k):
-                                iy = oy * stride + ky - padding
-                                ix = ox * stride + kx - padding
-                                if 0 <= iy < h and 0 <= ix < wd:
-                                    acc += x[n, c, iy, ix] * w[o, c, ky, kx]
-                    out[n, o, oy, ox] = acc
-    return out
 
 
 class TestElementwise:
