@@ -329,8 +329,8 @@ def _snapshot_str(arr: np.ndarray) -> str:
 
 
 def _parse_snapshot(header: str, body: str) -> np.ndarray:
-    """A tensor from its ``shape:`` header line and its body line of values;
-    values past the shape's count are ignored."""
+    """A tensor from its ``shape:`` header line and its body line, which
+    must hold exactly the shape's count of values."""
     head = header.split()
     if not head or head[0] != "shape:":
         raise ValueError("tensor snapshot must start with 'shape:'")
@@ -339,10 +339,8 @@ def _parse_snapshot(header: str, body: str) -> np.ndarray:
     shape = [int(t) for t in head[1:]]
     count = math.prod(shape)
     vals = body.split()
-    if len(vals) < count:
+    if len(vals) != count:
         raise ValueError(f"tensor snapshot expects {count} values, found {len(vals)}")
-    if len(vals) > count:
-        vals = vals[:count]
     return np.array(vals, dtype=np.float64).reshape(shape)
 
 

@@ -94,7 +94,10 @@ def _run_config(args) -> TrainConfig:
 
 def cmd_selftest(args) -> int:
     if args.inject_fault:
-        T.inject_fault(args.inject_fault)
+        try:
+            T.inject_fault(args.inject_fault)
+        except ValueError as e:
+            raise CliError(str(e), EXIT_USAGE)
     try:
         results = S.run_all(seed=args.seed)
     finally:

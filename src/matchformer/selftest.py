@@ -249,6 +249,7 @@ def attention_equivalences(seed: int):
 
     la = Attention(np.random.default_rng(seed + 51), "la", 32, 4)
     with T.no_grad():
+        err_full = attention_error(full(x, x, (4, 4)), full, x, x, (4, 4))
         err_la = attention_error(la(x, x, (4, 4)), la, x, x, (4, 4))
 
     perm = np.random.default_rng(seed).permutation(16)
@@ -256,9 +257,9 @@ def attention_equivalences(seed: int):
     with T.no_grad():
         err_perm = max(kv_permutation_error(lambda m: attn(x, Tensor(m), (4, 4)), kv, perm)
                        for attn in (full, la))
-    ok = bitexact and err_la < 1e-12 and err_perm < 1e-10
-    return ok, (f"SEA(R=1)==FULL {bitexact}, LA-oracle err {err_la:.1e}, "
-                f"perm err {err_perm:.1e}")
+    ok = bitexact and err_full < 1e-12 and err_la < 1e-12 and err_perm < 1e-10
+    return ok, (f"SEA(R=1)==FULL {bitexact}, FULL-oracle err {err_full:.1e}, "
+                f"LA-oracle err {err_la:.1e}, perm err {err_perm:.1e}")
 
 
 def encoder_symmetries(seed: int):

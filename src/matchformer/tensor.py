@@ -15,8 +15,13 @@ Supported broadcasting is restricted to the two cases the model needs:
 scalars, and a smaller operand whose shape equals the trailing dimensions of
 the larger one (bias adds, affine gains).  Anything else is a shape error.
 
-Every forward result is checked for NaN/Inf; non-finite values raise
-``NumericalError`` immediately rather than propagating.
+Every op leaves through ``_op``, the one place where a tape node is made.
+It tests the result for NaN/Inf and raises ``NumericalError`` at once rather
+than let non-finite values propagate; the layout and gather ops
+(``_UNCHECKED_OPS``), whose outputs only move, pick or clamp input values,
+skip the test.  Nodes carry their op's name, which is also the key for fault
+injection: ``inject_fault(name)`` makes ``backward`` scale the incoming
+gradient of that op's nodes, the negative control of ``matchformer selftest``.
 """
 
 from __future__ import annotations
@@ -36,23 +41,31 @@ class NumericalError(ArithmeticError):
     """A forward computation produced NaN or Inf from finite inputs."""
 
 
-# Fault-injection hook for the self-test negative control: maps op name to a
-# multiplicative corruption applied to that op's input gradient.
+# Every op that records tape nodes, by the name its nodes carry.  Layout and
+# gather ops (and the clip) only move, pick or clamp input values, so their
+# outputs skip the finiteness test; every other op's output takes it.
+_UNCHECKED_OPS = frozenset((
+    "maximum_scalar", "reshape", "transpose", "concat", "slice_", "swap_halves",
+    "take_pairs", "window_gather"))
+_OPS = _UNCHECKED_OPS | frozenset((
+    "add", "sub", "mul", "div", "exp", "log", "sqrt", "sigmoid", "gelu",
+    "reduce_sum", "matmul", "softmax", "layer_norm", "l2_normalize", "window_dot",
+    "conv2d", "depthwise_conv2d", "bilinear_upsample2x"))
+
+# Fault injection for the self-test negative control: op name -> factor that
+# ``backward`` applies to the incoming gradient of that op's nodes.
 _FAULT: dict[str, float] = {}
 
 
 def inject_fault(op_name: str, scale: float = 1.01) -> None:
+    if op_name not in _OPS:
+        raise ValueError(f"unknown op {op_name!r} for fault injection; "
+                         f"valid ops: {', '.join(sorted(_OPS))}")
     _FAULT[op_name] = scale
 
 
 def clear_faults() -> None:
     _FAULT.clear()
-
-
-def _faulty(op_name: str, g: np.ndarray) -> np.ndarray:
-    if op_name in _FAULT:
-        return g * _FAULT[op_name]
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +75,7 @@ def _faulty(op_name: str, g: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Node:
+    name: str
     out: "Tensor"
     parents: tuple
     backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]
@@ -159,17 +173,17 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NumericalError(f"{op} produced non-finite values")
-    return arr
-
-
-def _record(out: Tensor, parents: tuple, backward_fn) -> Tensor:
+def _op(name: str, value: np.ndarray, parents: tuple, backward_fn) -> Tensor:
+    """The one exit of every tape op: test ``value`` for NaN/Inf (unless the
+    op is in ``_UNCHECKED_OPS``), wrap it, and record a tape node when any
+    parent needs a gradient."""
+    if name not in _UNCHECKED_OPS and not np.all(np.isfinite(value)):
+        raise NumericalError(f"{name} produced non-finite values")
+    out = Tensor(value)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._from_op = True
-        _ACTIVE_TAPE.append(_Node(out, parents, backward_fn))
+        _ACTIVE_TAPE.append(_Node(name, out, parents, backward_fn))
     return out
 
 
@@ -201,6 +215,8 @@ def backward(loss: Tensor) -> None:
         node.out._g = None
         if g is None:
             continue
+        if _FAULT and node.name in _FAULT:
+            g = g * _FAULT[node.name]  # every VJP is linear in g
         for parent, pg in zip(node.parents, node.backward_fn(g)):
             _accumulate(parent, pg)
     tape.clear()
@@ -246,9 +262,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcast_ok(a.shape, b.shape)
-    out = Tensor(_check_finite(a.data + b.data, "add"))
-    return _record(out, (a, b), lambda g: (
-        _unbroadcast(_faulty("add", g), a.shape),
+    return _op("add", a.data + b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.shape),
         _unbroadcast(g, b.shape),
     ))
 
@@ -256,8 +271,7 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcast_ok(a.shape, b.shape)
-    out = Tensor(_check_finite(a.data - b.data, "sub"))
-    return _record(out, (a, b), lambda g: (
+    return _op("sub", a.data - b.data, (a, b), lambda g: (
         _unbroadcast(g, a.shape),
         _unbroadcast(-g, b.shape),
     ))
@@ -266,9 +280,8 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _broadcast_ok(a.shape, b.shape)
-    out = Tensor(_check_finite(a.data * b.data, "mul"))
-    return _record(out, (a, b), lambda g: (
-        _unbroadcast(_faulty("mul", g * b.data), a.shape),
+    return _op("mul", a.data * b.data, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.shape),
         _unbroadcast(g * a.data, b.shape),
     ))
 
@@ -278,8 +291,7 @@ def div(a, b) -> Tensor:
     _broadcast_ok(a.shape, b.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = a.data / b.data
-    out = Tensor(_check_finite(val, "div"))
-    return _record(out, (a, b), lambda g: (
+    return _op("div", val, (a, b), lambda g: (
         _unbroadcast(g / b.data, a.shape),
         _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
     ))
@@ -289,36 +301,30 @@ def exp(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     with np.errstate(over="ignore"):
         val = np.exp(x.data)
-    out = Tensor(_check_finite(val, "exp"))
-    return _record(out, (x,), lambda g: (g * out.data,))
+    return _op("exp", val, (x,), lambda g: (g * val,))
 
 
 def log(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.log(x.data)
-    out = Tensor(_check_finite(val, "log"))
-    return _record(out, (x,), lambda g: (g / x.data,))
+    return _op("log", val, (x,), lambda g: (g / x.data,))
 
 
 def sqrt(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     with np.errstate(invalid="ignore"):
         val = np.sqrt(x.data)
-    out = Tensor(_check_finite(val, "sqrt"))
-    return _record(out, (x,), lambda g: (g * 0.5 / out.data,))
+    return _op("sqrt", val, (x,), lambda g: (g * 0.5 / val,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     # Stable two-branch form: never exponentiates a positive argument.
     d = x.data
-    val = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                   np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-    out = Tensor(_check_finite(val, "sigmoid"))
-    return _record(out, (x,), lambda g: (
-        _faulty("sigmoid", g * out.data * (1.0 - out.data)),
-    ))
+    e = np.exp(-np.abs(d))
+    val = np.where(d >= 0, 1.0, e) / (1.0 + e)
+    return _op("sigmoid", val, (x,), lambda g: (g * val * (1.0 - val),))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -330,22 +336,21 @@ def gelu(x: Tensor) -> Tensor:
     d = x.data
     inner = _GELU_C * (d + 0.044715 * (d * d * d))
     t = np.tanh(inner)
-    out = Tensor(_check_finite(0.5 * d * (1.0 + t), "gelu"))
 
     def bwd(g):
         sech2 = 1.0 - t * t
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * d * d)
         return (g * (0.5 * (1.0 + t) + 0.5 * d * sech2 * dinner),)
 
-    return _record(out, (x,), bwd)
+    return _op("gelu", 0.5 * d * (1.0 + t), (x,), bwd)
 
 
 def maximum_scalar(x: Tensor, floor: float) -> Tensor:
     """Elementwise ``max(x, floor)``; gradient is zero where clipped."""
     x = _as_tensor(x)
     mask = x.data > floor
-    out = Tensor(np.where(mask, x.data, floor))
-    return _record(out, (x,), lambda g: (g * mask,))
+    return _op("maximum_scalar", np.where(mask, x.data, floor), (x,),
+               lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +369,13 @@ def _norm_axis(axis, ndim):
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
     axis = _norm_axis(axis, x.ndim)
-    out = Tensor(_check_finite(x.data.sum(axis=axis, keepdims=keepdims), "sum"))
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape).copy(),)
 
-    return _record(out, (x,), bwd)
+    return _op("reduce_sum", x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -399,14 +403,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
-    out = Tensor(_check_finite(np.matmul(a.data, b.data), "matmul"))
 
     def bwd(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
-    return _record(out, (a, b), bwd)
+    return _op("matmul", np.matmul(a.data, b.data), (a, b), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -415,15 +418,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     ax = axis % x.ndim
     shifted = x.data - x.data.max(axis=ax, keepdims=True)
     e = np.exp(shifted)
-    val = e / e.sum(axis=ax, keepdims=True)
-    out = Tensor(_check_finite(val, "softmax"))
+    y = e / e.sum(axis=ax, keepdims=True)
 
     def bwd(g):
-        y = out.data
         dot = (g * y).sum(axis=ax, keepdims=True)
-        return (_faulty("softmax", y * (g - dot)),)
+        return (y * (g - dot),)
 
-    return _record(out, (x,), bwd)
+    return _op("softmax", y, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +443,6 @@ def layer_norm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = 1e-6) -> Te
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(_check_finite(xhat * gain.data + offset.data, "layer_norm"))
 
     def bwd(g):
         sum_axes = tuple(range(g.ndim - 1))
@@ -455,7 +455,7 @@ def layer_norm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = 1e-6) -> Te
                         - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
         return (dx, dgain, doffset)
 
-    return _record(out, (x, gain, offset), bwd)
+    return _op("layer_norm", xhat * gain.data + offset.data, (x, gain, offset), bwd)
 
 
 def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
@@ -465,14 +465,13 @@ def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     norm = np.sqrt((x.data * x.data).sum(axis=ax, keepdims=True))
     safe = np.where(norm > 0, norm, 1.0)
     y = x.data / safe
-    out = Tensor(_check_finite(y, "l2_normalize"))
 
     def bwd(g):
         dot = (g * y).sum(axis=ax, keepdims=True)
         dx = (g - y * dot) / safe
         return (np.where(norm > 0, dx, 0.0),)
 
-    return _record(out, (x,), bwd)
+    return _op("l2_normalize", y, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +486,7 @@ def reshape(x: Tensor, shape) -> Tensor:
         val = x.data.reshape(shape)
     except ValueError as e:
         raise ShapeError(str(e)) from None
-    out = Tensor(val)
-    return _record(out, (x,), lambda g: (g.reshape(x.shape),))
+    return _op("reshape", val, (x,), lambda g: (g.reshape(x.shape),))
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -497,35 +495,33 @@ def transpose(x: Tensor, axes) -> Tensor:
     if sorted(axes) != list(range(x.ndim)):
         raise ShapeError(f"invalid transpose axes {axes} for ndim {x.ndim}")
     inv = tuple(np.argsort(axes))
-    out = Tensor(np.transpose(x.data, axes))
-    return _record(out, (x,), lambda g: (np.transpose(g, inv),))
+    return _op("transpose", np.transpose(x.data, axes), (x,),
+               lambda g: (np.transpose(g, inv),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
     ax = axis % ts[0].ndim
-    out = Tensor(np.concatenate([t.data for t in ts], axis=ax))
     sizes = [t.shape[ax] for t in ts]
     splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
         return tuple(np.split(g, splits, axis=ax))
 
-    return _record(out, tuple(ts), bwd)
+    return _op("concat", np.concatenate([t.data for t in ts], axis=ax), tuple(ts), bwd)
 
 
 def slice_(x: Tensor, slices) -> Tensor:
     """Basic rectangular slicing; gradient scatters back into a zero buffer."""
     x = _as_tensor(x)
     slices = tuple(slices)
-    out = Tensor(x.data[slices].copy())
 
     def bwd(g):
         dx = np.zeros_like(x.data)
         dx[slices] = g
         return (dx,)
 
-    return _record(out, (x,), bwd)
+    return _op("slice_", x.data[slices].copy(), (x,), bwd)
 
 
 def swap_halves(x: Tensor) -> Tensor:
@@ -537,8 +533,8 @@ def swap_halves(x: Tensor) -> Tensor:
     if x.ndim == 0 or x.shape[0] % 2:
         raise ShapeError(f"swap_halves needs an even leading axis, got shape {x.shape}")
     half = x.shape[0] // 2
-    out = Tensor(np.roll(x.data, half, axis=0))
-    return _record(out, (x,), lambda g: (np.roll(g, half, axis=0),))
+    return _op("swap_halves", np.roll(x.data, half, axis=0), (x,),
+               lambda g: (np.roll(g, half, axis=0),))
 
 
 def take_pairs(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
@@ -548,14 +544,13 @@ def take_pairs(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
         raise ShapeError("take_pairs expects a 2-D tensor")
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    out = Tensor(x.data[rows, cols])
 
     def bwd(g):
         dx = np.zeros_like(x.data)
         np.add.at(dx, (rows, cols), g)
         return (dx,)
 
-    return _record(out, (x,), bwd)
+    return _op("take_pairs", x.data[rows, cols], (x,), bwd)
 
 
 def window_gather(x: Tensor, rows: np.ndarray, cols: np.ndarray, radius: int) -> Tensor:
@@ -577,7 +572,6 @@ def window_gather(x: Tensor, rows: np.ndarray, cols: np.ndarray, radius: int) ->
             or cols.min(initial=radius) < radius or cols.max(initial=0) > w - 1 - radius:
         raise ShapeError("window exceeds map bounds")
     gathered = x.data[:, rr, cc]                    # [C, M, w, w]
-    out = Tensor(np.ascontiguousarray(np.moveaxis(gathered, 0, 1)))
 
     def bwd(g):
         dx_t = np.zeros((h, w, c))
@@ -585,7 +579,8 @@ def window_gather(x: Tensor, rows: np.ndarray, cols: np.ndarray, radius: int) ->
         np.add.at(dx_t, (rr + np.zeros_like(cc), cc + np.zeros_like(rr)), g_t)
         return (np.moveaxis(dx_t, -1, 0),)
 
-    return _record(out, (x,), bwd)
+    val = np.ascontiguousarray(np.moveaxis(gathered, 0, 1))
+    return _op("window_gather", val, (x,), bwd)
 
 
 def window_dot(v: Tensor, x: Tensor, rows: np.ndarray, cols: np.ndarray,
@@ -615,7 +610,6 @@ def window_dot(v: Tensor, x: Tensor, rows: np.ndarray, cols: np.ndarray,
     val = np.empty((m, n * n))
     for t in range(n * n):
         val[:, t] = np.einsum("mc,mc->m", v.data, xt[cells[:, t]])
-    out = Tensor(_check_finite(val.reshape(m, n, n), "window_dot"))
 
     def bwd(g):
         g = g.reshape(m, n * n)
@@ -626,7 +620,7 @@ def window_dot(v: Tensor, x: Tensor, rows: np.ndarray, cols: np.ndarray,
             np.add.at(dxt, cells[:, t], g[:, t, None] * v.data)
         return (dv, dxt.T.reshape(x.shape))
 
-    return _record(out, (v, x), bwd)
+    return _op("window_dot", val.reshape(m, n, n), (v, x), bwd)
 
 
 def window_valid_mask(shape_hw: tuple, rows: np.ndarray, cols: np.ndarray,
@@ -679,7 +673,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     val = np.matmul(wf, cols).reshape(b_, cout, ho, wo)
     if bias is not None:
         val = val + bias.data[None, :, None, None]
-    out = Tensor(_check_finite(val, "conv2d"))
 
     def bwd(g):
         gg = g.reshape(b_, cout, ho * wo)
@@ -695,8 +688,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)
 
-    parents = (x, w) if bias is None else (x, w, bias)
-    return _record(out, parents, bwd)
+    return _op("conv2d", val, (x, w) if bias is None else (x, w, bias), bwd)
 
 
 # Elements of one [B, rows, W, C] slab of the depthwise loops (256 KB): the
@@ -738,7 +730,6 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
             i, j = shifts[t]
             v += np.multiply(xp[:, r0 + i:r1 + i, j:j + wd], taps[t], out=tt)
     val += bias.data
-    out = Tensor(_check_finite(val, "depthwise_conv2d"))
 
     def bwd(g):
         dxp = np.zeros_like(xp)
@@ -750,7 +741,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
                 dw[t] += np.einsum("bhwc,bhwc->c", gs, xp[:, r0 + i:r1 + i, j:j + wd])
         return (dxp[:, p:p + h, p:p + wd], dw.T.reshape(w.shape), g.sum(axis=(0, 1, 2)))
 
-    return _record(out, (x, w, bias), bwd)
+    return _op("depthwise_conv2d", val, (x, w, bias), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -784,12 +775,11 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
     b_, c, h, w = x.shape
     uh, uw = _upsample_matrix(h), _upsample_matrix(w)
     val = np.einsum("ih,bchw,jw->bcij", uh, x.data, uw, optimize=True)
-    out = Tensor(_check_finite(val, "bilinear_upsample2x"))
 
     def bwd(g):
         return (np.einsum("ih,bcij,jw->bchw", uh, g, uw, optimize=True),)
 
-    return _record(out, (x,), bwd)
+    return _op("bilinear_upsample2x", val, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -383,7 +383,6 @@ EDGE_FILES = {  # malformed files, and odd ones the loader accepts
         MAGIC + "\n\n\nw\nshape: 2\n1.0 2.0\n\n\nv\nshape: 1\n3.0\n\n",
     "short-body": MAGIC + "\nw\nshape: 2 2\n1.0 2.0 3.0\n",
     "non-numeric-token": MAGIC + "\nw\nshape: 2\n1.0 abc\n",
-    "extra-values-ignored": MAGIC + "\nw\nshape: 2\n1.0 2.0 3.0\n",
     "shap-header": MAGIC + "\nw\nshap: 2 2\n1 2 3 4\n",
     "no-final-line-end": MAGIC + "  \nw\nshape: 2\n1.0 2.0",
     "crlf": WELL_FORMED.replace("\n", "\r\n"),
@@ -418,6 +417,13 @@ class TestStreamingLoader:
         path.write_text(MAGIC + "\nw\nshape: 2\n1 2\n")
         w = load_checkpoint(path)["w"]
         assert w.shape == (2,) and w.tolist() == [1.0, 2.0]
+
+    def test_extra_values_are_an_error(self, tmp_path):
+        # the whole-file loader dropped the third value and loaded [1.0, 2.0]
+        path = tmp_path / "ckpt.txt"
+        path.write_text(MAGIC + "\nw\nshape: 2\n1.0 2.0 3.0\n")
+        with pytest.raises(ValueError, match="expects 2 values, found 3"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("header", ["shape: 2 x", "shape: 2.0", "shape: -1",
                                         "shape: 2 1.0 2.0"],

@@ -396,5 +396,8 @@ class TestSelftest:
         assert out.count("[PASS]") >= 8
 
     def test_injected_fault_exits_nonzero(self, capsys):
-        assert main(["selftest", "--inject-fault", "softmax"]) == 4
-        assert "[FAIL]" in capsys.readouterr().out
+        for op in ("softmax", "matmul"):
+            assert main(["selftest", "--inject-fault", op]) == 4
+            assert "[FAIL]" in capsys.readouterr().out
+        assert main(["selftest", "--inject-fault", "nosuchop"]) == 2
+        assert "valid ops: add, " in capsys.readouterr().err

@@ -1,5 +1,8 @@
 """Tensor core: forward semantics, gradient rules, and the oracle checks."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -400,6 +403,66 @@ class TestBackward:
         assert np.array_equal(x.grad, 2.0 * x.data)
 
 
+def fd_cases(seed):
+    """(scalar function, input) pairs whose tapes hold every op."""
+    rng = np.random.default_rng(seed)
+    w = Tensor(rng.normal(size=(3, 6)))
+    w4 = Tensor(rng.normal(size=(1, 2, 6, 6)))
+    mm = Tensor(rng.normal(size=(6, 4)))
+    ln_g = Tensor(rng.normal(size=(6,)) * 0.2 + 1.0)
+    ln_b = Tensor(rng.normal(size=(6,)) * 0.1)
+    cw = Tensor(rng.normal(size=(2, 2, 3, 3)) * 0.4)
+    x, m3, m4 = (Tensor(rng.normal(size=shape)) for shape in ((3, 6), (1, 2, 3, 3),
+                                                              (1, 2, 4, 4)))
+    wc = Tensor(rng.normal(size=(6, 6)))
+    win = Tensor(rng.normal(size=(2, 2, 3, 3)))
+    vd = Tensor(rng.normal(size=(2, 2)))
+    dw, db = Tensor(rng.normal(size=(2, 1, 3, 3)) * 0.4), Tensor(rng.normal(size=2))
+    cases = [
+        lambda x: T.reduce_sum(T.mul(T.sigmoid(x), w)),
+        lambda x: T.reduce_sum(T.mul(T.gelu(x), w)),
+        lambda x: T.reduce_sum(T.mul(T.exp(T.mul(x, 0.3)), w)),
+        lambda x: T.reduce_sum(T.mul(T.softmax(x, -1), w)),
+        lambda x: T.reduce_sum(T.mul(T.l2_normalize(x), w)),
+        lambda x: T.reduce_mean(T.log(T.add(T.mul(x, x), 1.0))),
+        lambda x: T.reduce_sum(T.sqrt(T.add(T.mul(x, x), 0.3))),
+        lambda x: T.reduce_sum(T.div(w, T.add(T.mul(x, x), 1.5))),
+        lambda x: T.reduce_sum(T.maximum_scalar(x, 0.1)),
+        lambda x: T.reduce_sum(T.mul(T.matmul(x, mm), T.matmul(x, mm))),
+        lambda x: T.reduce_sum(T.mul(T.layer_norm(x, ln_g, ln_b), w)),
+        lambda x: T.reduce_sum(T.mul(T.transpose(T.reshape(x, (2, 9)), (1, 0)),
+                                     T.transpose(T.reshape(w, (2, 9)), (1, 0)))),
+        lambda x: T.reduce_sum(T.mul(T.sub(x, w), T.sub(w, x))),
+        lambda x: T.reduce_sum(T.mul(T.concat([x, T.mul(x, x)], axis=0), wc)),
+        lambda x: T.reduce_sum(T.mul(T.slice_(x, (slice(0, 2), slice(1, 5))),
+                                     T.slice_(w, (slice(1, 3), slice(2, 6))))),
+        lambda x: T.reduce_sum(T.mul(T.swap_halves(T.reshape(x, (6, 3))),
+                                     T.reshape(w, (6, 3)))),
+        lambda x: T.reduce_sum(T.mul(T.take_pairs(x, [0, 2, 1, 2], [5, 0, 3, 3]),
+                                     Tensor([0.5, -1.0, 2.0, 1.5]))),
+    ]
+    map_cases = [
+        (lambda m: T.reduce_sum(T.mul(T.bilinear_upsample2x(m), w4)), m3),
+        (lambda m: T.reduce_sum(T.mul(c := T.conv2d(m, cw, padding=1), c)), m4),
+        (lambda m: T.reduce_sum(T.mul(T.window_gather(m, [1, 2], [2, 1], 1), win)),
+         Tensor(rng.normal(size=(2, 4, 4)))),
+        (lambda m: T.reduce_sum(T.mul(c := T.window_dot(vd, m, [1, 3], [2, 0], 1), c)),
+         Tensor(rng.normal(size=(2, 4, 4)))),
+        (lambda m: T.reduce_sum(T.mul(c := T.depthwise_conv2d(m, dw, db), c)),
+         Tensor(rng.normal(size=(1, 4, 4, 2)))),
+    ]
+    return [(fn, x) for fn in cases] + map_cases
+
+
+def recorded_ops(fn, x):
+    """Names of the tape nodes that ``fn`` records on a grad-requiring ``x``."""
+    T.active_tape().clear()
+    fn(Tensor(x.data, requires_grad=True))
+    names = {node.name for node in T.active_tape().nodes}
+    T.active_tape().clear()
+    return names
+
+
 class TestFdCheck:
     def test_sum_is_exact(self):
         rng = np.random.default_rng(12)
@@ -412,50 +475,28 @@ class TestFdCheck:
                          Tensor(rng.normal(size=(3, 5))), tol=1e-4)
         assert rep.passed
 
-    def test_corrupted_rule_is_detected(self):
-        T.inject_fault("sigmoid")
+    @pytest.mark.parametrize("op", sorted(T._OPS))
+    def test_corrupted_rule_is_detected(self, op):
+        fn, x = next((fn, x) for fn, x in fd_cases(0) if op in recorded_ops(fn, x))
+        assert T.fd_check(fn, x, tol=1e-4).passed
+        T.inject_fault(op)
         try:
-            rep = T.fd_check(lambda x: T.reduce_sum(T.sigmoid(x)),
-                             Tensor(np.linspace(-1, 1, 7)), tol=1e-4)
+            rep = T.fd_check(fn, x, tol=1e-4)
         finally:
             T.clear_faults()
         assert not rep.passed
 
+    def test_fault_names_are_the_ops_that_record_nodes(self):
+        in_source = set(re.findall(r'_op\("(\w+)"', inspect.getsource(T)))
+        recorded = set().union(*(recorded_ops(fn, x) for fn, x in fd_cases(0)))
+        assert in_source == recorded == T._OPS
+        with pytest.raises(ValueError, match="valid ops"):
+            T.inject_fault("nosuchop")
+
     @pytest.mark.parametrize("seed", range(10))
     def test_every_op_passes_on_random_seeds(self, seed):
-        rng = np.random.default_rng(seed)
-        w = Tensor(rng.normal(size=(3, 6)))
-        w4 = Tensor(rng.normal(size=(1, 2, 6, 6)))
-        mm = Tensor(rng.normal(size=(6, 4)))
-        ln_g = Tensor(rng.normal(size=(6,)) * 0.2 + 1.0)
-        ln_b = Tensor(rng.normal(size=(6,)) * 0.1)
-        cw = Tensor(rng.normal(size=(2, 2, 3, 3)) * 0.4)
-        cases = [
-            lambda x: T.reduce_sum(T.mul(T.sigmoid(x), w)),
-            lambda x: T.reduce_sum(T.mul(T.gelu(x), w)),
-            lambda x: T.reduce_sum(T.mul(T.exp(T.mul(x, 0.3)), w)),
-            lambda x: T.reduce_sum(T.mul(T.softmax(x, -1), w)),
-            lambda x: T.reduce_sum(T.mul(T.l2_normalize(x), w)),
-            lambda x: T.reduce_mean(T.log(T.add(T.mul(x, x), 1.0))),
-            lambda x: T.reduce_sum(T.sqrt(T.add(T.mul(x, x), 0.3))),
-            lambda x: T.reduce_sum(T.div(w, T.add(T.mul(x, x), 1.5))),
-            lambda x: T.reduce_sum(T.maximum_scalar(x, 0.1)),
-            lambda x: T.reduce_sum(T.mul(T.matmul(x, mm), T.matmul(x, mm))),
-            lambda x: T.reduce_sum(T.mul(T.layer_norm(x, ln_g, ln_b), w)),
-            lambda x: T.reduce_sum(T.mul(T.transpose(T.reshape(x, (2, 9)), (1, 0)),
-                                         T.transpose(T.reshape(w, (2, 9)), (1, 0)))),
-        ]
-        x = Tensor(rng.normal(size=(3, 6)))
-        for fn in cases:
+        for fn, x in fd_cases(seed):
             assert T.fd_check(fn, x, tol=1e-4).passed
-        map_cases = [
-            lambda m: T.reduce_sum(T.mul(T.bilinear_upsample2x(m), w4)),
-            lambda m: T.reduce_sum(T.mul(c := T.conv2d(m, cw, padding=1), c)),
-        ]
-        m0 = Tensor(rng.normal(size=(1, 2, 3, 3)))
-        assert T.fd_check(map_cases[0], m0, tol=1e-4).passed
-        assert T.fd_check(map_cases[1], Tensor(rng.normal(size=(1, 2, 4, 4))),
-                          tol=1e-4).passed
 
     @pytest.mark.parametrize("seed", range(8))
     def test_conv_and_matmul_random_small_shapes_vs_oracles(self, seed):
