@@ -63,12 +63,14 @@ def _param(data) -> Tensor:
 
 
 class Linear(Module):
+    """``x @ weight + bias`` over the last axis, one fused ``tensor.linear``."""
+
     def __init__(self, rng, d_in: int, d_out: int):
         self.weight = _param(trunc_normal(rng, (d_in, d_out)))
         self.bias = _param(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight), self.bias)
+        return T.linear(x, self.weight, self.bias)
 
 
 class Conv2d(Module):
@@ -277,7 +279,8 @@ class Attention(Module):
 class MixFFN(Module):
     """linear C -> EC, depthwise 3x3 on the channels-last spatial map, GELU,
     linear EC -> C.  The [B, N, EC] sequence is viewed as [B, H, W, EC], so
-    no transpose is needed around the depthwise conv."""
+    no transpose is needed around the depthwise conv, and the conv and GELU
+    run as one ``tensor.depthwise_gelu`` with ``dw``'s weights."""
 
     def __init__(self, rng, dim: int, expansion: int = 4):
         hidden = dim * expansion
@@ -289,8 +292,8 @@ class MixFFN(Module):
         b, n, _ = x.shape
         y = self.fc1(x)
         hidden = y.shape[-1]
-        y = T.reshape(self.dw(T.reshape(y, (b, *hw, hidden))), (b, n, hidden))
-        return self.fc2(T.gelu(y))
+        y = T.depthwise_gelu(T.reshape(y, (b, *hw, hidden)), self.dw.weight, self.dw.bias)
+        return self.fc2(T.reshape(y, (b, n, hidden)))
 
 
 class AttentionBlock(Module):

@@ -186,6 +186,8 @@ def mma_error(curve, matches, h_gt, thresholds=E.MMA_THRESHOLDS) -> float:
 def gradients_elementwise(seed: int):
     rng = np.random.default_rng(seed)
     worst = 0.0
+    wc = Tensor(rng.normal(size=(8, 6)))
+    picks = ([0, 3, 1, 2], [5, 0, 3, 3])
     cases = [
         ("mul", lambda x: T.reduce_sum(T.mul(x, x))),
         ("sigmoid", lambda x: T.reduce_sum(T.sigmoid(x))),
@@ -195,6 +197,13 @@ def gradients_elementwise(seed: int):
         ("sqrt", lambda x: T.reduce_sum(T.sqrt(T.add(T.mul(x, x), 0.5)))),
         ("div", lambda x: T.reduce_sum(T.div(x, T.add(T.mul(x, x), 2.0)))),
         ("l2", lambda x: T.reduce_sum(T.mul(T.l2_normalize(x), T.sigmoid(x)))),
+        ("sub", lambda x: T.reduce_sum(T.mul(T.sub(x, 0.5), T.sub(0.5, x)))),
+        ("clip", lambda x: T.reduce_sum(T.mul(T.maximum_scalar(x, 0.1), x))),
+        ("concat", lambda x: T.reduce_sum(T.mul(T.concat([x, T.sigmoid(x)], axis=0), wc))),
+        ("slice", lambda x: T.reduce_sum(T.mul(T.slice_(x, (slice(0, 2), slice(1, 5))),
+                                               T.slice_(x, (slice(2, 4), slice(2, 6)))))),
+        ("pairs", lambda x: T.reduce_sum(T.mul(T.take_pairs(x, *picks),
+                                               T.take_pairs(x, *picks)))),
     ]
     for _ in range(3):
         x = Tensor(rng.normal(size=(4, 6)))
@@ -219,8 +228,24 @@ def gradients_composite(seed: int):
     r2 = T.fd_check(lambda v: T.reduce_sum(T.mul(
         T.softmax(T.layer_norm(v, gain, off), axis=-1), w_ln)),
         Tensor(rng.normal(size=(5, 6))), tol=1e-4)
-    worst = max(r1.max_rel_err, r2.max_rel_err)
-    return r1.passed and r2.passed, f"max rel err {worst:.2e}"
+
+    # the map ops of the decoder, the patch embedding and fine refinement
+    cw = Tensor(rng.normal(size=(2, 2, 3, 3)) * 0.4)
+    dw, db = Tensor(rng.normal(size=(2, 1, 3, 3)) * 0.4), Tensor(rng.normal(size=2))
+    vd, w_win = Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(2, 2, 3, 3)))
+
+    def map_loss(m):
+        up = T.bilinear_upsample2x(T.conv2d(m, cw, padding=1))          # [1, 2, 8, 8]
+        dwc = T.depthwise_conv2d(T.transpose(up, (0, 2, 3, 1)), dw, db)
+        f = T.reshape(T.transpose(dwc, (0, 3, 1, 2)), (2, 8, 8))
+        win = T.window_gather(f, [2, 5], [3, 4], 1)
+        dots = T.window_dot(vd, f, [1, 7], [0, 6], 1)
+        return T.add(T.reduce_sum(T.mul(win, w_win)), T.reduce_sum(T.mul(dots, dots)))
+
+    r3 = T.fd_check(map_loss, Tensor(rng.normal(size=(1, 2, 4, 4))), tol=1e-4)
+    reports = (r1, r2, r3)
+    worst = max(r.max_rel_err for r in reports)
+    return all(r.passed for r in reports), f"max rel err {worst:.2e}"
 
 
 def numeric_oracles(seed: int):

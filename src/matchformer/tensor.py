@@ -6,10 +6,21 @@ every differentiable operation appends one node to the active ``Tape``, and
 reverse topological order, so each node is visited exactly once).
 
 Besides elementwise, reduction and layout ops, the model's layers use a
-dense ``conv2d`` ([B, C, H, W] maps, im2col + matmul), a channels-last
-``depthwise_conv2d`` ([B, H, W, C] maps, k*k shifted multiply-adds),
-``bilinear_upsample2x``, ``swap_halves`` for cross attention, and
-``window_gather`` and ``window_dot`` for fine refinement.
+dense ``conv2d`` ([B, C, H, W] maps, im2col + matmul; a 1x1 stride-1 kernel
+multiplies the map itself), a channels-last ``depthwise_conv2d`` ([B, H, W, C]
+maps, k*k shifted multiply-adds), ``bilinear_upsample2x``, ``swap_halves`` for
+cross attention, and ``window_gather`` and ``window_dot`` for fine refinement.
+
+Two ops fuse what the model always runs back to back, so that less float64
+traffic goes through memory; each equals its unfused chain bit for bit,
+forward and backward:
+
+- ``linear(x, w, b)`` is ``add(matmul(x, w), b)`` with the bias added in
+  place into the fresh product (every ``blocks.Linear``);
+- ``depthwise_gelu(x, w, b)`` is ``gelu(depthwise_conv2d(x, w, b))``, run
+  one slab of output rows at a time, taps, bias and GELU, while the slab is
+  in cache (``blocks.MixFFN``).  It shares ``depthwise_conv2d``'s slab loop,
+  and ``gelu``'s maths (``_gelu_into``, ``_gelu_grad``).
 
 Supported broadcasting is restricted to the two cases the model needs:
 scalars, and a smaller operand whose shape equals the trailing dimensions of
@@ -49,8 +60,9 @@ _UNCHECKED_OPS = frozenset((
     "take_pairs", "window_gather"))
 _OPS = _UNCHECKED_OPS | frozenset((
     "add", "sub", "mul", "div", "exp", "log", "sqrt", "sigmoid", "gelu",
-    "reduce_sum", "matmul", "softmax", "layer_norm", "l2_normalize", "window_dot",
-    "conv2d", "depthwise_conv2d", "bilinear_upsample2x"))
+    "reduce_sum", "matmul", "linear", "softmax", "layer_norm", "l2_normalize",
+    "window_dot", "conv2d", "depthwise_conv2d", "depthwise_gelu",
+    "bilinear_upsample2x"))
 
 # Fault injection for the self-test negative control: op name -> factor that
 # ``backward`` applies to the incoming gradient of that op's nodes.
@@ -173,6 +185,12 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recording(parents: tuple) -> bool:
+    """Whether an op over ``parents`` records a tape node; ops that keep
+    buffers only for their backward ask this before they allocate them."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _op(name: str, value: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     """The one exit of every tape op: test ``value`` for NaN/Inf (unless the
     op is in ``_UNCHECKED_OPS``), wrap it, and record a tape node when any
@@ -180,7 +198,7 @@ def _op(name: str, value: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     if name not in _UNCHECKED_OPS and not np.all(np.isfinite(value)):
         raise NumericalError(f"{name} produced non-finite values")
     out = Tensor(value)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _recording(parents):
         out.requires_grad = True
         out._from_op = True
         _ACTIVE_TAPE.append(_Node(name, out, parents, backward_fn))
@@ -330,19 +348,34 @@ def sigmoid(x: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_into(d: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """Write ``0.5 * d * (1 + t)`` into ``out`` and ``t = tanh(c * (d +
+    0.044715 * d**3))`` into ``t``, with the rounding of that expression
+    evaluated left to right; the backward reads ``d`` and ``t``."""
+    np.multiply(d, d, out=t)
+    t *= d
+    t *= 0.044715
+    t += d
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    np.multiply(d, 0.5, out=out)
+    out *= 1.0 + t
+
+
+def _gelu_grad(g: np.ndarray, d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Gradient of tanh-GELU at ``d``, given ``t`` from ``_gelu_into``."""
+    sech2 = 1.0 - t * t
+    dinner = _GELU_C * (1.0 + 3 * 0.044715 * d * d)
+    return g * (0.5 * (1.0 + t) + 0.5 * d * sech2 * dinner)
+
+
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximated GELU."""
     x = _as_tensor(x)
     d = x.data
-    inner = _GELU_C * (d + 0.044715 * (d * d * d))
-    t = np.tanh(inner)
-
-    def bwd(g):
-        sech2 = 1.0 - t * t
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * d * d)
-        return (g * (0.5 * (1.0 + t) + 0.5 * d * sech2 * dinner),)
-
-    return _op("gelu", 0.5 * d * (1.0 + t), (x,), bwd)
+    t, val = np.empty(d.shape), np.empty(d.shape)
+    _gelu_into(d, t, val)
+    return _op("gelu", val, (x,), lambda g: (_gelu_grad(g, d, t),))
 
 
 def maximum_scalar(x: Tensor, floor: float) -> Tensor:
@@ -397,19 +430,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     2-D matrix (the weight-matrix case).
     """
     a, b = _as_tensor(a), _as_tensor(b)
+    _check_matmul("matmul", a, b)
+    return _op("matmul", np.matmul(a.data, b.data), (a, b),
+               lambda g: _matmul_grads(g, a, b))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x[..., K] @ w[K, N] + b[N]`` as one op: the bias is added in place
+    into the fresh product, so no second output array is written."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if w.ndim != 2:
+        raise ShapeError(f"linear needs a 2-D weight, got {w.shape}")
+    _check_matmul("linear", x, w)
+    if b.shape != w.shape[1:]:
+        raise ShapeError(f"linear bias must have shape {w.shape[1:]}, got {b.shape}")
+    val = np.matmul(x.data, w.data)
+    val += b.data
+    return _op("linear", val, (x, w, b),
+               lambda g: (*_matmul_grads(g, x, w), _unbroadcast(g, b.shape)))
+
+
+def _check_matmul(name: str, a: Tensor, b: Tensor) -> None:
     if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul operands must be at least 2-D")
+        raise ShapeError(f"{name} operands must be at least 2-D")
     if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+        raise ShapeError(f"{name} inner dims differ: {a.shape} @ {b.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
+        raise ShapeError(f"{name} batch dims differ: {a.shape} @ {b.shape}")
 
-    def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
-    return _op("matmul", np.matmul(a.data, b.data), (a, b), bwd)
+def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
+    """Gradients of ``a @ b`` for both operands."""
+    ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+    gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+    return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -440,9 +494,12 @@ def layer_norm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = 1e-6) -> Te
     n = x.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    sq = xc * xc
+    var = sq.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
+    val = np.multiply(xhat, gain.data, out=sq)   # the output reuses sq's buffer
+    val += offset.data
 
     def bwd(g):
         sum_axes = tuple(range(g.ndim - 1))
@@ -455,7 +512,7 @@ def layer_norm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = 1e-6) -> Te
                         - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
         return (dx, dgain, doffset)
 
-    return _op("layer_norm", xhat * gain.data + offset.data, (x, gain, offset), bwd)
+    return _op("layer_norm", val, (x, gain, offset), bwd)
 
 
 def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
@@ -664,21 +721,25 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
         if bias.shape != (cout,):
             raise ShapeError("conv2d bias must have shape (C_out,)")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]                       # [B, Cin, Ho, Wo, k, k]
-    cols = np.ascontiguousarray(np.moveaxis(win, (2, 3), (4, 5)))
-    cols = cols.reshape(b_, cin * k * k, ho * wo)             # [B, f, L]
+    xp = x.data if padding == 0 else np.pad(
+        x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    if k == 1 and stride == 1:
+        cols = np.ascontiguousarray(xp).reshape(b_, cin, ho * wo)
+    else:
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+        win = win[:, :, ::stride, ::stride]                   # [B, Cin, Ho, Wo, k, k]
+        cols = np.ascontiguousarray(np.moveaxis(win, (2, 3), (4, 5)))
+        cols = cols.reshape(b_, cin * k * k, ho * wo)         # [B, f, L]
     wf = w.data.reshape(cout, cin * k * k)
     val = np.matmul(wf, cols).reshape(b_, cout, ho, wo)
     if bias is not None:
-        val = val + bias.data[None, :, None, None]
+        val += bias.data[None, :, None, None]
 
     def bwd(g):
         gg = g.reshape(b_, cout, ho * wo)
         dw = np.matmul(gg, np.swapaxes(cols, -1, -2)).sum(axis=0).reshape(w.shape)
         dcols = np.matmul(wf.T, gg).reshape(b_, cin, k, k, ho, wo)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros(xp.shape)   # C order even when xp is a view of a strided x
         for ki in range(k):
             for kj in range(k):
                 dxp[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += dcols[:, :, ki, kj]
@@ -704,34 +765,66 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     per-channel tap, so no im2col buffer is built.  The loops run over slabs
     of output rows.
     """
+    return _op("depthwise_conv2d", *_depthwise("depthwise_conv2d", x, w, bias))
+
+
+def depthwise_gelu(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """``gelu(depthwise_conv2d(x, w, bias))`` as one op, bit for bit.
+
+    Each slab of output rows gets its taps, its bias and its GELU while it is
+    still in cache.  Without a tape node to feed, the pre-activation and tanh
+    buffers are one slab each; with one, they are full-size for the backward.
+    """
+    return _op("depthwise_gelu", *_depthwise("depthwise_gelu", x, w, bias))
+
+
+def _depthwise(name: str, x, w, bias) -> tuple:
+    """Value, parents and backward of ``depthwise_conv2d`` or, for
+    ``name == "depthwise_gelu"``, of that conv followed by GELU."""
     x, w, bias = _as_tensor(x), _as_tensor(w), _as_tensor(bias)
     if x.ndim != 4:
-        raise ShapeError("depthwise_conv2d expects a channels-last x[B,H,W,C]")
+        raise ShapeError(f"{name} expects a channels-last x[B,H,W,C]")
     b_, h, wd, c = x.shape
     k = w.shape[-1] if w.ndim == 4 else 0
     if w.shape != (c, 1, k, k) or k % 2 == 0:
-        raise ShapeError(f"depthwise_conv2d needs w[{c},1,k,k] with odd k, got {w.shape}")
+        raise ShapeError(f"{name} needs w[{c},1,k,k] with odd k, got {w.shape}")
     if bias.shape != (c,):
-        raise ShapeError(f"depthwise_conv2d bias must have shape ({c},), got {bias.shape}")
+        raise ShapeError(f"{name} bias must have shape ({c},), got {bias.shape}")
     p = k // 2
     taps = np.ascontiguousarray(w.data.reshape(c, k * k).T)   # [k*k, C]
     shifts = [(t // k, t % k) for t in range(k * k)]
     rows = max(1, _DEPTHWISE_SLAB // max(1, b_ * wd * c))
     slabs = [(r, min(h, r + rows)) for r in range(0, h, rows)]
+    slab_shape = (b_, min(rows, h), wd, c)
 
     xp = np.zeros((b_, h + 2 * p, wd + 2 * p, c))
     xp[:, p:p + h, p:p + wd] = x.data
     val = np.empty(x.shape)
-    tmp = np.empty((b_, min(rows, h), wd, c))
+    tmp = np.empty(slab_shape)
+    fused = name == "depthwise_gelu"
+    if fused:
+        keep = _recording((x, w, bias))
+        pre = np.empty(x.shape if keep else slab_shape)
+        tnh = np.empty(x.shape if keep else slab_shape)
     for r0, r1 in slabs:
-        v, tt = val[:, r0:r1], tmp[:, :r1 - r0]
+        tt = tmp[:, :r1 - r0]
+        if fused:
+            part = slice(r0, r1) if keep else slice(0, r1 - r0)
+            v = pre[:, part]
+        else:
+            v = val[:, r0:r1]
         np.multiply(xp[:, r0:r1, :wd], taps[0], out=v)
         for t in range(1, k * k):
             i, j = shifts[t]
             v += np.multiply(xp[:, r0 + i:r1 + i, j:j + wd], taps[t], out=tt)
-    val += bias.data
+        v += bias.data
+        if fused:
+            _gelu_into(v, tnh[:, part], val[:, r0:r1])
 
     def bwd(g):
+        if fused:
+            # whole map at once, so the bias gradient's sum rounds as the chain's did
+            g = _gelu_grad(g, pre, tnh)
         dxp = np.zeros_like(xp)
         dw = np.zeros((k * k, c))
         for r0, r1 in slabs:
@@ -741,7 +834,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
                 dw[t] += np.einsum("bhwc,bhwc->c", gs, xp[:, r0 + i:r1 + i, j:j + wd])
         return (dxp[:, p:p + h, p:p + wd], dw.T.reshape(w.shape), g.sum(axis=(0, 1, 2)))
 
-    return _op("depthwise_conv2d", val, (x, w, bias), bwd)
+    return val, (x, w, bias), bwd
 
 
 # ---------------------------------------------------------------------------

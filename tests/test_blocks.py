@@ -248,6 +248,25 @@ class TestAttentionBlock:
                 if p.grad is None or np.abs(p.grad).max() == 0.0]
         assert dead == []
 
+    def test_records_the_fused_ops(self):
+        # every Linear is one `linear` node and MixFFN's conv + GELU one
+        # `depthwise_gelu`; a fall-back to the unfused chain shows up here
+        block = AttentionBlock(np.random.default_rng(35), 8, 2, "sea", 2)
+        T.active_tape().clear()
+        block(Tensor(np.random.default_rng(36).normal(size=(2, 16, 8))), (4, 4), cross=True)
+        nodes = list(T.active_tape().nodes)
+        T.active_tape().clear()
+        names = [n.name for n in nodes]
+        linears = [block.attn.sr, block.attn.q, block.attn.k, block.attn.v, block.attn.out,
+                   block.ffn.fc1, block.ffn.fc2]
+        assert [n.parents[1] for n in nodes if n.name == "linear"] == \
+            [lin.weight for lin in linears]
+        assert names.count("depthwise_gelu") == 1
+        assert "gelu" not in names and "depthwise_conv2d" not in names
+        adds = [n for n in nodes if n.name == "add"]
+        assert len(adds) == 2  # the two residual adds, no bias add
+        assert all(p.shape == (2, 16, 8) for n in adds for p in n.parents)
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from matchformer import data as D
 from matchformer import matcher as M
+from matchformer import tensor as T
 from matchformer.cli import main
 from matchformer.encoder import parse_config_text
 from matchformer.model import MatchModel
@@ -395,9 +396,13 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert out.count("[PASS]") >= 8
 
-    def test_injected_fault_exits_nonzero(self, capsys):
-        for op in ("softmax", "matmul"):
-            assert main(["selftest", "--inject-fault", op]) == 4
-            assert "[FAIL]" in capsys.readouterr().out
+    @pytest.mark.parametrize("op", sorted(T._OPS))
+    def test_injected_fault_exits_nonzero(self, op, capsys):
+        # the negative control: a corrupted gradient rule of any op turns a
+        # gradient group red
+        assert main(["selftest", "--inject-fault", op]) == 4
+        assert "[FAIL]" in capsys.readouterr().out
+
+    def test_unknown_fault_name_exits_two(self, capsys):
         assert main(["selftest", "--inject-fault", "nosuchop"]) == 2
         assert "valid ops: add, " in capsys.readouterr().err

@@ -142,6 +142,27 @@ class TestConv2d:
         with pytest.raises(T.ShapeError):
             T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))))
 
+    def test_one_by_one_on_a_strided_view_matches_the_padded_path(self):
+        # padding 0 skips the pad, and a 1x1 stride-1 kernel skips im2col, so
+        # x reaches the product as a transposed view of a channels-last map
+        rng = np.random.default_rng(5)
+        hwc = rng.normal(size=(2, 5, 4, 3))
+        w, b = rng.normal(size=(4, 3, 1, 1)), rng.normal(size=4)
+        r = rng.normal(size=(2, 4, 5, 4))
+        runs = []
+        for padding in (0, 1):
+            x = Tensor(hwc.transpose(0, 3, 1, 2), requires_grad=True)
+            assert not x.data.flags.c_contiguous
+            out = T.conv2d(x, Tensor(w), Tensor(b), padding=padding)
+            if padding:
+                out = T.slice_(out, (slice(None), slice(None), slice(1, -1), slice(1, -1)))
+            T.backward(T.reduce_sum(T.mul(out, Tensor(r))))
+            runs.append((out.data, x.grad))
+        (val, dx), (val_padded, dx_padded) = runs
+        assert np.abs(val - naive_conv2d(hwc.transpose(0, 3, 1, 2), w, b, 1, 0)).max() < 1e-12
+        assert np.array_equal(val, val_padded)
+        assert dx.flags.c_contiguous and np.array_equal(dx, dx_padded)
+
 
 def naive_depthwise(x, w, bias):
     """Channels-last depthwise conv as one single-channel naive conv per channel."""
@@ -211,9 +232,92 @@ class TestDepthwiseConv2d:
         ((1, 4, 4, 3), (3, 1, 3, 3), (1, 3)),     # bias of the wrong rank
     ])
     def test_shape_errors(self, x_shape, w_shape, b_shape):
-        with pytest.raises(T.ShapeError):
-            T.depthwise_conv2d(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)),
-                               Tensor(np.ones(b_shape)))
+        for op in (T.depthwise_conv2d, T.depthwise_gelu):
+            with pytest.raises(T.ShapeError, match=op.__name__):
+                op(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
+
+
+def run_with_grads(fn, inputs, r, record):
+    """Output of ``fn`` on fresh leaves holding ``inputs`` and, when
+    ``record``, the gradients of sum(output * r) for every input."""
+    leaves = [Tensor(a, requires_grad=True) for a in inputs]
+    T.active_tape().clear()
+    if not record:
+        with T.no_grad():
+            out = fn(*leaves)
+        assert not out.requires_grad and len(T.active_tape()) == 0
+        return [out.data]
+    out = fn(*leaves)
+    T.backward(T.reduce_sum(T.mul(out, Tensor(r))))
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+class TestFusedOps:
+    """``linear`` and ``depthwise_gelu`` equal the chains they replace, bit for bit."""
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)])
+    def test_linear_equals_matmul_plus_bias(self, x_shape, record):
+        rng = np.random.default_rng(60)
+        inputs = [rng.normal(size=x_shape), rng.normal(size=(4, 6)), rng.normal(size=6)]
+        r = rng.normal(size=x_shape[:-1] + (6,))
+        fused = run_with_grads(T.linear, inputs, r, record)
+        chain = run_with_grads(lambda x, w, b: T.add(T.matmul(x, w), b), inputs, r, record)
+        assert len(fused) == (4 if record else 1)
+        for got, want in zip(fused, chain):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("slab", [1, 24, T._DEPTHWISE_SLAB])
+    def test_depthwise_gelu_equals_conv_then_gelu(self, slab, record, monkeypatch):
+        # one-row slabs, two-row slabs with a ragged last one, or one slab
+        monkeypatch.setattr(T, "_DEPTHWISE_SLAB", slab)
+        rng = np.random.default_rng(61)
+        inputs = [rng.normal(size=(2, 5, 3, 2)) * 2, rng.normal(size=(2, 1, 3, 3)),
+                  rng.normal(size=2)]
+        r = rng.normal(size=(2, 5, 3, 2))
+        fused = run_with_grads(T.depthwise_gelu, inputs, r, record)
+        chain = run_with_grads(lambda x, w, b: T.gelu(T.depthwise_conv2d(x, w, b)),
+                               inputs, r, record)
+        assert len(fused) == (4 if record else 1)
+        for got, want in zip(fused, chain):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_raise(self, which, bad):
+        rng = np.random.default_rng(62)
+        cases = ((T.linear, [rng.normal(size=(3, 4)), rng.normal(size=(4, 2)),
+                             rng.normal(size=2)]),
+                 (T.depthwise_gelu, [rng.normal(size=(1, 3, 3, 2)),
+                                     rng.normal(size=(2, 1, 3, 3)), rng.normal(size=2)]))
+        for op, inputs in cases:
+            inputs[which].reshape(-1)[0] = bad
+            with pytest.raises(T.NumericalError, match=f"{op.__name__} produced"):
+                op(*(Tensor(a) for a in inputs))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_depthwise_gelu_raises_when_the_conv_overflows(self, sign):
+        # finite inputs whose taps sum past the float64 range, either way
+        x = Tensor(np.full((1, 3, 3, 1), sign * 1e308))
+        w, b = Tensor(np.ones((1, 1, 3, 3))), Tensor(np.zeros(1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(T.NumericalError, match="depthwise_conv2d"):
+                T.depthwise_conv2d(x, w, b)
+            with pytest.raises(T.NumericalError, match="depthwise_gelu"):
+                T.depthwise_gelu(x, w, b)
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+        ((4,), (4, 2), (2,)),             # 1-D input
+        ((3, 4), (5, 2), (2,)),           # inner dims differ
+        ((3, 4), (2, 4, 2), (2,)),        # batched weight
+        ((3, 4), (4, 2), (3,)),           # bias of the wrong width
+        ((3, 4), (4, 2), (1, 2)),         # bias of the wrong rank
+    ])
+    def test_linear_shape_errors(self, x_shape, w_shape, b_shape):
+        with pytest.raises(T.ShapeError, match="linear"):
+            T.linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)),
+                     Tensor(np.ones(b_shape)))
 
 
 class TestLayerNorm:
@@ -429,6 +533,7 @@ def fd_cases(seed):
         lambda x: T.reduce_sum(T.div(w, T.add(T.mul(x, x), 1.5))),
         lambda x: T.reduce_sum(T.maximum_scalar(x, 0.1)),
         lambda x: T.reduce_sum(T.mul(T.matmul(x, mm), T.matmul(x, mm))),
+        lambda x: T.reduce_sum(T.mul(y := T.linear(x, mm, lb), y)),
         lambda x: T.reduce_sum(T.mul(T.layer_norm(x, ln_g, ln_b), w)),
         lambda x: T.reduce_sum(T.mul(T.transpose(T.reshape(x, (2, 9)), (1, 0)),
                                      T.transpose(T.reshape(w, (2, 9)), (1, 0)))),
@@ -450,7 +555,10 @@ def fd_cases(seed):
          Tensor(rng.normal(size=(2, 4, 4)))),
         (lambda m: T.reduce_sum(T.mul(c := T.depthwise_conv2d(m, dw, db), c)),
          Tensor(rng.normal(size=(1, 4, 4, 2)))),
+        (lambda m: T.reduce_sum(T.mul(c := T.depthwise_gelu(m, dw, db), c)),
+         Tensor(rng.normal(size=(1, 4, 4, 2)))),
     ]
+    lb = Tensor(rng.normal(size=4))  # drawn last, so the older cases keep their inputs
     return [(fn, x) for fn in cases] + map_cases
 
 
