@@ -49,12 +49,18 @@ class Module:
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) resampled until every draw lies within two deviations."""
+    """Normal(0, std) resampled until every draw lies within two deviations.
+
+    Each round redraws only the entries still rejected, in index order, so a
+    round costs its rejects rather than a scan of the whole array.
+    """
     x = rng.normal(0.0, std, size=shape)
-    bad = np.abs(x) > 2 * std
-    while bad.any():
-        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(x) > 2 * std
+    flat = x.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2 * std)
+    while bad.size:
+        redraw = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redraw
+        bad = bad[np.abs(redraw) > 2 * std]
     return x
 
 
@@ -331,15 +337,19 @@ def _snapshot_str(arr: np.ndarray) -> str:
     return head + "\n" + body + "\n"
 
 
-def _parse_snapshot(header: str, body: str) -> np.ndarray:
-    """A tensor from its ``shape:`` header line and its body line, which
-    must hold exactly the shape's count of values."""
+def _snapshot_shape(header: str) -> tuple:
+    """The shape on a tensor's ``shape:`` header line."""
     head = header.split()
     if not head or head[0] != "shape:":
         raise ValueError("tensor snapshot must start with 'shape:'")
     if not all(t.isdecimal() for t in head[1:]):
         raise ValueError(f"tensor shape must be non-negative integers, got {header.strip()!r}")
-    shape = [int(t) for t in head[1:]]
+    return tuple(int(t) for t in head[1:])
+
+
+def _parse_body(shape: tuple, body: str) -> np.ndarray:
+    """A tensor from its body line, which must hold exactly the shape's count
+    of values."""
     count = math.prod(shape)
     vals = body.split()
     if len(vals) != count:
@@ -358,11 +368,10 @@ def save_checkpoint(path, named_params) -> None:
             fh.write(_snapshot_str(arr))
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint one tensor at a time: after the magic line, each
-    tensor is a name line, a ``shape:`` header and a body line, parsed as soon
-    as its body is read.  Blank lines between tensors are skipped."""
-    out: dict[str, np.ndarray] = {}
+def _snapshots(path):
+    """Yield each tensor's name, header shape and unparsed body line: after
+    the magic line, a tensor is a name line, a ``shape:`` header and a body
+    line.  Blank lines between tensors are skipped."""
     with open(path) as fh:
         if fh.readline().strip() != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic line)")
@@ -373,18 +382,50 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             header, body = fh.readline(), fh.readline()
             if not body:
                 raise ValueError(f"{path}: truncated at tensor {name!r}")
-            out[name] = _parse_snapshot(header, body)
-    return out
+            yield name, _snapshot_shape(header), body
+
+
+def load_checkpoint(path, into: Module | None = None) -> dict[str, np.ndarray] | None:
+    """Read a checkpoint one tensor at a time, each parsed as soon as its body
+    is read, into a ``{name: array}`` state.
+
+    Given a module ``into``, each tensor is parsed straight into that
+    module's parameter of the same name instead, and nothing is returned.
+    Each name and header shape is checked before its body is parsed; names
+    the file lacks or the module lacks are reported at the end, with
+    ``apply_checkpoint``'s messages.  A failed load can leave the tensors
+    read before the failure replaced.
+    """
+    if into is None:
+        return {name: _parse_body(shape, body) for name, shape, body in _snapshots(path)}
+    params = dict(into.named_parameters())
+    seen, extra = set(), []
+    for name, shape, body in _snapshots(path):
+        p = params.get(name)
+        if p is None:
+            extra.append(name)
+            continue
+        _check_shape(name, shape, p)
+        p.data = _parse_body(shape, body)
+        seen.add(name)
+    _check_names(sorted(set(params) - seen), sorted(extra))
+    return None
 
 
 def apply_checkpoint(module: Module, state: dict[str, np.ndarray]) -> None:
+    """Copy a ``{name: array}`` state into the module's parameters."""
     params = dict(module.named_parameters())
-    missing = sorted(set(params) - set(state))
-    extra = sorted(set(state) - set(params))
+    _check_names(sorted(set(params) - set(state)), sorted(set(state) - set(params)))
+    for name, p in params.items():
+        _check_shape(name, state[name].shape, p)
+        p.data = np.array(state[name], dtype=np.float64)
+
+
+def _check_names(missing: list, extra: list) -> None:
     if missing or extra:
         raise ValueError(f"checkpoint mismatch: missing={missing[:4]} extra={extra[:4]}")
-    for name, p in params.items():
-        if p.data.shape != state[name].shape:
-            raise ValueError(f"checkpoint shape mismatch at {name}: "
-                             f"{state[name].shape} vs {p.data.shape}")
-        p.data = np.array(state[name], dtype=np.float64)
+
+
+def _check_shape(name: str, shape: tuple, p: Tensor) -> None:
+    if p.data.shape != shape:
+        raise ValueError(f"checkpoint shape mismatch at {name}: {shape} vs {p.data.shape}")

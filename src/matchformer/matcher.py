@@ -2,7 +2,10 @@
 
 Coarse stage: temperature-scaled inner products between l2-normalized coarse
 descriptors, a dual softmax turning scores into mutual match probabilities,
-and threshold + mutual-nearest-neighbor selection.
+and threshold + mutual-nearest-neighbor selection.  Training differentiates
+through the dense chain (``coarse_scores`` -> ``dual_softmax`` ->
+``select_coarse``); inference selects the same matches with
+``stream_select_coarse``, which never holds an N1 x N2 array.
 
 Fine stage: each selected coarse match is back-located onto the fine maps,
 and the expectation of a softmax correlation between the A-side center
@@ -97,8 +100,8 @@ def _as_single_map(x: Tensor) -> Tensor:
     return x
 
 
-def coarse_scores(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1) -> ScoreMatrix:
-    """S[i, j] = <a_i, b_j> / tau over flattened, l2-normalized coarse grids."""
+def _descriptor_rows(coarse_a: Tensor, coarse_b: Tensor, tau: float) -> tuple:
+    """l2-normalized [N, C] descriptor rows of both coarse maps, and their grids."""
     if tau <= 0:
         raise ValueError("temperature tau must be positive")
     a, b = _as_single_map(coarse_a), _as_single_map(coarse_b)
@@ -108,8 +111,14 @@ def coarse_scores(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1) -> Score
     _, hb, wb = b.shape
     seq_a = T.l2_normalize(T.transpose(T.reshape(a, (c, ha * wa)), (1, 0)), axis=-1)
     seq_b = T.l2_normalize(T.transpose(T.reshape(b, (c, hb * wb)), (1, 0)), axis=-1)
+    return seq_a, seq_b, (ha, wa), (hb, wb)
+
+
+def coarse_scores(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1) -> ScoreMatrix:
+    """S[i, j] = <a_i, b_j> / tau over flattened, l2-normalized coarse grids."""
+    seq_a, seq_b, grid_a, grid_b = _descriptor_rows(coarse_a, coarse_b, tau)
     s = T.mul(T.matmul(seq_a, T.transpose(seq_b, (1, 0))), 1.0 / tau)
-    return ScoreMatrix(scores=s, grid_a=(ha, wa), grid_b=(hb, wb))
+    return ScoreMatrix(scores=s, grid_a=grid_a, grid_b=grid_b)
 
 
 def dual_softmax(scores) -> Tensor:
@@ -131,14 +140,94 @@ def mutual_argmax_pairs(probs: np.ndarray, theta: float) -> np.ndarray:
     return np.stack([i[keep], row_best[keep]], axis=1)
 
 
-def select_coarse(probs, theta: float, grid_a=None, grid_b=None) -> CoarseMatchResult:
-    """Threshold + mutual-nearest-neighbor selection; a partial bijection."""
+def _check_theta(theta: float) -> None:
     if not 0 <= theta < 1:
         raise ValueError("theta must lie in [0, 1)")
+
+
+def select_coarse(probs, theta: float, grid_a=None, grid_b=None) -> CoarseMatchResult:
+    """Threshold + mutual-nearest-neighbor selection; a partial bijection."""
+    _check_theta(theta)
     p = probs.data if isinstance(probs, Tensor) else np.asarray(probs)
     pairs = mutual_argmax_pairs(p, theta)
     conf = p[pairs[:, 0], pairs[:, 1]] if len(pairs) else np.zeros(0)
     return CoarseMatchResult(pairs=pairs, confidences=conf, grid_a=grid_a, grid_b=grid_b)
+
+
+# Rows of S per block of ``stream_select_coarse``.  A block is 256 x N2
+# float64: 2 MB at N2 = 1024 and 39 MB at 640x480's N2 = 19200, where the
+# block GEMM still runs at full speed.
+_SCORE_BLOCK = 256
+
+
+def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1,
+                         theta: float = 0.2) -> CoarseMatchResult:
+    """``select_coarse(dual_softmax(coarse_scores(a, b, tau)), theta)`` for
+    inference, without any N1 x N2 array.
+
+    Two passes run over blocks of rows of S, each block recomputed from the
+    descriptor rows.  The first takes every row's log-sum-exp, and every
+    column's online as a running max and a sum rescaled to it (Milakov &
+    Gimelshein, arXiv 1805.02867).  The second forms
+    log P = 2 S - lse_row - lse_col and keeps each row's best value and
+    index, and each column's best over the blocks so far.  A column's best
+    moves only to a strictly greater value, so the lowest index wins ties,
+    as ``argmax`` does in the dense chain.  MNN and theta then run on O(N)
+    vectors.  The result equals the dense chain's up to rounding: pairs may
+    differ only where two probabilities tie to the last few bits.
+    """
+    _check_theta(theta)
+    with T.no_grad():
+        seq_a, seq_b, grid_a, grid_b = _descriptor_rows(coarse_a, coarse_b, tau)
+    rows_a, cols_b = seq_a.data, seq_b.data.T
+    n1, n2 = rows_a.shape[0], cols_b.shape[1]
+    blocks = [(r, min(n1, r + _SCORE_BLOCK)) for r in range(0, n1, _SCORE_BLOCK)]
+
+    def score_block(r0, r1):
+        s = np.matmul(rows_a[r0:r1], cols_b)
+        s *= 1.0 / tau
+        return s
+
+    lse_row = np.empty(n1)
+    col_max = np.full(n2, -np.inf)
+    col_sum = np.zeros(n2)
+    for r0, r1 in blocks:
+        s = score_block(r0, r1)
+        if not np.all(np.isfinite(s)):
+            raise T.NumericalError("coarse scores produced non-finite values")
+        new_max = np.maximum(col_max, s.max(axis=0))
+        col_sum *= np.exp(col_max - new_max)
+        col_max = new_max
+        e = np.exp(s - col_max)
+        col_sum += e.sum(axis=0)
+        row_max = s.max(axis=1, keepdims=True)
+        np.exp(np.subtract(s, row_max, out=e), out=e)
+        lse_row[r0:r1] = row_max[:, 0] + np.log(e.sum(axis=1))
+    lse_col = col_max + np.log(col_sum)
+
+    best_j = np.empty(n1, dtype=np.intp)
+    best_lp = np.empty(n1)
+    col_best_i = np.zeros(n2, dtype=np.intp)
+    col_best_lp = np.full(n2, -np.inf)
+    cols = np.arange(n2)
+    for r0, r1 in blocks:
+        lp = score_block(r0, r1)
+        lp *= 2.0
+        lp -= lse_row[r0:r1, None]
+        lp -= lse_col
+        j = lp.argmax(axis=1)
+        best_j[r0:r1] = j
+        best_lp[r0:r1] = lp[np.arange(r1 - r0), j]
+        i = lp.argmax(axis=0)
+        v = lp[i, cols]
+        better = v > col_best_lp
+        col_best_lp[better] = v[better]
+        col_best_i[better] = i[better] + r0
+    rows = np.arange(n1)
+    conf = np.exp(best_lp)
+    keep = (col_best_i[best_j] == rows) & (conf > theta)
+    return CoarseMatchResult(pairs=np.stack([rows[keep], best_j[keep]], axis=1),
+                             confidences=conf[keep], grid_a=grid_a, grid_b=grid_b)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +324,12 @@ def fine_offsets(fine_a: Tensor, fine_b: Tensor, centers_a: np.ndarray,
 
 def match_pair(img_a, img_b, model, tau: float = 0.1, theta: float = 0.2,
                window: int = 5, fine_tau: float = DEFAULT_FINE_TAU) -> MatchSet:
-    """encode -> fuse -> score -> dual softmax -> MNN -> fine refinement."""
+    """encode -> fuse -> streamed dual softmax + MNN -> fine refinement."""
     a = _as_image_tensor(img_a)
     b = _as_image_tensor(img_b)
     with T.no_grad():
         coarse_a, fine_a, coarse_b, fine_b = model.forward_pair(a, b)
-        sm = coarse_scores(coarse_a, coarse_b, tau=tau)
-        probs = dual_softmax(sm)
-    result = select_coarse(probs, theta, grid_a=sm.grid_a, grid_b=sm.grid_b)
+    result = stream_select_coarse(coarse_a, coarse_b, tau=tau, theta=theta)
     return fine_refine(result, fine_a, fine_b, window=window,
                        r_c=model.cfg.coarse_stride, r_f=model.cfg.fine_stride,
                        tau=fine_tau)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .blocks import Module, apply_checkpoint, load_checkpoint, save_checkpoint
+from .blocks import Module, load_checkpoint, save_checkpoint
 from .decoder import FPNDecoder
 from .encoder import Encoder, ModelConfig, make_config
 from .tensor import Tensor
@@ -35,7 +35,7 @@ class MatchModel(Module):
         save_checkpoint(path, self.named_parameters())
 
     def load(self, path) -> None:
-        apply_checkpoint(self, load_checkpoint(path))
+        load_checkpoint(path, into=self)
 
 
 def build_model(variant: str = "lite", attention: str = "sea", seed: int = 0,

@@ -325,6 +325,14 @@ def matcher_oracles(seed: int):
     s = rng.normal(size=(6, 7))
     ok_ds = dual_softmax_error(M.dual_softmax(Tensor(s)), s) < 1e-12
 
+    # streamed selection against the dense chain; 17 x 16 A cells make two
+    # row blocks of S
+    ca, cb = Tensor(rng.normal(size=(1, 8, 17, 16))), Tensor(rng.normal(size=(1, 8, 9, 7)))
+    p = M.dual_softmax(M.coarse_scores(ca, cb)).data
+    st = M.stream_select_coarse(ca, cb, theta=0.0)
+    ok_st = mnn_matches_bruteforce(st.pairs, p, 0.0) and np.allclose(
+        st.confidences, p[st.pairs[:, 0], st.pairs[:, 1]], rtol=1e-12, atol=0.0)
+
     # a uniform window leaves the coordinate at the query; a point mass at
     # the window corner shifts it by exactly 2 r_f
     one_pair = M.CoarseMatchResult(pairs=np.array([[0, 0]]), confidences=np.array([1.0]),
@@ -342,9 +350,10 @@ def matcher_oracles(seed: int):
                          window=5, r_c=16, r_f=2, tau=0.01)
     corner_ok = abs((ms_c.points[0][2] - ms_u.points[0][2]) - 2 * 2) < 1e-9 \
         and abs((ms_c.points[0][3] - ms_u.points[0][3]) - 2 * 2) < 1e-9
-    ok = ok_sel and ok_ds and corner_ok and uniform_ok
+    ok = ok_sel and ok_ds and ok_st and corner_ok and uniform_ok
     return ok, (f"select-vs-bruteforce {ok_sel}, dual-softmax bounds {ok_ds}, "
-                f"corner point-mass {corner_ok}, uniform window {uniform_ok}")
+                f"streamed-vs-dense {ok_st}, corner point-mass {corner_ok}, "
+                f"uniform window {uniform_ok}")
 
 
 def structural_identities(seed: int):

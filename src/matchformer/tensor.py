@@ -721,17 +721,20 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
         if bias.shape != (cout,):
             raise ShapeError("conv2d bias must have shape (C_out,)")
 
-    xp = x.data if padding == 0 else np.pad(
-        x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    if k == 1 and stride == 1:
-        cols = np.ascontiguousarray(xp).reshape(b_, cin, ho * wo)
-    else:
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-        win = win[:, :, ::stride, ::stride]                   # [B, Cin, Ho, Wo, k, k]
-        cols = np.ascontiguousarray(np.moveaxis(win, (2, 3), (4, 5)))
-        cols = cols.reshape(b_, cin * k * k, ho * wo)         # [B, f, L]
+    parents = (x, w) if bias is None else (x, w, bias)
     wf = w.data.reshape(cout, cin * k * k)
-    val = np.matmul(wf, cols).reshape(b_, cout, ho, wo)
+    if _recording(parents) or (k == 1 and stride == 1):
+        # the backward needs the columns; a 1x1 stride-1 kernel has none to
+        # build, as it multiplies the map itself
+        xp = _pad_hw(x.data, padding)
+        cols = _im2col(xp, k, stride, ho, wo)
+        val = np.matmul(wf, cols).reshape(b_, cout, ho, wo)
+    else:
+        # nothing is kept for a backward, so one image's columns at a time
+        val = np.empty((b_, cout, ho, wo))
+        for i in range(b_):
+            np.matmul(wf, _im2col(_pad_hw(x.data[i:i + 1], padding), k, stride, ho, wo)[0],
+                      out=val[i].reshape(cout, ho * wo))
     if bias is not None:
         val += bias.data[None, :, None, None]
 
@@ -749,7 +752,25 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)
 
-    return _op("conv2d", val, (x, w) if bias is None else (x, w, bias), bwd)
+    return _op("conv2d", val, parents, bwd)
+
+
+def _pad_hw(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the two spatial axes of a [B, C, H, W] map."""
+    if padding == 0:
+        return x
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
+def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """[B, C, Hp, Wp] padded maps -> [B, C*k*k, Ho*Wo] im2col columns."""
+    b_, cin = xp.shape[:2]
+    if k == 1 and stride == 1:
+        return np.ascontiguousarray(xp).reshape(b_, cin, ho * wo)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]                       # [B, Cin, Ho, Wo, k, k]
+    cols = np.ascontiguousarray(np.moveaxis(win, (2, 3), (4, 5)))
+    return cols.reshape(b_, cin * k * k, ho * wo)
 
 
 # Elements of one [B, rows, W, C] slab of the depthwise loops (256 KB): the
@@ -772,8 +793,9 @@ def depthwise_gelu(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """``gelu(depthwise_conv2d(x, w, bias))`` as one op, bit for bit.
 
     Each slab of output rows gets its taps, its bias and its GELU while it is
-    still in cache.  Without a tape node to feed, the pre-activation and tanh
-    buffers are one slab each; with one, they are full-size for the backward.
+    still in cache.  Without a tape node to feed, the padded input, the
+    pre-activation and the tanh buffers are one slab each; with one, they are
+    full-size for the backward.
     """
     return _op("depthwise_gelu", *_depthwise("depthwise_gelu", x, w, bias))
 
@@ -797,26 +819,32 @@ def _depthwise(name: str, x, w, bias) -> tuple:
     slabs = [(r, min(h, r + rows)) for r in range(0, h, rows)]
     slab_shape = (b_, min(rows, h), wd, c)
 
-    xp = np.zeros((b_, h + 2 * p, wd + 2 * p, c))
-    xp[:, p:p + h, p:p + wd] = x.data
+    # Without a tape node to feed, the zero-padded input is one slab and its
+    # p-row halo, refilled per slab.
+    keep = _recording((x, w, bias))
+    if keep:
+        xp = np.zeros((b_, h + 2 * p, wd + 2 * p, c))
+        xp[:, p:p + h, p:p + wd] = x.data
+    else:
+        xp = np.zeros((b_, slab_shape[1] + 2 * p, wd + 2 * p, c))
     val = np.empty(x.shape)
     tmp = np.empty(slab_shape)
     fused = name == "depthwise_gelu"
     if fused:
-        keep = _recording((x, w, bias))
         pre = np.empty(x.shape if keep else slab_shape)
         tnh = np.empty(x.shape if keep else slab_shape)
     for r0, r1 in slabs:
         tt = tmp[:, :r1 - r0]
+        xs = xp[:, r0:r1 + 2 * p] if keep else _halo_slab(xp, x.data, r0, r1, p)
         if fused:
             part = slice(r0, r1) if keep else slice(0, r1 - r0)
             v = pre[:, part]
         else:
             v = val[:, r0:r1]
-        np.multiply(xp[:, r0:r1, :wd], taps[0], out=v)
+        np.multiply(xs[:, :r1 - r0, :wd], taps[0], out=v)
         for t in range(1, k * k):
             i, j = shifts[t]
-            v += np.multiply(xp[:, r0 + i:r1 + i, j:j + wd], taps[t], out=tt)
+            v += np.multiply(xs[:, i:i + r1 - r0, j:j + wd], taps[t], out=tt)
         v += bias.data
         if fused:
             _gelu_into(v, tnh[:, part], val[:, r0:r1])
@@ -835,6 +863,17 @@ def _depthwise(name: str, x, w, bias) -> tuple:
         return (dxp[:, p:p + h, p:p + wd], dw.T.reshape(w.shape), g.sum(axis=(0, 1, 2)))
 
     return val, (x, w, bias), bwd
+
+
+def _halo_slab(buf: np.ndarray, x: np.ndarray, r0: int, r1: int, p: int) -> np.ndarray:
+    """Rows ``r0 - p`` to ``r1 + p`` of the zero-padded [B, H, W, C] map ``x``,
+    written into ``buf``, whose p-column borders stay zero."""
+    lo, hi = max(r0 - p, 0), min(r1 + p, x.shape[1])
+    top, end = lo - (r0 - p), r1 - r0 + 2 * p
+    buf[:, :top] = 0.0
+    buf[:, top:top + hi - lo, p:p + x.shape[2]] = x[:, lo:hi]
+    buf[:, top + hi - lo:end] = 0.0
+    return buf[:, :end]
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from matchformer import blocks as B
 from matchformer import selftest as S
 from matchformer import tensor as T
 from matchformer.blocks import (CHECKPOINT_MAGIC, Attention, AttentionBlock, MixFFN,
                                 PosPatchEmbed, StdPatchEmbed, apply_checkpoint,
                                 load_checkpoint, save_checkpoint, seq_to_map,
                                 sinusoidal_position_code)
+from matchformer.encoder import make_config
 from matchformer.model import MatchModel
 from matchformer.tensor import Tensor
 from matchformer.trainer import TrainConfig
@@ -469,3 +471,94 @@ class TestStreamingLoader:
             peaks[load] = peak - kept
         assert peaks[_oracle_load_checkpoint] > size  # the measure sees the file
         assert peaks[load_checkpoint] < 0.1 * size
+
+
+class TestLoadIntoModule:
+    def make_model(self, seed):
+        return MatchModel(TrainConfig(channels=(8, 8, 8, 16), coarse_channels=8,
+                                      fine_channels=8, fusion_channels=8).model_config(),
+                          seed=seed)
+
+    def test_load_equals_apply_of_the_state(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        self.make_model(1).save(path)
+        into, applied = self.make_model(2), self.make_model(2)
+        assert load_checkpoint(path, into=into) is None
+        apply_checkpoint(applied, load_checkpoint(path))
+        for (na, a), (nb, b) in zip(into.named_parameters(), applied.named_parameters()):
+            assert na == nb and np.array_equal(a.data, b.data)
+            assert a.data.flags.c_contiguous and a.data.dtype == np.float64
+
+    @pytest.mark.parametrize("case", ["missing", "extra", "both", "shape"])
+    def test_mismatches_raise_apply_checkpoints_messages(self, tmp_path, case):
+        params = dict(AttentionBlock(np.random.default_rng(46), 8, 2, "full")
+                      .named_parameters())
+        saved = {n: p.data for n, p in params.items()}
+        if case in ("missing", "both"):
+            del saved["attn.k.weight"], saved["norm1.gain"]
+        if case in ("extra", "both"):
+            saved["attn.sr.weight"] = np.zeros((2, 2))
+        if case == "shape":
+            saved["attn.q.bias"] = np.zeros(3)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, list(saved.items()))
+        errors = []
+        for load in (lambda m: apply_checkpoint(m, load_checkpoint(path)),
+                     lambda m: load_checkpoint(path, into=m)):
+            with pytest.raises(ValueError) as info:
+                load(AttentionBlock(np.random.default_rng(47), 8, 2, "full"))
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert ("shape mismatch at attn.q.bias" if case == "shape"
+                else "checkpoint mismatch") in errors[0]
+
+    def test_peak_memory_is_one_tensor_not_the_state(self, tmp_path):
+        rng = np.random.default_rng(48)
+        module = B.Module()
+        for i in range(500):
+            setattr(module, f"t{i}", Tensor(rng.normal(size=400)))
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, module.named_parameters())
+        state_bytes = 500 * 400 * 8
+        peaks = {}
+        for name, load in (("into", lambda: load_checkpoint(path, into=module)),
+                           ("apply", lambda: apply_checkpoint(module,
+                                                              load_checkpoint(path)))):
+            tracemalloc.start()
+            try:
+                load()
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks[name] = peak - kept
+        assert peaks["apply"] > state_bytes  # the measure sees the whole state
+        assert peaks["into"] < 0.1 * state_bytes
+
+
+def _oracle_trunc_normal(rng, shape, std=0.02):
+    """The whole-array redraw loop that trunc_normal replaced."""
+    x = rng.normal(0.0, std, size=shape)
+    bad = np.abs(x) > 2 * std
+    while bad.any():
+        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(x) > 2 * std
+    return x
+
+
+class TestTruncNormal:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (64, 256), (3, 5, 11), (0, 4)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_draws_equal_the_whole_array_loop(self, shape, seed):
+        for std in (0.02, 1.0):
+            (r1, r2) = rng_pair(seed)
+            got, want = B.trunc_normal(r1, shape, std), _oracle_trunc_normal(r2, shape, std)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert np.abs(got).max(initial=0.0) <= 2 * std
+            assert r1.random() == r2.random()  # the generators drew as much
+
+    def test_seeded_lite_sea_parameters_unchanged(self, monkeypatch):
+        new = MatchModel(make_config("lite", "sea"), seed=5)
+        monkeypatch.setattr(B, "trunc_normal", _oracle_trunc_normal)
+        old = MatchModel(make_config("lite", "sea"), seed=5)
+        for (na, a), (nb, b) in zip(new.named_parameters(), old.named_parameters()):
+            assert na == nb and a.data.tobytes() == b.data.tobytes()

@@ -211,6 +211,22 @@ class TestMatch:
         assert len(M.load_matches(out / "matches.tsv")) == 0
         assert "warning" in capsys.readouterr().out
 
+    def test_non_finite_coarse_descriptors_exit_numeric(self, pgm_pair, tmp_path,
+                                                        monkeypatch, capsys):
+        forward = MatchModel.forward_pair
+
+        def poisoned(self, a, b):
+            ca, fa, cb, fb = forward(self, a, b)
+            ca.data[0, 0, 0, 0] = np.nan
+            return ca, fa, cb, fb
+        monkeypatch.setattr(MatchModel, "forward_pair", poisoned)
+        cfgfile = tmp_path / "toy.cfg"
+        cfgfile.write_text(TOY_CONFIG)
+        code = main(["match", *pgm_pair, "--out", str(tmp_path / "o"),
+                     "--config", str(cfgfile)])
+        assert code == 4
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_zero_steps_checkpoint_equals_init(self, tmp_path, capsys):

@@ -101,6 +101,91 @@ class TestSelectCoarse:
             M.select_coarse(np.eye(2), 1.0)
 
 
+def dense_probs(a, b, tau):
+    with T.no_grad():
+        return M.dual_softmax(M.coarse_scores(Tensor(a), Tensor(b), tau=tau)).data
+
+
+def assert_agrees_with_dense(a, b, tau, theta):
+    """The streamed selection picks the dense chain's mutual argmaxes above
+    theta, with the dense chain's confidences."""
+    p = dense_probs(a, b, tau)
+    res = M.stream_select_coarse(Tensor(a), Tensor(b), tau=tau, theta=theta)
+    assert S.mnn_matches_bruteforce(res.pairs, p, theta)
+    want = p[res.pairs[:, 0], res.pairs[:, 1]]
+    assert np.abs(res.confidences - want).max(initial=0.0) <= 1e-12 * want.max(initial=0.0)
+    assert res.grid_a == a.shape[-2:] and res.grid_b == b.shape[-2:]
+    return res
+
+
+def one_hot_maps(cells_a, cells_b, c=8):
+    """[1, c, 1, n] maps whose cells are unit vectors e_k: every score is
+    exactly 0 or 1/tau, so equal descriptors tie exactly."""
+    eye = np.eye(c)
+    return eye[cells_a].T[None, :, None, :], eye[cells_b].T[None, :, None, :]
+
+
+class TestStreamSelectCoarse:
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_dense_chain_on_random_maps(self, block, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        c = int(rng.integers(2, 12))
+        ha, wa, hb, wb = (int(v) for v in rng.integers(1, 9, size=4))
+        a = rng.normal(size=(1, c, ha, wa))
+        b = rng.normal(size=(c, hb, wb))        # rectangular, and unbatched
+        monkeypatch.setattr(M, "_SCORE_BLOCK", block or ha * wa)
+        for tau in (0.05, 0.1, 1.0):
+            assert_agrees_with_dense(a, b, tau, 0.0)
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_exact_ties_go_to_the_lowest_index(self, block, monkeypatch):
+        # A rows 0 and 5 and B columns 1 and 2 are e0; A rows 1 and 3 are e1.
+        # Blocks of 1 and 2 put each tied pair of rows in different blocks.
+        # A's e3 and B's e4 meet nothing, so they are each other's best.
+        a, b = one_hot_maps([0, 1, 2, 1, 3, 0], [2, 0, 0, 1, 4])
+        monkeypatch.setattr(M, "_SCORE_BLOCK", block)
+        res = assert_agrees_with_dense(a, b, 0.5, 0.0)
+        assert res.pairs.tolist() == [[0, 1], [1, 3], [2, 0], [4, 4]]
+
+    def test_theta_is_a_strict_lower_bound(self):
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(size=(1, 6, 4, 5)), rng.normal(size=(1, 6, 5, 4))
+        everything = M.stream_select_coarse(Tensor(a), Tensor(b), tau=0.1, theta=0.0)
+        conf = np.sort(everything.confidences)
+        assert len(conf) >= 3
+        for theta, dropped in ((conf[1], 2), (np.nextafter(conf[1], 0.0), 1)):
+            res = M.stream_select_coarse(Tensor(a), Tensor(b), tau=0.1, theta=theta)
+            assert np.array_equal(np.sort(res.confidences), conf[dropped:])
+
+    def test_saturated_identity_survives_theta_near_one(self):
+        a, b = one_hot_maps(range(6), range(6))
+        res = M.stream_select_coarse(Tensor(a), Tensor(b), tau=0.01, theta=0.999)
+        assert res.pairs.tolist() == [[i, i] for i in range(6)]
+
+    @pytest.mark.parametrize("theta", [1.0, -0.1, 1.5])
+    def test_theta_domain(self, theta):
+        fmap = Tensor(np.ones((1, 4, 2, 2)))
+        with pytest.raises(ValueError, match="theta"):
+            M.stream_select_coarse(fmap, fmap, theta=theta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_descriptors_raise(self, bad):
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(1, 4, 3, 3)), rng.normal(size=(1, 4, 3, 3))
+        a[0, 2, 1, 1] = bad
+        with pytest.raises(T.NumericalError):
+            M.stream_select_coarse(Tensor(a), Tensor(b))
+
+    def test_overflowing_scores_raise_as_in_the_dense_chain(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=(1, 4, 3, 3)), rng.normal(size=(1, 4, 3, 3))
+        with pytest.raises(T.NumericalError):
+            dense_probs(a, b, 1e-310)
+        with pytest.raises(T.NumericalError):
+            M.stream_select_coarse(Tensor(a), Tensor(b), tau=1e-310)
+
+
 def one_pair_result():
     return M.CoarseMatchResult(pairs=np.array([[0, 0]]), confidences=np.array([0.9]),
                                grid_a=(1, 1), grid_b=(1, 1))
@@ -268,6 +353,19 @@ class TestMatchPair:
         blank = np.full((64, 64), 0.5)
         ms = M.match_pair(blank, blank, model)
         assert isinstance(ms, M.MatchSet)
+
+    def test_coarse_pairs_equal_the_dense_chain(self, monkeypatch):
+        from matchformer.data import gen_pattern
+        model = self.make_model(6)
+        a, b = gen_pattern(8, 64, 64), gen_pattern(9, 64, 64)
+        with T.no_grad():
+            ca, _, cb, _ = model.forward_pair(Tensor(a[None, None]), Tensor(b[None, None]))
+        seen = []
+        monkeypatch.setattr(M, "fine_refine", lambda res, *_, **__: seen.append(res))
+        M.match_pair(a, b, model, tau=0.1, theta=0.0)
+        want = assert_agrees_with_dense(ca.data, cb.data, 0.1, 0.0)
+        assert np.array_equal(seen[0].pairs, want.pairs)
+        assert np.array_equal(seen[0].confidences, want.confidences)
 
     def test_swap_symmetry_of_coarse_sets_at_theta_zero(self):
         from matchformer.data import gen_pattern

@@ -2,6 +2,7 @@
 
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,6 +319,74 @@ class TestFusedOps:
         with pytest.raises(T.ShapeError, match="linear"):
             T.linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)),
                      Tensor(np.ones(b_shape)))
+
+
+def traced_peak(fn):
+    """``fn()``'s result, and the bytes it allocated at its peak beyond those
+    it still holds afterwards."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - kept
+
+
+class TestNoGradBuffers:
+    """Without a tape node, ``conv2d`` builds one image's im2col columns at a
+    time and the depthwise ops pad one slab at a time, bit-identically."""
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("k,stride,padding", [
+        (1, 1, 0), (1, 2, 0), (1, 1, 1), (3, 1, 0), (3, 1, 1), (3, 2, 1),
+        (7, 1, 3), (7, 2, 3)])
+    def test_conv2d_equals_the_recording_path(self, k, stride, padding, transposed):
+        rng = np.random.default_rng(63)
+        x = rng.normal(size=(3, 11, 9, 4)).transpose(0, 3, 1, 2) if transposed \
+            else rng.normal(size=(3, 4, 11, 9))
+        inputs = [x, rng.normal(size=(5, 4, k, k)), rng.normal(size=5)]
+
+        def conv(xx, ww, bb):
+            return T.conv2d(xx, ww, bb, stride=stride, padding=padding)
+        (val,) = run_with_grads(conv, inputs, None, record=False)
+        recorded = run_with_grads(conv, inputs, rng.normal(size=val.shape), record=True)
+        assert np.array_equal(val, recorded[0])
+
+    @pytest.mark.parametrize("op", [T.depthwise_conv2d, T.depthwise_gelu])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("slab", [1, 24, T._DEPTHWISE_SLAB])
+    def test_depthwise_equals_the_recording_path(self, op, k, slab, monkeypatch):
+        # one-row slabs and two-row slabs, whose halos reach past the
+        # neighbouring slab when k = 5, or one slab
+        monkeypatch.setattr(T, "_DEPTHWISE_SLAB", slab)
+        rng = np.random.default_rng(64)
+        inputs = [rng.normal(size=(2, 5, 3, 2)) * 2, rng.normal(size=(2, 1, k, k)),
+                  rng.normal(size=2)]
+        (val,) = run_with_grads(op, inputs, None, record=False)
+        recorded = run_with_grads(op, inputs, rng.normal(size=val.shape), record=True)
+        assert np.array_equal(val, recorded[0])
+
+    def test_conv2d_peak_is_below_the_full_im2col_buffer(self):
+        rng = np.random.default_rng(65)
+        x = Tensor(rng.normal(size=(4, 8, 32, 32)))
+        w = Tensor(rng.normal(size=(8, 8, 3, 3)))
+        cols_bytes = 4 * 8 * 9 * 32 * 32 * 8
+        with T.no_grad():
+            out, peak = traced_peak(lambda: T.conv2d(x, w, padding=1))
+        assert peak < 0.5 * cols_bytes
+        assert out.shape == (4, 8, 32, 32)
+
+    @pytest.mark.parametrize("op", [T.depthwise_conv2d, T.depthwise_gelu])
+    def test_depthwise_peak_is_below_the_padded_map(self, op):
+        rng = np.random.default_rng(66)
+        x = Tensor(rng.normal(size=(2, 256, 16, 32)))
+        w, b = Tensor(rng.normal(size=(32, 1, 3, 3))), Tensor(rng.normal(size=32))
+        padded_bytes = 2 * 258 * 18 * 32 * 8
+        with T.no_grad():
+            out, peak = traced_peak(lambda: op(x, w, b))
+        assert peak < padded_bytes
+        assert out.shape == x.shape
 
 
 class TestLayerNorm:
