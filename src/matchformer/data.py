@@ -280,7 +280,9 @@ def load_manifest(path):
             try:
                 seed_s, vals = line.split("\t")
                 h_mat = np.array([float(v) for v in vals.split()]).reshape(3, 3)
+                if not np.isfinite(h_mat).all():
+                    raise ValueError("homography entries must be finite")
+                out.append((int(seed_s), h_mat))
             except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
-            out.append((int(seed_s), h_mat))
     return out

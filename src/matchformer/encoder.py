@@ -163,8 +163,8 @@ def with_schedule(cfg: ModelConfig, schedule) -> ModelConfig:
 
 
 def check_input_extents(h: int, w: int) -> None:
-    if h % 32 or w % 32:
-        raise T.ShapeError(f"input extents {(h, w)} must be divisible by 32")
+    if h <= 0 or w <= 0 or h % 32 or w % 32:
+        raise T.ShapeError(f"input extents {(h, w)} must be positive multiples of 32")
 
 
 def stage_plan(cfg: ModelConfig, h: int, w: int):

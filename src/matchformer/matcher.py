@@ -3,9 +3,10 @@
 Coarse stage: temperature-scaled inner products between l2-normalized coarse
 descriptors, a dual softmax turning scores into mutual match probabilities,
 and threshold + mutual-nearest-neighbor selection.  Training differentiates
-through the dense chain (``coarse_scores`` -> ``dual_softmax`` ->
-``select_coarse``); inference selects the same matches with
-``stream_select_coarse``, which never holds an N1 x N2 array.
+through the dense chain (``coarse_scores`` -> ``dual_softmax``) and selects
+on its P with ``select_coarse``; inference and the holdout precision select
+with ``stream_select_coarse``, which never holds an N1 x N2 array.  Both
+selectors end in one mutual-best rule (``_mutual_best``).
 
 Fine stage: each selected coarse match is back-located onto the fine maps,
 and the expectation of a softmax correlation between the A-side center
@@ -46,13 +47,6 @@ DEFAULT_FINE_TAU = 0.025
 # ---------------------------------------------------------------------------
 # Result containers
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ScoreMatrix:
-    scores: Tensor          # [N1, N2]
-    grid_a: tuple           # coarse grid (h, w) of image A
-    grid_b: tuple
 
 
 @dataclass
@@ -114,30 +108,15 @@ def _descriptor_rows(coarse_a: Tensor, coarse_b: Tensor, tau: float) -> tuple:
     return seq_a, seq_b, (ha, wa), (hb, wb)
 
 
-def coarse_scores(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1) -> ScoreMatrix:
+def coarse_scores(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1) -> Tensor:
     """S[i, j] = <a_i, b_j> / tau over flattened, l2-normalized coarse grids."""
-    seq_a, seq_b, grid_a, grid_b = _descriptor_rows(coarse_a, coarse_b, tau)
-    s = T.mul(T.matmul(seq_a, T.transpose(seq_b, (1, 0))), 1.0 / tau)
-    return ScoreMatrix(scores=s, grid_a=grid_a, grid_b=grid_b)
+    seq_a, seq_b, _, _ = _descriptor_rows(coarse_a, coarse_b, tau)
+    return T.mul(T.matmul(seq_a, T.transpose(seq_b, (1, 0))), 1.0 / tau)
 
 
-def dual_softmax(scores) -> Tensor:
+def dual_softmax(scores: Tensor) -> Tensor:
     """P[i, j] = softmax_row_i(S)[j] * softmax_col_j(S)[i]."""
-    s = scores.scores if isinstance(scores, ScoreMatrix) else scores
-    return T.mul(T.softmax(s, axis=1), T.softmax(s, axis=0))
-
-
-def mutual_argmax_pairs(probs: np.ndarray, theta: float) -> np.ndarray:
-    """Flat index pairs (i, j) that are each other's argmax with P > theta.
-
-    numpy's argmax takes the lowest index on ties, which is the documented
-    tie-break.
-    """
-    row_best = probs.argmax(axis=1)
-    col_best = probs.argmax(axis=0)
-    i = np.arange(probs.shape[0])
-    keep = (col_best[row_best] == i) & (probs[i, row_best] > theta)
-    return np.stack([i[keep], row_best[keep]], axis=1)
+    return T.mul(T.softmax(scores, axis=1), T.softmax(scores, axis=0))
 
 
 def _check_theta(theta: float) -> None:
@@ -145,13 +124,22 @@ def _check_theta(theta: float) -> None:
         raise ValueError("theta must lie in [0, 1)")
 
 
-def select_coarse(probs, theta: float, grid_a=None, grid_b=None) -> CoarseMatchResult:
-    """Threshold + mutual-nearest-neighbor selection; a partial bijection."""
+def _mutual_best(best_j: np.ndarray, best_p: np.ndarray, col_best_i: np.ndarray,
+                 theta: float, grid_a=None, grid_b=None) -> CoarseMatchResult:
+    """Row i keeps its best column j = best_j[i] when i = col_best_i[j] and
+    P = best_p[i] > theta.  Both selectors pass the lowest index of each
+    maximum, which is the documented tie-break."""
+    rows = np.arange(len(best_j))
+    keep = (col_best_i[best_j] == rows) & (best_p > theta)
+    return CoarseMatchResult(pairs=np.stack([rows[keep], best_j[keep]], axis=1),
+                             confidences=best_p[keep], grid_a=grid_a, grid_b=grid_b)
+
+
+def select_coarse(probs, theta: float) -> CoarseMatchResult:
+    """Threshold + mutual-nearest-neighbor selection on a dense P."""
     _check_theta(theta)
     p = probs.data if isinstance(probs, Tensor) else np.asarray(probs)
-    pairs = mutual_argmax_pairs(p, theta)
-    conf = p[pairs[:, 0], pairs[:, 1]] if len(pairs) else np.zeros(0)
-    return CoarseMatchResult(pairs=pairs, confidences=conf, grid_a=grid_a, grid_b=grid_b)
+    return _mutual_best(p.argmax(axis=1), p.max(axis=1), p.argmax(axis=0), theta)
 
 
 # Rows of S per block of ``stream_select_coarse``.  A block is 256 x N2
@@ -162,8 +150,8 @@ _SCORE_BLOCK = 256
 
 def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1,
                          theta: float = 0.2) -> CoarseMatchResult:
-    """``select_coarse(dual_softmax(coarse_scores(a, b, tau)), theta)`` for
-    inference, without any N1 x N2 array.
+    """``select_coarse(dual_softmax(coarse_scores(a, b, tau)), theta)``
+    without gradients and without any N1 x N2 array.
 
     Two passes run over blocks of rows of S, each block recomputed from the
     descriptor rows.  The first takes every row's log-sum-exp, and every
@@ -173,8 +161,8 @@ def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1,
     index, and each column's best over the blocks so far.  A column's best
     moves only to a strictly greater value, so the lowest index wins ties,
     as ``argmax`` does in the dense chain.  MNN and theta then run on O(N)
-    vectors.  The result equals the dense chain's up to rounding: pairs may
-    differ only where two probabilities tie to the last few bits.
+    vectors (``_mutual_best``).  The result equals the dense chain's up to
+    rounding: pairs may differ only where two probabilities tie to the last bits.
     """
     _check_theta(theta)
     with T.no_grad():
@@ -223,11 +211,7 @@ def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1,
         better = v > col_best_lp
         col_best_lp[better] = v[better]
         col_best_i[better] = i[better] + r0
-    rows = np.arange(n1)
-    conf = np.exp(best_lp)
-    keep = (col_best_i[best_j] == rows) & (conf > theta)
-    return CoarseMatchResult(pairs=np.stack([rows[keep], best_j[keep]], axis=1),
-                             confidences=conf[keep], grid_a=grid_a, grid_b=grid_b)
+    return _mutual_best(best_j, np.exp(best_lp), col_best_i, theta, grid_a, grid_b)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +345,20 @@ def save_matches(path, matches: MatchSet) -> None:
 
 
 def load_matches(path) -> MatchSet:
+    """Read a ``save_matches`` file; every data line holds five finite values."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != MATCH_FILE_MAGIC:
         raise ValueError(f"{path}: missing match-file header")
-    rows = [tuple(float(v) for v in line.split("\t")) for line in lines[1:] if line.strip()]
+    rows = []
+    for lineno, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        try:
+            row = [float(v) for v in line.split("\t")]
+            if len(row) != 5 or not np.isfinite(row).all():
+                raise ValueError(f"expected 5 finite tab-separated values, got {line!r}")
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
+        rows.append(row)
     return MatchSet(points=np.array(rows, dtype=np.float64).reshape(-1, 5))

@@ -320,7 +320,7 @@ def matcher_oracles(seed: int):
     ok_sel = True
     for _ in range(30):
         p = rng.uniform(size=(10, 10))
-        ok_sel &= mnn_matches_bruteforce(M.mutual_argmax_pairs(p, 0.0), p, 0.0)
+        ok_sel &= mnn_matches_bruteforce(M.select_coarse(p, 0.0).pairs, p, 0.0)
 
     s = rng.normal(size=(6, 7))
     ok_ds = dual_softmax_error(M.dual_softmax(Tensor(s)), s) < 1e-12

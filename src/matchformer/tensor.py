@@ -610,6 +610,14 @@ def take_pairs(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     return _op("take_pairs", x.data[rows, cols], (x,), bwd)
 
 
+def _window_slots(rows: np.ndarray, cols: np.ndarray, radius: int) -> tuple:
+    """Row ``[M, w, 1]`` and column ``[M, 1, w]`` of every slot of the square
+    windows centred on ``(rows[m], cols[m])``, ``w = 2*radius + 1``."""
+    off = np.arange(-radius, radius + 1)
+    return (np.asarray(rows, dtype=np.intp)[:, None, None] + off[None, :, None],
+            np.asarray(cols, dtype=np.intp)[:, None, None] + off[None, None, :])
+
+
 def window_gather(x: Tensor, rows: np.ndarray, cols: np.ndarray, radius: int) -> Tensor:
     """Crop square windows from a ``[C, H, W]`` map.
 
@@ -619,14 +627,10 @@ def window_gather(x: Tensor, rows: np.ndarray, cols: np.ndarray, radius: int) ->
     x = _as_tensor(x)
     if x.ndim != 3:
         raise ShapeError("window_gather expects a [C, H, W] map")
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
     c, h, w = x.shape
-    off = np.arange(-radius, radius + 1)
-    rr = rows[:, None, None] + off[None, :, None]   # [M, w, 1]
-    cc = cols[:, None, None] + off[None, None, :]   # [M, 1, w]
-    if rows.min(initial=radius) < radius or rows.max(initial=0) > h - 1 - radius \
-            or cols.min(initial=radius) < radius or cols.max(initial=0) > w - 1 - radius:
+    rr, cc = _window_slots(rows, cols, radius)
+    if rr.min(initial=0) < 0 or rr.max(initial=radius) > h - 1 \
+            or cc.min(initial=0) < 0 or cc.max(initial=radius) > w - 1:
         raise ShapeError("window exceeds map bounds")
     gathered = x.data[:, rr, cc]                    # [C, M, w, w]
 
@@ -659,10 +663,9 @@ def window_dot(v: Tensor, x: Tensor, rows: np.ndarray, cols: np.ndarray,
     m, n = len(rows), 2 * radius + 1
     if v.shape != (m, c) or cols.shape != rows.shape:
         raise ShapeError(f"window_dot needs [M, {c}] vectors and M centres, got {v.shape}")
-    off = np.arange(-radius, radius + 1)
-    rr = np.clip(rows[:, None, None] + off[None, :, None], 0, h - 1)
-    cc = np.clip(cols[:, None, None] + off[None, None, :], 0, w - 1)
-    cells = (rr * w + cc).reshape(m, n * n)         # flat cell index per slot
+    rr, cc = _window_slots(rows, cols, radius)
+    # flat index of the clamped cell of each slot
+    cells = (np.clip(rr, 0, h - 1) * w + np.clip(cc, 0, w - 1)).reshape(m, n * n)
     xt = np.ascontiguousarray(x.data.reshape(c, h * w).T)
     val = np.empty((m, n * n))
     for t in range(n * n):
@@ -684,11 +687,7 @@ def window_valid_mask(shape_hw: tuple, rows: np.ndarray, cols: np.ndarray,
                       radius: int) -> np.ndarray:
     """Boolean [M, w, w]: which window slots fall inside the map."""
     h, w = shape_hw
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    off = np.arange(-radius, radius + 1)
-    rr = rows[:, None, None] + off[None, :, None]
-    cc = cols[:, None, None] + off[None, None, :]
+    rr, cc = _window_slots(rows, cols, radius)
     return ((rr >= 0) & (rr <= h - 1)) & ((cc >= 0) & (cc <= w - 1))
 
 

@@ -170,10 +170,8 @@ def _sample_pair(cfg: TrainConfig, index: int) -> D.PairSample:
                        max_trans=cfg.max_trans, max_scale=cfg.max_scale)
 
 
-def _step_precision(probs: np.ndarray, labels: np.ndarray, theta: float,
-                    grid: tuple) -> float:
+def _step_precision(pairs: np.ndarray, labels: np.ndarray, grid: tuple) -> float:
     """Fraction of selected coarse matches within one cell of ground truth."""
-    pairs = M.mutual_argmax_pairs(probs, theta)
     if len(pairs) == 0:
         return 0.0
     lab = labels[pairs[:, 0]]
@@ -232,11 +230,12 @@ def train_toy(cfg: TrainConfig, log_path=None, checkpoint_path=None,
             img_a = Tensor(sample.image_a[None, None])
             img_b = Tensor(sample.image_b[None, None])
             coarse_a, fine_a, coarse_b, fine_b = model.forward_pair(img_a, img_b)
-            sm = M.coarse_scores(coarse_a, coarse_b, tau=cfg.tau)
-            probs = M.dual_softmax(sm)
+            grids = (coarse_a.shape[2:], coarse_b.shape[2:])
+            probs = M.dual_softmax(M.coarse_scores(coarse_a, coarse_b, tau=cfg.tau))
             loss_c = coarse_loss(probs, labels)
 
-            precision = _step_precision(probs.data, labels, cfg.theta, sm.grid_a)
+            precision = _step_precision(M.select_coarse(probs, cfg.theta).pairs,
+                                        labels, grids[0])
             running_precision = 0.9 * running_precision + 0.1 * precision
             if running_precision > cfg.fine_warmup_precision:
                 fine_active = True
@@ -247,8 +246,7 @@ def train_toy(cfg: TrainConfig, log_path=None, checkpoint_path=None,
                 labeled = np.flatnonzero(labels >= 0)
                 gt_pairs = np.stack([labeled, labels[labeled]], axis=1)
                 ka, kb, gt_off = _fine_supervision(cfg, model, gt_pairs, sample.h_mat,
-                                                   (sm.grid_a, sm.grid_b),
-                                                   fine_a.shape[2:], rng)
+                                                   grids, fine_a.shape[2:], rng)
                 if len(ka):
                     offsets = M.fine_offsets(fine_a, fine_b, ka, kb,
                                              radius=cfg.window // 2, tau=cfg.fine_tau)
@@ -276,20 +274,23 @@ def train_toy(cfg: TrainConfig, log_path=None, checkpoint_path=None,
                        config=cfg)
 
 
-def holdout_precision(model: MatchModel, cfg: TrainConfig, n_pairs: int = 16,
-                      seed_offset: int = 900_000_000) -> float:
-    """Coarse precision@1cell over fresh pairs never seen in training."""
+# Held-out pairs: sample indices HOLDOUT_SEED_OFFSET + k for k < HOLDOUT_PAIRS.
+HOLDOUT_PAIRS = 16
+HOLDOUT_SEED_OFFSET = 900_000_000
+
+
+def holdout_precision(model: MatchModel, cfg: TrainConfig) -> float:
+    """Coarse precision@1cell over unseen pairs, selected as ``match_pair`` does."""
     scores = []
     r_c = model.cfg.coarse_stride
-    for k in range(n_pairs):
-        sample = _sample_pair(cfg, seed_offset + k)
+    for k in range(HOLDOUT_PAIRS):
+        sample = _sample_pair(cfg, HOLDOUT_SEED_OFFSET + k)
         labels = D.gt_coarse_labels(sample.h_mat, cfg.image_size, r_c)
         with T.no_grad():
             ca, _, cb, _ = model.forward_pair(Tensor(sample.image_a[None, None]),
                                               Tensor(sample.image_b[None, None]))
-            sm = M.coarse_scores(ca, cb, tau=cfg.tau)
-            probs = M.dual_softmax(sm)
-        scores.append(_step_precision(probs.data, labels, cfg.theta, sm.grid_a))
+        coarse = M.stream_select_coarse(ca, cb, tau=cfg.tau, theta=cfg.theta)
+        scores.append(_step_precision(coarse.pairs, labels, coarse.grid_a))
     return float(np.mean(scores))
 
 

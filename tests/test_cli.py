@@ -211,6 +211,13 @@ class TestMatch:
         assert len(M.load_matches(out / "matches.tsv")) == 0
         assert "warning" in capsys.readouterr().out
 
+    def test_empty_image_is_usage_error_naming_the_extents(self, tmp_path, capsys):
+        path = tmp_path / "empty.pgm"
+        D.write_pgm(path, np.zeros((0, 0)))
+        code = main(["match", str(path), str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "input extents (0, 0)" in capsys.readouterr().err
+
     def test_non_finite_coarse_descriptors_exit_numeric(self, pgm_pair, tmp_path,
                                                         monkeypatch, capsys):
         forward = MatchModel.forward_pair
@@ -370,6 +377,27 @@ class TestEval:
     def test_missing_manifest_is_io_error(self, tmp_path):
         assert main(["eval", "--manifest", str(tmp_path / "none.tsv"),
                      "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("line", ["x\t1 0 0 0 1 0 0 0 1", "5\t1 0 0 0 1 0 0 0 inf"])
+    def test_bad_manifest_line_is_io_error(self, tmp_path, capsys, line,
+                                           spy_match_pair):
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text(line + "\n")
+        assert main(["eval", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
+        assert f"{manifest}: line 1: " in capsys.readouterr().err
+        assert spy_match_pair == []
+
+    @pytest.mark.parametrize("row", ["1\t2\t3\t4", "1\t2\t3\t4\t0.5\t6",
+                                     "1\t2\t3\t4\tnan"])
+    def test_malformed_matches_file_is_io_error(self, tmp_path, capsys, row):
+        manifest = tmp_path / "pairs.tsv"
+        D.save_manifest(manifest, [(5, np.eye(3))])
+        mfile = tmp_path / "m.tsv"
+        mfile.write_text(M.MATCH_FILE_MAGIC + "\n" + (row + "\n") * 5)
+        code = main(["eval", "--manifest", str(manifest), "--matches", str(mfile),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert f"{mfile}: line 2: " in capsys.readouterr().err
 
 
 class TestBench:

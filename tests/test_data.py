@@ -1,5 +1,7 @@
 """Synthetic data: patterns, homographies, warps, labels, and PNM IO."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -195,4 +197,13 @@ class TestManifest:
         path = tmp_path / "bad.tsv"
         path.write_text("5\t1 2 3\n")
         with pytest.raises(ValueError, match="line 1"):
+            D.load_manifest(path)
+
+    @pytest.mark.parametrize("line", ["x\t1 0 0 0 1 0 0 0 1", "1.5\t1 0 0 0 1 0 0 0 1",
+                                      "5\t1 0 0 0 1 0 0 0 inf",
+                                      "5\tnan 0 0 0 1 0 0 0 1"])
+    def test_bad_seed_or_non_finite_entry_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.tsv"
+        path.write_text("7\t1 0 0 0 1 0 0 0 1\n\n" + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ")):
             D.load_manifest(path)

@@ -1,5 +1,7 @@
 """Matcher: scores, dual softmax, MNN selection, fine refinement, end to end."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,22 +20,21 @@ class TestCoarseScores:
     def test_identical_maps_have_diagonal_max_one_over_tau(self):
         rng = np.random.default_rng(0)
         fmap = Tensor(rng.normal(size=(1, 16, 4, 4)))
-        sm = M.coarse_scores(fmap, fmap, tau=0.1)
-        s = sm.scores.data
+        s = M.coarse_scores(fmap, fmap, tau=0.1).data
         assert np.abs(np.diag(s) - 10.0).max() < 1e-12
         assert np.all(np.argmax(s, axis=1) == np.arange(16))  # Cauchy-Schwarz
 
     def test_orthogonal_one_hot_descriptors(self):
         eye = np.zeros((1, 4, 2, 2))
         eye[0, :, :, :] = np.eye(4).reshape(4, 2, 2)
-        sm = M.coarse_scores(Tensor(eye), Tensor(eye), tau=0.5)
-        assert np.abs(sm.scores.data - np.eye(4) / 0.5).max() < 1e-12
+        s = M.coarse_scores(Tensor(eye), Tensor(eye), tau=0.5).data
+        assert np.abs(s - np.eye(4) / 0.5).max() < 1e-12
 
     def test_matches_naive_inner_product_oracle(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(1, 8, 2, 3))
         b = rng.normal(size=(1, 8, 3, 2))
-        sm = M.coarse_scores(Tensor(a), Tensor(b), tau=0.25)
+        s = M.coarse_scores(Tensor(a), Tensor(b), tau=0.25).data
         seq_a = a[0].reshape(8, 6).T
         seq_b = b[0].reshape(8, 6).T
         ref = np.zeros((6, 6))
@@ -41,7 +42,7 @@ class TestCoarseScores:
             for j in range(6):
                 ref[i, j] = np.dot(seq_a[i] / np.linalg.norm(seq_a[i]),
                                    seq_b[j] / np.linalg.norm(seq_b[j])) / 0.25
-        assert np.abs(sm.scores.data - ref).max() < 1e-12
+        assert np.abs(s - ref).max() < 1e-12
 
     def test_nonpositive_tau_rejected(self):
         fmap = Tensor(np.ones((1, 4, 2, 2)))
@@ -408,4 +409,15 @@ class TestMatchFileIO:
         path = tmp_path / "bad.tsv"
         path.write_text("1\t2\t3\t4\t0.5\n")
         with pytest.raises(ValueError):
+            M.load_matches(path)
+
+    @pytest.mark.parametrize("row", ["1\t2\t3\t4", "1\t2\t3\t4\t0.5\t6",
+                                     "1\t2\tnan\t4\t0.5", "1\t2\t3\t4\tinf",
+                                     "1 2 3 4 0.5"])
+    def test_malformed_row_names_path_and_line(self, tmp_path, row):
+        # five 4-field rows would re-slice into four shifted 5-field matches
+        path = tmp_path / "bad.tsv"
+        path.write_text(M.MATCH_FILE_MAGIC + "\n1\t2\t3\t4\t0.5\n\n"
+                        + (row + "\n") * 5)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: ")):
             M.load_matches(path)

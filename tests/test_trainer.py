@@ -184,6 +184,47 @@ class TestTrainToy:
         assert len(T.active_tape()) == 0
 
 
+def dense_holdout_precision(model, cfg):
+    """Holdout precision through the dense chain (coarse_scores ->
+    dual_softmax -> select_coarse), as holdout_precision computed it before
+    it took match_pair's streamed selection."""
+    scores = []
+    for k in range(trainer.HOLDOUT_PAIRS):
+        sample = trainer._sample_pair(cfg, trainer.HOLDOUT_SEED_OFFSET + k)
+        labels = gt_coarse_labels(sample.h_mat, cfg.image_size, model.cfg.coarse_stride)
+        with T.no_grad():
+            ca, _, cb, _ = model.forward_pair(Tensor(sample.image_a[None, None]),
+                                              Tensor(sample.image_b[None, None]))
+            probs = M.dual_softmax(M.coarse_scores(ca, cb, tau=cfg.tau))
+        pairs = M.select_coarse(probs, cfg.theta).pairs
+        scores.append(trainer._step_precision(pairs, labels, ca.shape[2:]))
+    return float(np.mean(scores))
+
+
+class TestHoldoutPrecision:
+    @pytest.mark.parametrize("theta", [0.2, 0.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_streamed_selection_equals_dense_chain(self, seed, theta):
+        # untrained toy models: low-contrast probabilities, where a rounding
+        # difference between the two selectors would show first
+        cfg = TrainConfig(steps=0, seed=seed, theta=theta)
+        model = MatchModel(cfg.model_config(), seed=seed)
+        assert holdout_precision(model, cfg) == dense_holdout_precision(model, cfg)
+
+    def test_runs_the_streamed_selection_on_every_holdout_pair(self, monkeypatch):
+        calls = []
+        real = M.stream_select_coarse
+
+        def spy(ca, cb, **kw):
+            calls.append(kw)
+            return real(ca, cb, **kw)
+        monkeypatch.setattr(M, "stream_select_coarse", spy)
+        monkeypatch.setattr(M, "dual_softmax", lambda s: pytest.fail("dense chain ran"))
+        cfg = tiny_config(steps=0, tau=0.2, theta=0.1)
+        holdout_precision(MatchModel(cfg.model_config(), seed=0), cfg)
+        assert calls == [dict(tau=0.2, theta=0.1)] * trainer.HOLDOUT_PAIRS
+
+
 class TestTrainConfig:
     def test_invalid_lr_rejected(self):
         with pytest.raises(ValueError):
