@@ -312,6 +312,7 @@ def _arg_type(kind, valid, expected: str):
     return parse
 
 
+_seed = _arg_type(int, lambda n: n >= 0, "a seed >= 0")
 _window = _arg_type(int, M.check_window, "an odd window size >= 1")
 _ransac_iters = _arg_type(int, lambda n: n >= 1, "a number of RANSAC trials >= 1")
 _ransac_thresh = _arg_type(float, lambda t: np.isfinite(t) and t > 0,
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, matching=True):
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--variant", choices=("lite", "large"))
         p.add_argument("--attention", choices=("la", "sea", "full"))
         p.add_argument("--config")
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--window", type=_window)
 
     p = sub.add_parser("selftest", help="run the invariant suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out")
     p.add_argument("--inject-fault", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_selftest)

@@ -279,10 +279,15 @@ def load_manifest(path):
                 continue
             try:
                 seed_s, vals = line.split("\t")
+                seed = int(seed_s)
+                if seed < 0:
+                    raise ValueError(f"seed must be >= 0, got {seed}")
                 h_mat = np.array([float(v) for v in vals.split()]).reshape(3, 3)
                 if not np.isfinite(h_mat).all():
                     raise ValueError("homography entries must be finite")
-                out.append((int(seed_s), h_mat))
+                if not hom_is_valid(h_mat):
+                    raise ValueError("homography must be invertible")
+                out.append((seed, h_mat))
             except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
     return out

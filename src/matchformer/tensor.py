@@ -186,8 +186,8 @@ def _as_tensor(x) -> Tensor:
 
 
 def _recording(parents: tuple) -> bool:
-    """Whether an op over ``parents`` records a tape node; ops that keep
-    buffers only for their backward ask this before they allocate them."""
+    """Whether an op over ``parents`` records a tape node (asked by ``_op``,
+    and by ``depthwise_gelu`` to size its pre-activation and tanh)."""
     return _GRAD_ENABLED and any(p.requires_grad for p in parents)
 
 
@@ -720,24 +720,18 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
         if bias.shape != (cout,):
             raise ShapeError("conv2d bias must have shape (C_out,)")
 
-    parents = (x, w) if bias is None else (x, w, bias)
     wf = w.data.reshape(cout, cin * k * k)
-    if _recording(parents) or (k == 1 and stride == 1):
-        # the backward needs the columns; a 1x1 stride-1 kernel has none to
-        # build, as it multiplies the map itself
-        xp = _pad_hw(x.data, padding)
-        cols = _im2col(xp, k, stride, ho, wo)
-        val = np.matmul(wf, cols).reshape(b_, cout, ho, wo)
-    else:
-        # nothing is kept for a backward, so one image's columns at a time
-        val = np.empty((b_, cout, ho, wo))
-        for i in range(b_):
-            np.matmul(wf, _im2col(_pad_hw(x.data[i:i + 1], padding), k, stride, ho, wo)[0],
-                      out=val[i].reshape(cout, ho * wo))
+    # one image's columns at a time; the backward rebuilds them all from x
+    val = np.empty((b_, cout, ho, wo))
+    for i in range(b_):
+        np.matmul(wf, _im2col(_pad_hw(x.data[i:i + 1], padding), k, stride, ho, wo)[0],
+                  out=val[i].reshape(cout, ho * wo))
     if bias is not None:
         val += bias.data[None, :, None, None]
 
     def bwd(g):
+        xp = _pad_hw(x.data, padding)
+        cols = _im2col(xp, k, stride, ho, wo)
         gg = g.reshape(b_, cout, ho * wo)
         dw = np.matmul(gg, np.swapaxes(cols, -1, -2)).sum(axis=0).reshape(w.shape)
         dcols = np.matmul(wf.T, gg).reshape(b_, cin, k, k, ho, wo)
@@ -751,14 +745,17 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)
 
-    return _op("conv2d", val, parents, bwd)
+    return _op("conv2d", val, (x, w) if bias is None else (x, w, bias), bwd)
 
 
 def _pad_hw(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the two spatial axes of a [B, C, H, W] map."""
+    """Zero-pad the two spatial axes of a [B, C, H, W] map, in a third of
+    ``np.pad``'s time on toy maps (``conv2d`` pads per image and per batch)."""
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = np.zeros((*x.shape[:2], x.shape[2] + 2 * padding, x.shape[3] + 2 * padding))
+    xp[:, :, padding:-padding, padding:-padding] = x
+    return xp
 
 
 def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
@@ -792,9 +789,8 @@ def depthwise_gelu(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """``gelu(depthwise_conv2d(x, w, bias))`` as one op, bit for bit.
 
     Each slab of output rows gets its taps, its bias and its GELU while it is
-    still in cache.  Without a tape node to feed, the padded input, the
-    pre-activation and the tanh buffers are one slab each; with one, they are
-    full-size for the backward.
+    still in cache.  The pre-activation and tanh buffers are one slab each,
+    or full-size for the backward when a tape node is recorded.
     """
     return _op("depthwise_gelu", *_depthwise("depthwise_gelu", x, w, bias))
 
@@ -818,25 +814,22 @@ def _depthwise(name: str, x, w, bias) -> tuple:
     slabs = [(r, min(h, r + rows)) for r in range(0, h, rows)]
     slab_shape = (b_, min(rows, h), wd, c)
 
-    # Without a tape node to feed, the zero-padded input is one slab and its
-    # p-row halo, refilled per slab.
-    keep = _recording((x, w, bias))
-    if keep:
-        xp = np.zeros((b_, h + 2 * p, wd + 2 * p, c))
-        xp[:, p:p + h, p:p + wd] = x.data
-    else:
-        xp = np.zeros((b_, slab_shape[1] + 2 * p, wd + 2 * p, c))
+    # the zero-padded input is one slab and its p-row halo, refilled per slab
+    halo = np.zeros((b_, slab_shape[1] + 2 * p, wd + 2 * p, c))
     val = np.empty(x.shape)
     tmp = np.empty(slab_shape)
     fused = name == "depthwise_gelu"
     if fused:
-        pre = np.empty(x.shape if keep else slab_shape)
-        tnh = np.empty(x.shape if keep else slab_shape)
+        # the backward reads the whole pre-activation and tanh, so a recorded
+        # node keeps them full-size: recomputing them there costs a conv pass
+        full = _recording((x, w, bias))
+        pre = np.empty(x.shape if full else slab_shape)
+        tnh = np.empty(pre.shape)
     for r0, r1 in slabs:
         tt = tmp[:, :r1 - r0]
-        xs = xp[:, r0:r1 + 2 * p] if keep else _halo_slab(xp, x.data, r0, r1, p)
+        xs = _halo_slab(halo, x.data, r0, r1, p)
         if fused:
-            part = slice(r0, r1) if keep else slice(0, r1 - r0)
+            part = slice(r0, r1) if full else slice(0, r1 - r0)
             v = pre[:, part]
         else:
             v = val[:, r0:r1]
@@ -852,13 +845,14 @@ def _depthwise(name: str, x, w, bias) -> tuple:
         if fused:
             # whole map at once, so the bias gradient's sum rounds as the chain's did
             g = _gelu_grad(g, pre, tnh)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((b_, h + 2 * p, wd + 2 * p, c))
         dw = np.zeros((k * k, c))
         for r0, r1 in slabs:
             gs, tt = g[:, r0:r1], tmp[:, :r1 - r0]
+            xs = _halo_slab(halo, x.data, r0, r1, p)
             for t, (i, j) in enumerate(shifts):
                 dxp[:, r0 + i:r1 + i, j:j + wd] += np.multiply(gs, taps[t], out=tt)
-                dw[t] += np.einsum("bhwc,bhwc->c", gs, xp[:, r0 + i:r1 + i, j:j + wd])
+                dw[t] += np.einsum("bhwc,bhwc->c", gs, xs[:, i:i + r1 - r0, j:j + wd])
         return (dxp[:, p:p + h, p:p + wd], dw.T.reshape(w.shape), g.sum(axis=(0, 1, 2)))
 
     return val, (x, w, bias), bwd

@@ -128,6 +128,9 @@ class TrainConfig:
     max_fine_matches: int = 48
 
     def __post_init__(self):
+        for name, value in (("seed", self.seed), ("steps", self.steps)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         if self.lr <= 0:
             raise ValueError("learning rate must be positive")
         if self.lambda_coarse < 0 or self.lambda_fine < 0 \

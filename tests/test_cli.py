@@ -218,6 +218,14 @@ class TestMatch:
         assert code == 2
         assert "input extents (0, 0)" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, pgm_pair, tmp_path, capsys,
+                                          spy_match_pair):
+        with pytest.raises(SystemExit) as exc:
+            main(["match", *pgm_pair, "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "expected a seed >= 0, got '-1'" in capsys.readouterr().err
+        assert spy_match_pair == [] and not (tmp_path / "o").exists()
+
     def test_non_finite_coarse_descriptors_exit_numeric(self, pgm_pair, tmp_path,
                                                         monkeypatch, capsys):
         forward = MatchModel.forward_pair
@@ -265,6 +273,25 @@ class TestTrain:
             cfgfile.write_text(TOY_CONFIG + extra)
             assert main(["train", "--out", str(tmp_path / "run"), "--config",
                          str(cfgfile)]) == 2
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_or_steps_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # by flag or in the config file (steps 0 is valid, see
+        # test_zero_steps_checkpoint_equals_init)
+        monkeypatch.setattr("matchformer.cli.train_toy",
+                            lambda *a, **kw: pytest.fail("training ran"))
+        cfgfile = tmp_path / "toy.cfg"
+        cfgfile.write_text(TOY_CONFIG)
+        argv = ["train", "--out", str(tmp_path / "run"), "--config", str(cfgfile)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert "expected a seed >= 0, got '-1'" in capsys.readouterr().err
+        assert main(argv + ["--steps", "-3"]) == 2
+        assert "steps must be >= 0, got -3" in capsys.readouterr().err
+        for text in (TOY_CONFIG + "seed: -1\n", TOY_CONFIG.replace("steps: 2", "steps: -3")):
+            cfgfile.write_text(text)
+            assert main(argv) == 2
         assert not (tmp_path / "run").exists()
 
     def test_matching_flags_are_usage_errors(self, tmp_path, monkeypatch):
@@ -378,7 +405,8 @@ class TestEval:
         assert main(["eval", "--manifest", str(tmp_path / "none.tsv"),
                      "--out", str(tmp_path / "o")]) == 3
 
-    @pytest.mark.parametrize("line", ["x\t1 0 0 0 1 0 0 0 1", "5\t1 0 0 0 1 0 0 0 inf"])
+    @pytest.mark.parametrize("line", ["x\t1 0 0 0 1 0 0 0 1", "5\t1 0 0 0 1 0 0 0 inf",
+                                      "-1\t1 0 0 0 1 0 0 0 1", "5\t0 0 0 0 0 0 0 0 0"])
     def test_bad_manifest_line_is_io_error(self, tmp_path, capsys, line,
                                            spy_match_pair):
         manifest = tmp_path / "pairs.tsv"
@@ -446,6 +474,15 @@ class TestSelftest:
         # gradient group red
         assert main(["selftest", "--inject-fault", op]) == 4
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_negative_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("matchformer.selftest.run_all",
+                            lambda *a, **kw: pytest.fail("the suite ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected a seed >= 0, got '-1'" in err and "[FAIL]" not in err
 
     def test_unknown_fault_name_exits_two(self, capsys):
         assert main(["selftest", "--inject-fault", "nosuchop"]) == 2

@@ -201,7 +201,9 @@ class TestManifest:
 
     @pytest.mark.parametrize("line", ["x\t1 0 0 0 1 0 0 0 1", "1.5\t1 0 0 0 1 0 0 0 1",
                                       "5\t1 0 0 0 1 0 0 0 inf",
-                                      "5\tnan 0 0 0 1 0 0 0 1"])
+                                      "5\tnan 0 0 0 1 0 0 0 1",
+                                      "-1\t1 0 0 0 1 0 0 0 1",
+                                      "5\t0 0 0 0 0 0 0 0 0", "5\t1 2 3 2 4 6 0 0 1"])
     def test_bad_seed_or_non_finite_entry_names_path_and_line(self, tmp_path, line):
         path = tmp_path / "bad.tsv"
         path.write_text("7\t1 0 0 0 1 0 0 0 1\n\n" + line + "\n")

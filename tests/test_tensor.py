@@ -186,22 +186,28 @@ class TestDepthwiseConv2d:
         assert got.shape == shape
         assert np.abs(got - naive_depthwise(x, w, b)).max() < 1e-10
 
+    @pytest.mark.parametrize("op", [T.depthwise_conv2d, T.depthwise_gelu])
+    @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("slab", [1, 24])
-    def test_row_slabs_agree_with_one_pass(self, slab, monkeypatch):
-        # one-row slabs, or two-row slabs with a ragged last one
+    def test_row_slabs_agree_with_one_pass(self, slab, k, op, monkeypatch):
+        # one-row slabs, or two-row slabs with a ragged last one; at k = 5 the
+        # halos the backward refills reach past the neighbouring slab
         rng = np.random.default_rng(46)
         x = Tensor(rng.normal(size=(2, 5, 3, 2)), requires_grad=True)
-        w = Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 1, k, k)), requires_grad=True)
         b = Tensor(rng.normal(size=2), requires_grad=True)
         r = rng.normal(size=(2, 5, 3, 2))
         grads = []
         for size in (1 << 15, slab):
             monkeypatch.setattr(T, "_DEPTHWISE_SLAB", size)
-            out = T.depthwise_conv2d(x, w, b)
+            out = op(x, w, b)
             T.backward(T.reduce_sum(T.mul(out, Tensor(r))))
             grads.append((out.data, x.grad, w.grad, b.grad))
             x.grad = w.grad = b.grad = None
-        assert np.abs(grads[1][0] - naive_depthwise(x.data, w.data, b.data)).max() < 1e-10
+        want = naive_depthwise(x.data, w.data, b.data)
+        if op is T.depthwise_gelu:
+            want = T.gelu(Tensor(want)).data
+        assert np.abs(grads[1][0] - want).max() < 1e-10
         for one, sliced in zip(*grads):
             assert np.abs(one - sliced).max() < 1e-12
 
@@ -333,9 +339,27 @@ def traced_peak(fn):
     return out, peak - kept
 
 
+def traced_held(fn):
+    """``fn()``'s result, and the bytes it allocated that are still held
+    afterwards beyond the result's own array (kept by its tape node)."""
+    T.active_tape().clear()
+    tracemalloc.start()
+    try:
+        out = fn()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        T.active_tape().clear()
+    return out, kept - out.data.nbytes
+
+
 class TestNoGradBuffers:
-    """Without a tape node, ``conv2d`` builds one image's im2col columns at a
-    time and the depthwise ops pad one slab at a time, bit-identically."""
+    """``conv2d`` builds one image's im2col columns at a time and the
+    depthwise ops pad one slab and its halo at a time, with or without a
+    tape node, and the backward rebuilds them from the input.  Values are
+    the same bit for bit either way, and a recorded node holds no copy of
+    its input; only ``depthwise_gelu``'s keeps a full-size pre-activation
+    and tanh."""
 
     @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("k,stride,padding", [
@@ -387,6 +411,27 @@ class TestNoGradBuffers:
             out, peak = traced_peak(lambda: op(x, w, b))
         assert peak < padded_bytes
         assert out.shape == x.shape
+
+    def test_recorded_conv2d_holds_no_im2col_copy(self):
+        rng = np.random.default_rng(67)
+        x = Tensor(rng.normal(size=(4, 8, 32, 32)), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
+        cols_bytes = 4 * 8 * 9 * 32 * 32 * 8
+        out, held = traced_held(lambda: T.conv2d(x, w, padding=1))
+        assert out.requires_grad
+        assert held < 0.5 * cols_bytes
+
+    @pytest.mark.parametrize("op", [T.depthwise_conv2d, T.depthwise_gelu])
+    def test_recorded_depthwise_holds_no_padded_map(self, op):
+        rng = np.random.default_rng(68)
+        x = Tensor(rng.normal(size=(2, 256, 16, 32)), requires_grad=True)
+        w, b = Tensor(rng.normal(size=(32, 1, 3, 3))), Tensor(rng.normal(size=32))
+        padded_bytes = 2 * 258 * 18 * 32 * 8
+        # depthwise_gelu's node keeps the full pre-activation and tanh
+        kept_bytes = 2 * x.data.nbytes if op is T.depthwise_gelu else 0
+        out, held = traced_held(lambda: op(x, w, b))
+        assert out.requires_grad
+        assert held < kept_bytes + padded_bytes
 
 
 class TestLayerNorm:

@@ -246,11 +246,13 @@ class TestTrainConfig:
         assert cfg.patch_embed == "std" and cfg.schedule == "self_only"
 
     def test_unknown_key_rejected(self):
-        # an even or non-positive fine window, and an image_size that is not
-        # two positive multiples of 32, are rejected the same way
+        # an even or non-positive fine window, an image_size that is not two
+        # positive multiples of 32, and a negative seed or step count are
+        # rejected the same way
         for key, value in (("leerning_rate", "1"), ("batch_size", "1"),
                            ("window", "4"), ("window", "0"), ("image_size", "48 64"),
-                           ("image_size", "0 64"), ("image_size", "64 64 64")):
+                           ("image_size", "0 64"), ("image_size", "64 64 64"),
+                           ("seed", "-1"), ("steps", "-1")):
             with pytest.raises(ValueError):
                 config_from_dict({key: value})
 
