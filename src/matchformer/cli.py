@@ -34,7 +34,7 @@ _apply_thread_cap()
 
 import numpy as np  # noqa: E402  (after the thread cap on purpose)
 
-from dataclasses import asdict, replace  # noqa: E402
+from dataclasses import asdict  # noqa: E402
 
 from . import data as D  # noqa: E402
 from . import evalkit as E  # noqa: E402
@@ -77,12 +77,14 @@ def _run_config(args) -> TrainConfig:
             raise CliError(f"cannot read config {args.config}: {e}", EXIT_IO)
     raw.update({key: value for key, value in vars(args).items()
                 if key in TrainConfig.__annotations__ and value is not None})
+    height, width = getattr(args, "height", None), getattr(args, "width", None)
+    size = raw.get("image_size", "").split() or list(TrainConfig.image_size)
+    if (height is not None or width is not None) and len(size) == 2:
+        # one TrainConfig, so the warp bounds are checked at the final size
+        raw["image_size"] = (f"{size[0] if height is None else height} "
+                             f"{size[1] if width is None else width}")
     try:
-        cfg = config_from_dict(raw)
-        h, w = cfg.image_size
-        height, width = getattr(args, "height", None), getattr(args, "width", None)
-        return replace(cfg, image_size=(h if height is None else height,
-                                        w if width is None else width))
+        return config_from_dict(raw)
     except ValueError as e:
         raise CliError(str(e), EXIT_USAGE)
 

@@ -28,11 +28,11 @@ class ImageFormatError(ValueError):
 
 
 def hom_apply(h_mat: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Apply a 3x3 projective transform to [N, 2] (x, y) points."""
+    """[..., 3, 3] homographies applied to [..., N, 2] (x, y); leading axes broadcast."""
     pts = np.asarray(pts, dtype=np.float64)
-    ph = np.concatenate([pts, np.ones((len(pts), 1))], axis=1)
-    q = ph @ h_mat.T
-    return q[:, :2] / q[:, 2:3]
+    ph = np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1)
+    q = ph @ np.swapaxes(h_mat, -1, -2)
+    return q[..., :2] / q[..., 2:3]
 
 
 def hom_normalize(h_mat: np.ndarray) -> np.ndarray:
@@ -87,8 +87,6 @@ def random_homography(seed: int, max_rot: float = 0.15, max_persp: float = 5e-4,
 
 def gen_pattern(seed: int, height: int, width: int) -> np.ndarray:
     """Deterministic band-limited noise plus high-contrast random shapes."""
-    if height % 32 or width % 32:
-        raise ValueError("pattern extents must be divisible by 32")
     rng = np.random.default_rng(seed)
     spectrum = np.fft.rfft2(rng.normal(size=(height, width)))
     fy = np.fft.fftfreq(height)[:, None]

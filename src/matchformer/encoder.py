@@ -118,8 +118,16 @@ def make_config(variant: str = "lite", attention: str = "sea",
     if patch_embed not in PATCH_EMBEDS:
         raise ValueError(f"patch_embed must be one of {PATCH_EMBEDS}")
     channels = tuple(channels) if channels is not None else DEFAULT_CHANNELS
-    if len(channels) != 4:
-        raise ValueError("channels override needs 4 values")
+    # a stage needs 2 features for its narrowest attention head
+    if len(channels) != 4 or min(channels) < 2:
+        raise ValueError(f"channels must be 4 widths >= 2, got {channels}")
+    if patch_embed == "std" and any(c % 4 for c in channels):  # its sine/cosine code
+        raise ValueError(f"channels must be multiples of 4 with pe std, got {channels}")
+    for name, width in (("coarse_channels", coarse_channels),
+                        ("fine_channels", fine_channels),
+                        ("fusion_channels", fusion_channels)):
+        if width is not None and width < 1:
+            raise ValueError(f"{name} must be >= 1, got {width}")
     schedule = tuple(schedule) if schedule is not None \
         else schedule_from_strings(NAMED_SCHEDULES["interleaving"])
     if len(schedule) != 4:
@@ -162,9 +170,9 @@ def with_schedule(cfg: ModelConfig, schedule) -> ModelConfig:
 # ---------------------------------------------------------------------------
 
 
-def check_input_extents(h: int, w: int) -> None:
+def check_input_extents(h: int, w: int, what: str = "input extents") -> None:
     if h <= 0 or w <= 0 or h % 32 or w % 32:
-        raise T.ShapeError(f"input extents {(h, w)} must be positive multiples of 32")
+        raise T.ShapeError(f"{what} {(h, w)} must be positive multiples of 32")
 
 
 def stage_plan(cfg: ModelConfig, h: int, w: int):

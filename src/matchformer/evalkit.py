@@ -65,8 +65,7 @@ def _normalize_points(pts: np.ndarray):
     t[..., 0, 0] = t[..., 1, 1] = scale
     t[..., :2, 2] = -scale[..., None] * centroid
     t[..., 2, 2] = 1.0
-    ph = np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1)
-    return (ph @ np.swapaxes(t, -1, -2))[..., :2], t
+    return hom_apply(t, pts), t
 
 
 def _match_points(matches) -> np.ndarray:
@@ -114,10 +113,8 @@ def dlt_homography(matches) -> np.ndarray:
 
 def _transfer_errors(h_mat: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """[..., n] transfer errors of the matches under [..., 3, 3] homographies."""
-    ph = np.concatenate([pts[:, 0:2], np.ones((len(pts), 1))], axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = ph @ np.swapaxes(h_mat, -1, -2)
-        proj = q[..., :2] / q[..., 2:3]
+        proj = hom_apply(h_mat, pts[:, 0:2])
         err = np.sqrt(((proj - pts[:, 2:4]) ** 2).sum(axis=-1))
     # points sent to infinity (vanishing scale) count as unbounded error
     return np.where(np.isfinite(err), err, np.inf)

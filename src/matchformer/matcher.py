@@ -94,10 +94,27 @@ def _as_single_map(x: Tensor) -> Tensor:
     return x
 
 
+def check_temperature(name: str, value: float) -> None:
+    """A softmax temperature (``tau``, ``fine_tau``) is finite and > 0."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
+def check_theta(theta: float) -> None:
+    """The coarse threshold theta is a probability in [0, 1)."""
+    if not 0 <= theta < 1:
+        raise ValueError(f"theta must be in [0, 1), got {theta}")
+
+
+def check_window(window: int) -> int:
+    if window % 2 == 0 or window < 1:
+        raise ValueError(f"window must be odd and >= 1, got {window}")
+    return window
+
+
 def _descriptor_rows(coarse_a: Tensor, coarse_b: Tensor, tau: float) -> tuple:
     """l2-normalized [N, C] descriptor rows of both coarse maps, and their grids."""
-    if tau <= 0:
-        raise ValueError("temperature tau must be positive")
+    check_temperature("tau", tau)
     a, b = _as_single_map(coarse_a), _as_single_map(coarse_b)
     if a.shape[0] != b.shape[0]:
         raise T.ShapeError("coarse descriptor widths differ")
@@ -119,11 +136,6 @@ def dual_softmax(scores: Tensor) -> Tensor:
     return T.mul(T.softmax(scores, axis=1), T.softmax(scores, axis=0))
 
 
-def _check_theta(theta: float) -> None:
-    if not 0 <= theta < 1:
-        raise ValueError("theta must lie in [0, 1)")
-
-
 def _mutual_best(best_j: np.ndarray, best_p: np.ndarray, col_best_i: np.ndarray,
                  theta: float, grid_a=None, grid_b=None) -> CoarseMatchResult:
     """Row i keeps its best column j = best_j[i] when i = col_best_i[j] and
@@ -137,7 +149,7 @@ def _mutual_best(best_j: np.ndarray, best_p: np.ndarray, col_best_i: np.ndarray,
 
 def select_coarse(probs, theta: float) -> CoarseMatchResult:
     """Threshold + mutual-nearest-neighbor selection on a dense P."""
-    _check_theta(theta)
+    check_theta(theta)
     p = probs.data if isinstance(probs, Tensor) else np.asarray(probs)
     return _mutual_best(p.argmax(axis=1), p.max(axis=1), p.argmax(axis=0), theta)
 
@@ -164,7 +176,7 @@ def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1,
     vectors (``_mutual_best``).  The result equals the dense chain's up to
     rounding: pairs may differ only where two probabilities tie to the last bits.
     """
-    _check_theta(theta)
+    check_theta(theta)
     with T.no_grad():
         seq_a, seq_b, grid_a, grid_b = _descriptor_rows(coarse_a, coarse_b, tau)
     rows_a, cols_b = seq_a.data, seq_b.data.T
@@ -236,12 +248,6 @@ def fine_cells(flat: np.ndarray, grid: tuple, r_c: int, r_f: int,
     return np.clip(k, 0, np.asarray(fine_hw) - 1)
 
 
-def check_window(window: int) -> int:
-    if window % 2 == 0 or window < 1:
-        raise ValueError("window must be odd and positive")
-    return window
-
-
 def fine_refine(coarse: CoarseMatchResult, fine_a: Tensor, fine_b: Tensor,
                 window: int = 5, r_c: int = 4, r_f: int = 8,
                 tau: float = DEFAULT_FINE_TAU) -> MatchSet:
@@ -283,6 +289,7 @@ def fine_offsets(fine_a: Tensor, fine_b: Tensor, centers_a: np.ndarray,
     overrun the B map are clamped to it: slots outside the map are masked
     out of the softmax, which renormalizes over the cells inside.
     """
+    check_temperature("fine_tau", tau)
     fa = T.l2_normalize(_as_single_map(fine_a), axis=0)
     fb = T.l2_normalize(_as_single_map(fine_b), axis=0)
     m = len(centers_a)
@@ -293,8 +300,7 @@ def fine_offsets(fine_a: Tensor, fine_b: Tensor, centers_a: np.ndarray,
     logits = T.mul(T.reshape(logits, (m, w * w)), 1.0 / tau)
     valid = T.window_valid_mask(fb.shape[1:], centers_b[:, 0], centers_b[:, 1],
                                 radius).reshape(m, w * w)
-    if not valid.all():
-        logits = T.add(logits, Tensor(np.where(valid, 0.0, -1e9)))
+    logits = T.add(logits, Tensor(np.where(valid, 0.0, -1e9)))
     p = T.softmax(logits, axis=-1)
     off = np.arange(-radius, radius + 1, dtype=np.float64)
     grid = np.stack([np.repeat(off, w), np.tile(off, w)], axis=1)  # [w*w, (dy,dx)]

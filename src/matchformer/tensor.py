@@ -819,20 +819,17 @@ def _depthwise(name: str, x, w, bias) -> tuple:
     val = np.empty(x.shape)
     tmp = np.empty(slab_shape)
     fused = name == "depthwise_gelu"
-    if fused:
-        # the backward reads the whole pre-activation and tanh, so a recorded
-        # node keeps them full-size: recomputing them there costs a conv pass
-        full = _recording((x, w, bias))
-        pre = np.empty(x.shape if full else slab_shape)
-        tnh = np.empty(pre.shape)
+    # the conv sums into ``pre``, the output itself for the plain op; GELU's
+    # backward reads the whole pre-activation and tanh, so a recorded node
+    # keeps them full-size: recomputing them there costs a conv pass
+    full = not fused or _recording((x, w, bias))
+    pre = np.empty(x.shape if full else slab_shape) if fused else val
+    tnh = np.empty(pre.shape) if fused else None
     for r0, r1 in slabs:
         tt = tmp[:, :r1 - r0]
         xs = _halo_slab(halo, x.data, r0, r1, p)
-        if fused:
-            part = slice(r0, r1) if full else slice(0, r1 - r0)
-            v = pre[:, part]
-        else:
-            v = val[:, r0:r1]
+        part = slice(r0, r1) if full else slice(0, r1 - r0)
+        v = pre[:, part]
         np.multiply(xs[:, :r1 - r0, :wd], taps[0], out=v)
         for t in range(1, k * k):
             i, j = shifts[t]

@@ -18,7 +18,8 @@ import numpy as np
 from . import data as D
 from . import matcher as M
 from . import tensor as T
-from .encoder import NAMED_SCHEDULES, make_config, schedule_from_strings
+from .encoder import (NAMED_SCHEDULES, check_input_extents, make_config,
+                      schedule_from_strings)
 from .model import MatchModel
 from .tensor import Tensor
 
@@ -128,23 +129,39 @@ class TrainConfig:
     max_fine_matches: int = 48
 
     def __post_init__(self):
-        for name, value in (("seed", self.seed), ("steps", self.steps)):
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.lambda_coarse < 0 or self.lambda_fine < 0 \
-                or (self.lambda_coarse == 0 and self.lambda_fine == 0):
-            raise ValueError("loss weights must be nonnegative and not both zero")
-        for name, value in (("tau", self.tau), ("fine_tau", self.fine_tau)):
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not 0 <= self.theta < 1:
-            raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
+        """Every value gets its domain here, before any model is built.  The
+        matcher owns the matching values and the encoder the model keys and
+        input extents; this table holds the rest."""
+        if len(self.image_size) != 2:
+            raise ValueError(f"image_size must be two values, got {self.image_size}")
+        check_input_extents(*self.image_size, what="image_size")
+        h, w = self.image_size
+        for names, valid, what in (
+            (("seed", "steps", "max_fine_matches"), lambda v: v >= 0, ">= 0"),
+            (("lr", "eps"), lambda v: 0 < v < np.inf, "finite and > 0"),
+            (("lambda_coarse", "lambda_fine"), lambda v: 0 <= v < np.inf,
+             "finite and >= 0"),
+            (("beta1", "beta2", "fine_warmup_precision"), lambda v: 0 <= v < 1,
+             "in [0, 1)"),
+            (("max_rot",), lambda v: 0 <= v <= np.pi, "in [0, pi]"),
+            (("max_scale",), lambda v: 0 <= v < 1, "in [0, 1)"),
+            # a larger shift leaves the pair no overlap to supervise
+            (("max_trans",), lambda v: 0 <= v <= min(h, w),
+             f"in [0, {min(h, w)}] px, the smaller image extent"),
+            # below this bound no pixel of the image maps through the horizon
+            (("max_persp",), lambda v: 0 <= v < 2 / (h + w - 2),
+             f"in [0, 2 / (h + w - 2)) = [0, {2 / (h + w - 2):.4g})"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not valid(value):
+                    raise ValueError(f"{name} must be {what}, got {value}")
+        if self.lambda_coarse == 0 and self.lambda_fine == 0:
+            raise ValueError("lambda_coarse and lambda_fine must not both be 0")
+        M.check_temperature("tau", self.tau)
+        M.check_temperature("fine_tau", self.fine_tau)
+        M.check_theta(self.theta)
         M.check_window(self.window)
-        if len(self.image_size) != 2 or any(n <= 0 or n % 32 for n in self.image_size):
-            raise ValueError(f"image_size must be two positive multiples of 32, "
-                             f"got {self.image_size}")
         self.model_config()  # bad model keys fail here, before any model is built
 
     def model_config(self):

@@ -294,6 +294,18 @@ class TestTrain:
             assert main(argv) == 2
         assert not (tmp_path / "run").exists()
 
+    def test_out_of_domain_value_names_its_key(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("matchformer.cli.train_toy",
+                            lambda *a, **kw: pytest.fail("training ran"))
+        cfgfile = tmp_path / "toy.cfg"
+        cfgfile.write_text(TOY_CONFIG + "max_rot: nan\n")
+        assert main(["train", "--out", str(tmp_path / "run"), "--config",
+                     str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert "max_rot must be in [0, pi], got nan" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_matching_flags_are_usage_errors(self, tmp_path, monkeypatch):
         # train reads tau, theta and window from its config file only; the
         # flags would otherwise be accepted and silently ignored

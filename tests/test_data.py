@@ -43,6 +43,18 @@ class TestGenPattern:
         assert img.min() >= 0.0 and img.max() <= 1.0
 
 
+class TestHomApply:
+    def test_batched_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(2)
+        h = np.stack([D.random_homography(s, size=(64, 64)) for s in range(5)])
+        pts = rng.uniform(0, 63, size=(5, 7, 2))
+        stacked = D.hom_apply(h, pts)
+        one_set = D.hom_apply(h, pts[0])
+        for k in range(5):
+            assert np.array_equal(stacked[k], D.hom_apply(h[k], pts[k]))
+            assert np.array_equal(one_set[k], D.hom_apply(h[k], pts[0]))
+
+
 class TestRandomHomography:
     def test_zero_bounds_give_identity(self):
         h = D.random_homography(0, 0.0, 0.0, 0.0, 0.0)

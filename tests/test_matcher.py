@@ -170,6 +170,13 @@ class TestStreamSelectCoarse:
         with pytest.raises(ValueError, match="theta"):
             M.stream_select_coarse(fmap, fmap, theta=theta)
 
+    @pytest.mark.parametrize("tau", [np.inf, np.nan])
+    def test_tau_domain(self, tau):
+        fmap = Tensor(np.ones((1, 4, 2, 2)))
+        for select in (M.stream_select_coarse, M.coarse_scores):
+            with pytest.raises(ValueError, match="tau must be finite and > 0"):
+                select(fmap, fmap, tau=tau)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_descriptors_raise(self, bad):
         rng = np.random.default_rng(12)
@@ -296,6 +303,19 @@ class TestFineOffsets:
 
         rep = T.fd_check(loss, Tensor(maps[side]), tol=1e-5)
         assert rep.passed, rep.max_rel_err
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
+    def test_fine_tau_domain(self, tau):
+        fmap = Tensor(np.ones((4, 5, 6)))
+        calls = (lambda: M.fine_offsets(fmap, fmap, self.centers_a, self.centers_b,
+                                        tau=tau),
+                 lambda: M.fine_refine(one_pair_result(), fmap, fmap, tau=tau),
+                 lambda: M.match_pair(np.zeros((64, 64)), np.zeros((64, 64)),
+                                      MatchModel(make_config("lite", "la", **TOY)),
+                                      fine_tau=tau))
+        for call in calls:
+            with pytest.raises(ValueError, match="fine_tau must be finite and > 0"):
+                call()
 
 
 def loop_refine(coarse, fine_a, fine_b, window, r_c, r_f, tau):

@@ -246,15 +246,51 @@ class TestTrainConfig:
         assert cfg.patch_embed == "std" and cfg.schedule == "self_only"
 
     def test_unknown_key_rejected(self):
-        # an even or non-positive fine window, an image_size that is not two
-        # positive multiples of 32, and a negative seed or step count are
-        # rejected the same way
+        # so is a value outside its key's domain: an even or non-positive fine
+        # window, an image_size that is not two positive multiples of 32, a
+        # negative count, a non-finite or out-of-range rate, weight, moment or
+        # warp bound, and a model width below its minimum
         for key, value in (("leerning_rate", "1"), ("batch_size", "1"),
                            ("window", "4"), ("window", "0"), ("image_size", "48 64"),
                            ("image_size", "0 64"), ("image_size", "64 64 64"),
-                           ("seed", "-1"), ("steps", "-1")):
-            with pytest.raises(ValueError):
+                           ("seed", "-1"), ("steps", "-1"), ("max_rot", "nan"),
+                           ("max_rot", "1e308"), ("max_trans", "1e308"),
+                           ("max_scale", "1e308"), ("max_persp", "1e308"),
+                           ("lr", "inf"), ("beta1", "1.0"), ("lambda_fine", "nan"),
+                           ("fine_warmup_precision", "nan"), ("eps", "-1"),
+                           ("max_fine_matches", "-1"), ("coarse_channels", "0"),
+                           ("fusion_channels", "0"), ("channels", "0 0 0 0"),
+                           ("fine_channels", "-1")):
+            with pytest.raises(ValueError, match=key):
                 config_from_dict({key: value})
+        with pytest.raises(ValueError, match="channels"):
+            config_from_dict({"pe": "std", "channels": "6 6 6 6"})
+
+    def test_config_fuzz(self):
+        # every key gets each hostile value alone, then seeded random sets of
+        # the values accepted alone: each config is either rejected with
+        # ValueError or builds its model and draws its first training and
+        # holdout pairs
+        values = ("nan", "inf", "-inf", "-1", "0", "1e308", "x", "")
+        singles = [(key, value) for key, kind in TrainConfig.__annotations__.items()
+                   for value in values + (("0 0 0 0",) if kind == "tuple" else ())]
+
+        def accepts(raw):
+            try:
+                cfg = config_from_dict(raw)
+            except ValueError:
+                return False
+            MatchModel(cfg.model_config())
+            trainer._sample_pair(cfg, 0)
+            trainer._sample_pair(cfg, trainer.HOLDOUT_SEED_OFFSET)
+            return True
+
+        accepted = [kv for kv in singles if accepts(dict([kv]))]
+        assert accepted
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            picked = rng.choice(len(accepted), size=4, replace=False)
+            accepts(dict(accepted[i] for i in picked))
 
     @pytest.mark.parametrize("name", ["self_only", "cross_only", "sequential",
                                       "interleaving"])
