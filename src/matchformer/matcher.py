@@ -314,9 +314,12 @@ def fine_offsets(fine_a: Tensor, fine_b: Tensor, centers_a: np.ndarray,
 
 def match_pair(img_a, img_b, model, tau: float = 0.1, theta: float = 0.2,
                window: int = 5, fine_tau: float = DEFAULT_FINE_TAU) -> MatchSet:
-    """encode -> fuse -> streamed dual softmax + MNN -> fine refinement."""
-    a = _as_image_tensor(img_a)
-    b = _as_image_tensor(img_b)
+    """Check the values, then encode -> fuse -> streamed dual softmax + MNN -> fine refinement."""
+    check_temperature("tau", tau)
+    check_theta(theta)
+    check_window(window)
+    check_temperature("fine_tau", fine_tau)
+    a, b = _as_image_tensor(img_a), _as_image_tensor(img_b)
     with T.no_grad():
         coarse_a, fine_a, coarse_b, fine_b = model.forward_pair(a, b)
     result = stream_select_coarse(coarse_a, coarse_b, tau=tau, theta=theta)
@@ -326,10 +329,7 @@ def match_pair(img_a, img_b, model, tau: float = 0.1, theta: float = 0.2,
 
 
 def _as_image_tensor(img) -> Tensor:
-    if isinstance(img, Tensor):
-        x = img
-    else:
-        x = Tensor(np.asarray(img, dtype=np.float64))
+    x = img if isinstance(img, Tensor) else Tensor(img)
     if x.ndim == 2:
         x = T.reshape(x, (1, 1) + x.shape)
     if x.ndim != 4:

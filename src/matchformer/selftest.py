@@ -57,6 +57,13 @@ def naive_conv2d(x, w, bias, stride, padding):
     return out
 
 
+def naive_depthwise(x, w, bias):
+    """Channels-last depthwise conv as ``naive_conv2d`` with a kernel zero off the diagonal."""
+    dense = np.eye(len(w))[:, :, None, None] * w
+    return naive_conv2d(np.transpose(x, (0, 3, 1, 2)), dense, bias, 1,
+                        w.shape[-1] // 2).transpose(0, 2, 3, 1)
+
+
 def _softmax(m, axis):
     e = np.exp(m - m.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
@@ -250,17 +257,17 @@ def gradients_composite(seed: int):
 
 def numeric_oracles(seed: int):
     rng = np.random.default_rng(seed + 2)
-    a = rng.normal(size=(5, 7))
-    b = rng.normal(size=(7, 3))
-    err_mm = np.abs(T.matmul(Tensor(a), Tensor(b)).data - naive_matmul(a, b)).max()
-
-    x = rng.normal(size=(2, 3, 6, 6))
-    w = rng.normal(size=(4, 3, 3, 3))
-    bias = rng.normal(size=4)
-    out = T.conv2d(Tensor(x), Tensor(w), Tensor(bias), stride=2, padding=1).data
-    err_cv = np.abs(out - naive_conv2d(x, w, bias, 2, 1)).max()
-    ok = err_mm < 1e-10 and err_cv < 1e-10
-    return ok, f"matmul err {err_mm:.1e}, conv err {err_cv:.1e} (tol 1e-10)"
+    a, b = rng.normal(size=(5, 7)), rng.normal(size=(7, 3))
+    x, w, bias = rng.normal(size=(2, 3, 6, 6)), rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
+    xd, wd, bd = rng.normal(size=(2, 5, 4, 3)), rng.normal(size=(3, 1, 3, 3)), rng.normal(size=3)
+    errs = {"matmul": T.matmul(Tensor(a), Tensor(b)).data - naive_matmul(a, b),
+            "conv": T.conv2d(Tensor(x), Tensor(w), Tensor(bias), stride=2, padding=1).data
+            - naive_conv2d(x, w, bias, 2, 1),
+            "depthwise": T.depthwise_conv2d(Tensor(xd), Tensor(wd), Tensor(bd)).data
+            - naive_depthwise(xd, wd, bd)}
+    worst = {name: np.abs(e).max() for name, e in errs.items()}
+    return all(e < 1e-10 for e in worst.values()), ", ".join(
+        f"{name} err {e:.1e}" for name, e in worst.items()) + " (tol 1e-10)"
 
 
 def attention_equivalences(seed: int):

@@ -8,8 +8,10 @@ reverse topological order, so each node is visited exactly once).
 Besides elementwise, reduction and layout ops, the model's layers use a
 dense ``conv2d`` ([B, C, H, W] maps, im2col + matmul; a 1x1 stride-1 kernel
 multiplies the map itself), a channels-last ``depthwise_conv2d`` ([B, H, W, C]
-maps, k*k shifted multiply-adds), ``bilinear_upsample2x``, ``swap_halves`` for
-cross attention, and ``window_gather`` and ``window_dot`` for fine refinement.
+maps; per slab of rows one einsum of the k*k taps, and for the input gradient
+one gather with the taps flipped), ``bilinear_upsample2x``, ``swap_halves``
+for cross attention, and ``window_gather`` and ``window_dot`` for fine
+refinement.
 
 Two ops fuse what the model always runs back to back, so that less float64
 traffic goes through memory; each equals its unfused chain bit for bit,
@@ -17,10 +19,9 @@ forward and backward:
 
 - ``linear(x, w, b)`` is ``add(matmul(x, w), b)`` with the bias added in
   place into the fresh product (every ``blocks.Linear``);
-- ``depthwise_gelu(x, w, b)`` is ``gelu(depthwise_conv2d(x, w, b))``, run
-  one slab of output rows at a time, taps, bias and GELU, while the slab is
-  in cache (``blocks.MixFFN``).  It shares ``depthwise_conv2d``'s slab loop,
-  and ``gelu``'s maths (``_gelu_into``, ``_gelu_grad``).
+- ``depthwise_gelu(x, w, b)`` is ``gelu(depthwise_conv2d(x, w, b))`` on the
+  conv's slab loop: taps, bias and GELU while the slab is in cache
+  (``blocks.MixFFN``), with ``gelu``'s maths (``_gelu_into``, ``_gelu_grad``).
 
 Supported broadcasting is restricted to the two cases the model needs:
 scalars, and a smaller operand whose shape equals the trailing dimensions of
@@ -195,7 +196,7 @@ def _op(name: str, value: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     """The one exit of every tape op: test ``value`` for NaN/Inf (unless the
     op is in ``_UNCHECKED_OPS``), wrap it, and record a tape node when any
     parent needs a gradient."""
-    if name not in _UNCHECKED_OPS and not np.all(np.isfinite(value)):
+    if name not in _UNCHECKED_OPS and not np.isfinite(value).all():
         raise NumericalError(f"{name} produced non-finite values")
     out = Tensor(value)
     if _recording(parents):
@@ -769,8 +770,8 @@ def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray
     return cols.reshape(b_, cin * k * k, ho * wo)
 
 
-# Elements of one [B, rows, W, C] slab of the depthwise loops (256 KB): the
-# k*k passes over a slab then run from cache instead of from memory.
+# Elements of one [B, rows, W, C] slab of the depthwise loops (256 KB): each
+# slab's halo and output stay in cache while its taps are summed.
 _DEPTHWISE_SLAB = 1 << 15
 
 
@@ -778,9 +779,9 @@ def depthwise_conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Channels-last depthwise cross-correlation, stride 1, zero "same" padding.
 
     ``x``: [B, H, W, C]; ``w``: [C, 1, k, k] with odd k; ``bias``: [C].
-    Each output is k*k shifted slices of the padded input times their
-    per-channel tap, so no im2col buffer is built.  The loops run over slabs
-    of output rows.
+    Per slab of output rows, one einsum sums the taps over a strided window
+    view of the zero-padded slab, so no im2col buffer is built; the input
+    gradient is the same gather over the output gradient, taps flipped.
     """
     return _op("depthwise_conv2d", *_depthwise("depthwise_conv2d", x, w, bias))
 
@@ -797,7 +798,8 @@ def depthwise_gelu(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
 def _depthwise(name: str, x, w, bias) -> tuple:
     """Value, parents and backward of ``depthwise_conv2d`` or, for
-    ``name == "depthwise_gelu"``, of that conv followed by GELU."""
+    ``name == "depthwise_gelu"``, of that conv followed by GELU.  Every einsum
+    reads the ``_halo_windows`` of one slab, of ``x`` or of the output gradient."""
     x, w, bias = _as_tensor(x), _as_tensor(w), _as_tensor(bias)
     if x.ndim != 4:
         raise ShapeError(f"{name} expects a channels-last x[B,H,W,C]")
@@ -807,33 +809,24 @@ def _depthwise(name: str, x, w, bias) -> tuple:
         raise ShapeError(f"{name} needs w[{c},1,k,k] with odd k, got {w.shape}")
     if bias.shape != (c,):
         raise ShapeError(f"{name} bias must have shape ({c},), got {bias.shape}")
-    p = k // 2
-    taps = np.ascontiguousarray(w.data.reshape(c, k * k).T)   # [k*k, C]
-    shifts = [(t // k, t % k) for t in range(k * k)]
-    rows = max(1, _DEPTHWISE_SLAB // max(1, b_ * wd * c))
+    taps = np.ascontiguousarray(w.data[:, 0].transpose(1, 2, 0))  # [k, k, C]
+    rows = max(1, min(h, _DEPTHWISE_SLAB // max(1, b_ * wd * c)))
     slabs = [(r, min(h, r + rows)) for r in range(0, h, rows)]
-    slab_shape = (b_, min(rows, h), wd, c)
 
-    # the zero-padded input is one slab and its p-row halo, refilled per slab
-    halo = np.zeros((b_, slab_shape[1] + 2 * p, wd + 2 * p, c))
+    # the zero-padded input is one slab and its halo rows, refilled per slab
+    halo = np.zeros((b_, rows + k - 1, wd + k - 1, c))
     val = np.empty(x.shape)
-    tmp = np.empty(slab_shape)
     fused = name == "depthwise_gelu"
     # the conv sums into ``pre``, the output itself for the plain op; GELU's
     # backward reads the whole pre-activation and tanh, so a recorded node
     # keeps them full-size: recomputing them there costs a conv pass
     full = not fused or _recording((x, w, bias))
-    pre = np.empty(x.shape if full else slab_shape) if fused else val
+    pre = np.empty(x.shape if full else (b_, rows, wd, c)) if fused else val
     tnh = np.empty(pre.shape) if fused else None
     for r0, r1 in slabs:
-        tt = tmp[:, :r1 - r0]
-        xs = _halo_slab(halo, x.data, r0, r1, p)
         part = slice(r0, r1) if full else slice(0, r1 - r0)
-        v = pre[:, part]
-        np.multiply(xs[:, :r1 - r0, :wd], taps[0], out=v)
-        for t in range(1, k * k):
-            i, j = shifts[t]
-            v += np.multiply(xs[:, i:i + r1 - r0, j:j + wd], taps[t], out=tt)
+        v = np.einsum("bhwcij,ijc->bhwc", _halo_windows(halo, x.data, r0, r1, k), taps,
+                      out=pre[:, part])
         v += bias.data
         if fused:
             _gelu_into(v, tnh[:, part], val[:, r0:r1])
@@ -842,28 +835,28 @@ def _depthwise(name: str, x, w, bias) -> tuple:
         if fused:
             # whole map at once, so the bias gradient's sum rounds as the chain's did
             g = _gelu_grad(g, pre, tnh)
-        dxp = np.zeros((b_, h + 2 * p, wd + 2 * p, c))
-        dw = np.zeros((k * k, c))
+        dx, dw = np.empty(x.shape), np.zeros((k, k, c))
         for r0, r1 in slabs:
-            gs, tt = g[:, r0:r1], tmp[:, :r1 - r0]
-            xs = _halo_slab(halo, x.data, r0, r1, p)
-            for t, (i, j) in enumerate(shifts):
-                dxp[:, r0 + i:r1 + i, j:j + wd] += np.multiply(gs, taps[t], out=tt)
-                dw[t] += np.einsum("bhwc,bhwc->c", gs, xs[:, i:i + r1 - r0, j:j + wd])
-        return (dxp[:, p:p + h, p:p + wd], dw.T.reshape(w.shape), g.sum(axis=(0, 1, 2)))
+            dw += np.einsum("bhwc,bhwcij->ijc", g[:, r0:r1], _halo_windows(halo, x.data, r0, r1, k))
+            np.einsum("bhwcij,ijc->bhwc", _halo_windows(halo, g, r0, r1, k), taps[::-1, ::-1],
+                      out=dx[:, r0:r1])
+        return dx, np.moveaxis(dw, -1, 0).reshape(w.shape), g.sum(axis=(0, 1, 2))
 
     return val, (x, w, bias), bwd
 
 
-def _halo_slab(buf: np.ndarray, x: np.ndarray, r0: int, r1: int, p: int) -> np.ndarray:
+def _halo_windows(buf: np.ndarray, x: np.ndarray, r0: int, r1: int, k: int) -> np.ndarray:
     """Rows ``r0 - p`` to ``r1 + p`` of the zero-padded [B, H, W, C] map ``x``,
-    written into ``buf``, whose p-column borders stay zero."""
+    written into ``buf``, whose p-column borders stay zero, as a read-only
+    [B, r1 - r0, W, C, k, k] view of its k x k windows."""
+    p = k // 2
     lo, hi = max(r0 - p, 0), min(r1 + p, x.shape[1])
     top, end = lo - (r0 - p), r1 - r0 + 2 * p
     buf[:, :top] = 0.0
     buf[:, top:top + hi - lo, p:p + x.shape[2]] = x[:, lo:hi]
     buf[:, top + hi - lo:end] = 0.0
-    return buf[:, :end]
+    return np.lib.stride_tricks.as_strided(buf, (x.shape[0], r1 - r0, *x.shape[2:], k, k),
+                                           buf.strides + buf.strides[1:3], writeable=False)
 
 
 # ---------------------------------------------------------------------------

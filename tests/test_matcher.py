@@ -388,6 +388,18 @@ class TestMatchPair:
         assert np.array_equal(seen[0].pairs, want.pairs)
         assert np.array_equal(seen[0].confidences, want.confidences)
 
+    @pytest.mark.parametrize("key,value", [
+        ("tau", 0.0), ("tau", np.nan), ("theta", 1.0), ("theta", -0.1),
+        ("window", 4), ("window", -1), ("fine_tau", 0.0), ("fine_tau", np.inf)])
+    def test_bad_values_raise_before_the_forward(self, key, value):
+        class NoForward:
+            def forward_pair(self, *_):
+                raise AssertionError("forward_pair ran before the value checks")
+
+        img = np.zeros((64, 64))
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            M.match_pair(img, img, NoForward(), **{key: value})
+
     def test_swap_symmetry_of_coarse_sets_at_theta_zero(self):
         from matchformer.data import gen_pattern
         model = self.make_model(5)

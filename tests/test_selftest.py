@@ -45,6 +45,14 @@ def conv2d(corrupt):
     return np.abs(got - S.naive_conv2d(x, w, bias, 2, 1)).max() < 1e-10
 
 
+def depthwise(corrupt):
+    rng = np.random.default_rng(18)
+    x, w, bias = rng.normal(size=(2, 5, 4, 3)), rng.normal(size=(3, 1, 3, 3)), rng.normal(size=3)
+    kernel = w.transpose(0, 1, 3, 2).copy() if corrupt else w  # rows for columns
+    got = T.depthwise_conv2d(Tensor(x), Tensor(kernel), Tensor(bias)).data
+    return np.abs(got - S.naive_depthwise(x, w, bias)).max() < 1e-10
+
+
 def attention(kind, reduction, layer):
     def check(corrupt):
         ref = Attention(np.random.default_rng(2), kind, 8, 2, reduction)
@@ -149,6 +157,7 @@ def mma(corrupt):
 CASES = {
     "matmul-one-entry-off": matmul,
     "conv2d-flipped-kernel": conv2d,
+    "depthwise-transposed-kernel": depthwise,
     "attention-full-k-weight": attention("full", 1, "k"),
     "attention-la-v-weight": attention("la", 1, "v"),
     "attention-sea-r2-reduction-weight": attention("sea", 2, "sr"),
