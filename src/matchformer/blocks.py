@@ -17,6 +17,11 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
+# Mix-FFN's hidden width per input feature, and the kernel extent of every
+# depthwise convolution (the Mix-FFN's and the patch-embedding gate's).
+FFN_RATIO = 4
+DEPTHWISE_K = 3
+
 
 # ---------------------------------------------------------------------------
 # Parameter plumbing
@@ -93,13 +98,14 @@ class Conv2d(Module):
 
 
 class DepthwiseConv(Module):
-    """Depthwise kxk convolution on channels-last [B, H, W, C] maps.
+    """Depthwise convolution on channels-last [B, H, W, C] maps, ``DEPTHWISE_K`` square.
 
     The weight keeps the grouped-convolution shape [C, 1, k, k] and its
     He draw (fan-out k*k), so checkpoints and seeded models carry over.
     """
 
-    def __init__(self, rng, channels: int, k: int = 3):
+    def __init__(self, rng, channels: int):
+        k = DEPTHWISE_K
         self.weight = _param(rng.normal(0.0, math.sqrt(2.0 / (k * k)),
                                         size=(channels, 1, k, k)))
         self.bias = _param(np.zeros(channels))
@@ -109,13 +115,12 @@ class DepthwiseConv(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-6):
+    def __init__(self, dim: int):
         self.gain = _param(np.ones(dim))
         self.offset = _param(np.zeros(dim))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.offset, eps=self.eps)
+        return T.layer_norm(x, self.gain, self.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +144,7 @@ def seq_to_map(x: Tensor, h: int, w: int) -> Tensor:
 class PosPatchEmbed(Module):
     """Overlapping strided convolution gated by sigmoid(depthwise conv).
 
-    The depthwise 3x3 gate encodes position implicitly through its zero
+    The depthwise gate encodes position implicitly through its zero
     padding; the gate bias starts at 0 so the gate opens at 0.5.  Takes a
     [B, C_in, H, W] image or map and returns a channels-last [B, h, w, C].
     """
@@ -283,13 +288,14 @@ class Attention(Module):
 
 
 class MixFFN(Module):
-    """linear C -> EC, depthwise 3x3 on the channels-last spatial map, GELU,
-    linear EC -> C.  The [B, N, EC] sequence is viewed as [B, H, W, EC], so
-    no transpose is needed around the depthwise conv, and the conv and GELU
-    run as one ``tensor.depthwise_gelu`` with ``dw``'s weights."""
+    """linear C -> EC with E = ``FFN_RATIO``, depthwise conv on the
+    channels-last spatial map, GELU, linear EC -> C.  The [B, N, EC] sequence
+    is viewed as [B, H, W, EC], so no transpose is needed around the
+    depthwise conv, and the conv and GELU run as one ``tensor.depthwise_gelu``
+    with ``dw``'s weights."""
 
-    def __init__(self, rng, dim: int, expansion: int = 4):
-        hidden = dim * expansion
+    def __init__(self, rng, dim: int):
+        hidden = dim * FFN_RATIO
         self.fc1 = Linear(rng, dim, hidden)
         self.dw = DepthwiseConv(rng, hidden)
         self.fc2 = Linear(rng, hidden, dim)
@@ -311,12 +317,11 @@ class AttentionBlock(Module):
     pre-update values, with shared weights.
     """
 
-    def __init__(self, rng, dim: int, heads: int, kind: str,
-                 reduction: int = 1, expansion: int = 4):
+    def __init__(self, rng, dim: int, heads: int, kind: str, reduction: int = 1):
         self.norm1 = LayerNorm(dim)
         self.attn = Attention(rng, kind, dim, heads, reduction)
         self.norm2 = LayerNorm(dim)
-        self.ffn = MixFFN(rng, dim, expansion)
+        self.ffn = MixFFN(rng, dim)
 
     def __call__(self, x: Tensor, hw: tuple, cross: bool) -> Tensor:
         n = self.norm1(x)
@@ -368,10 +373,11 @@ def save_checkpoint(path, named_params) -> None:
             fh.write(_snapshot_str(arr))
 
 
-def _snapshots(path):
+def _snapshots(path, names: set):
     """Yield each tensor's name, header shape and unparsed body line: after
     the magic line, a tensor is a name line, a ``shape:`` header and a body
-    line.  Blank lines between tensors are skipped."""
+    line.  Blank lines between tensors are skipped.  Each name is added to
+    ``names``; a name that comes twice is an error."""
     with open(path) as fh:
         if fh.readline().strip() != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file (bad magic line)")
@@ -379,6 +385,9 @@ def _snapshots(path):
             name = line.strip()
             if not name:
                 continue
+            if name in names:
+                raise ValueError(f"{path}: tensor {name!r} appears twice")
+            names.add(name)
             header, body = fh.readline(), fh.readline()
             if not body:
                 raise ValueError(f"{path}: truncated at tensor {name!r}")
@@ -392,40 +401,21 @@ def load_checkpoint(path, into: Module | None = None) -> dict[str, np.ndarray] |
     Given a module ``into``, each tensor is parsed straight into that
     module's parameter of the same name instead, and nothing is returned.
     Each name and header shape is checked before its body is parsed; names
-    the file lacks or the module lacks are reported at the end, with
-    ``apply_checkpoint``'s messages.  A failed load can leave the tensors
-    read before the failure replaced.
+    the file lacks or the module lacks are reported at the end.  In either
+    mode a name that the file holds twice is an error.  A failed load can
+    leave the tensors read before the failure replaced.
     """
+    names: set = set()
     if into is None:
-        return {name: _parse_body(shape, body) for name, shape, body in _snapshots(path)}
+        return {name: _parse_body(shape, body) for name, shape, body in _snapshots(path, names)}
     params = dict(into.named_parameters())
-    seen, extra = set(), []
-    for name, shape, body in _snapshots(path):
+    for name, shape, body in _snapshots(path, names):
         p = params.get(name)
-        if p is None:
-            extra.append(name)
-            continue
-        _check_shape(name, shape, p)
-        p.data = _parse_body(shape, body)
-        seen.add(name)
-    _check_names(sorted(set(params) - seen), sorted(extra))
-    return None
-
-
-def apply_checkpoint(module: Module, state: dict[str, np.ndarray]) -> None:
-    """Copy a ``{name: array}`` state into the module's parameters."""
-    params = dict(module.named_parameters())
-    _check_names(sorted(set(params) - set(state)), sorted(set(state) - set(params)))
-    for name, p in params.items():
-        _check_shape(name, state[name].shape, p)
-        p.data = np.array(state[name], dtype=np.float64)
-
-
-def _check_names(missing: list, extra: list) -> None:
+        if p is not None:
+            if p.data.shape != shape:
+                raise ValueError(f"checkpoint shape mismatch at {name}: {shape} vs {p.data.shape}")
+            p.data = _parse_body(shape, body)
+    missing, extra = sorted(params.keys() - names), sorted(names - params.keys())
     if missing or extra:
         raise ValueError(f"checkpoint mismatch: missing={missing[:4]} extra={extra[:4]}")
-
-
-def _check_shape(name: str, shape: tuple, p: Tensor) -> None:
-    if p.data.shape != shape:
-        raise ValueError(f"checkpoint shape mismatch at {name}: {shape} vs {p.data.shape}")
+    return None

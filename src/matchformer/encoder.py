@@ -9,7 +9,7 @@ SSC SSC SCC SCC, with relatively more cross layers in the deeper stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import tensor as T
 from .blocks import (ATTENTION_KINDS, AttentionBlock, LayerNorm, Module,
@@ -24,6 +24,7 @@ SEA_HEADS = (1, 2, 4, 8)
 SEA_REDUCTIONS = (4, 2, 2, 1)
 LA_HEADS = (8, 8, 8, 8)
 FINE_STRIDE = 8
+IN_CHANNELS = 1  # grayscale images
 
 
 def schedule_from_strings(rows) -> tuple:
@@ -59,7 +60,6 @@ class StageConfig:
     attention: str
     heads: int
     reduction: int = 1
-    ffn_ratio: int = 4
 
     @property
     def depth(self) -> int:
@@ -72,7 +72,6 @@ class ModelConfig:
     attention: str
     patch_embed: str = "pos"
     stages: tuple = ()
-    in_channels: int = 1
     coarse_channels: int = 128
     fine_channels: int = 192
     fusion_channels: int = 128
@@ -101,7 +100,8 @@ class ModelConfig:
 
 
 def make_config(variant: str = "lite", attention: str = "sea",
-                patch_embed: str = "pos", channels=None, schedule=None,
+                patch_embed: str = "pos", channels=None,
+                schedule: str = "interleaving",
                 coarse_channels: int | None = None,
                 fine_channels: int | None = None,
                 fusion_channels: int | None = None) -> ModelConfig:
@@ -109,7 +109,9 @@ def make_config(variant: str = "lite", attention: str = "sea",
 
     Defaults reproduce the four published variants; ``channels`` and the
     head widths may be overridden for toy-scale models (heads scale with the
-    channel override so the per-head width stays valid).
+    channel override so the per-head width stays valid).  ``schedule`` is a
+    ``NAMED_SCHEDULES`` name or four space-separated S/C rows, one per stage
+    (e.g. "SSC SSC SCC SCC").
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -128,10 +130,7 @@ def make_config(variant: str = "lite", attention: str = "sea",
                         ("fusion_channels", fusion_channels)):
         if width is not None and width < 1:
             raise ValueError(f"{name} must be >= 1, got {width}")
-    schedule = tuple(schedule) if schedule is not None \
-        else schedule_from_strings(NAMED_SCHEDULES["interleaving"])
-    if len(schedule) != 4:
-        raise ValueError("schedule needs 4 stages")
+    schedule = schedule_from_strings(NAMED_SCHEDULES.get(schedule) or schedule.split())
 
     first_stride = 4 if variant == "lite" else 2
     pe_params = [(7, first_stride, 3), (3, 2, 1), (3, 2, 1), (3, 2, 1)]
@@ -147,7 +146,7 @@ def make_config(variant: str = "lite", attention: str = "sea",
             heads //= 2
         k, s, p = pe_params[i]
         stages.append(StageConfig(channels=channels[i], pe_kernel=k, pe_stride=s,
-                                  pe_padding=p, cross_flags=tuple(schedule[i]),
+                                  pe_padding=p, cross_flags=schedule[i],
                                   attention=attention, heads=heads, reduction=red))
     fine_default = 192 if variant == "lite" else 256
     return ModelConfig(
@@ -157,12 +156,6 @@ def make_config(variant: str = "lite", attention: str = "sea",
         fine_channels=fine_channels if fine_channels is not None else fine_default,
         fusion_channels=fusion_channels if fusion_channels is not None else 128,
     )
-
-
-def with_schedule(cfg: ModelConfig, schedule) -> ModelConfig:
-    stages = tuple(replace(st, cross_flags=tuple(flags))
-                   for st, flags in zip(cfg.stages, schedule))
-    return replace(cfg, stages=stages)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +199,7 @@ class Stage(Module):
         else:
             self.pe = StdPatchEmbed(rng, c_in, cfg.channels, cfg.pe_stride)
         self.blocks = [AttentionBlock(rng, cfg.channels, cfg.heads, cfg.attention,
-                                      cfg.reduction, cfg.ffn_ratio)
+                                      cfg.reduction)
                        for _ in range(cfg.depth)]
         self.norm = LayerNorm(cfg.channels)
         self.cfg = cfg
@@ -224,7 +217,7 @@ class Stage(Module):
 class Encoder(Module):
     def __init__(self, rng, cfg: ModelConfig):
         self.stages = []
-        c_in = cfg.in_channels
+        c_in = IN_CHANNELS
         for st in cfg.stages:
             self.stages.append(Stage(rng, st, c_in, cfg.patch_embed))
             c_in = st.channels

@@ -30,9 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .blocks import Attention
+from .blocks import DEPTHWISE_K, FFN_RATIO, Attention
 from .data import hom_apply
-from .encoder import ModelConfig, stage_plan, output_plan
+from .encoder import IN_CHANNELS, ModelConfig, stage_plan, output_plan
+from .matcher import DEFAULT_WINDOW
 from .tensor import Tensor
 
 MMA_THRESHOLDS = tuple(range(1, 11))
@@ -120,8 +121,7 @@ def _transfer_errors(h_mat: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(err), err, np.inf)
 
 
-def ransac_homography(matches, inlier_thresh_px: float = 2.0, iters: int = 2000,
-                      seed: int = 0):
+def ransac_homography(matches, inlier_thresh_px: float, iters: int, seed: int = 0):
     """Best-consensus 4-point DLT, refit on the consensus set.
 
     Deterministic per seed: trial t draws from generator seeded (seed, t), and
@@ -169,14 +169,15 @@ def corner_error(h_est: np.ndarray, h_gt: np.ndarray, width: int, height: int) -
     return float(np.sqrt((diff ** 2).sum(axis=1)).mean())
 
 
-def mma(matches, h_gt: np.ndarray, thresholds=MMA_THRESHOLDS):
-    """Fraction of matches within t px of the ground-truth mapping, per t.
+def mma(matches, h_gt: np.ndarray):
+    """Fraction of matches within t px of the ground-truth mapping, per t in
+    ``MMA_THRESHOLDS``.
 
     Returns (curve, warned); an empty match set yields a zero curve with the
     warning flag set.
     """
     pts = _match_points(matches)
-    thresholds = np.asarray(thresholds, dtype=np.float64)
+    thresholds = np.asarray(MMA_THRESHOLDS, dtype=np.float64)
     if len(pts) == 0:
         return np.zeros(len(thresholds)), True
     errs = _transfer_errors(h_gt, pts)
@@ -268,7 +269,8 @@ def flops_count(cfg: ModelConfig, height: int, width: int,
     """Analytic FLOPs for one matched pair (both streams counted).
 
     conv: 2 k^2 C_in C_out H_out W_out (depthwise: 2 k^2 C H_out W_out);
-    linear: 2 N C_in C_out;
+    linear: 2 N C_in C_out, which for the standard patch embedding's PxP
+    patches is C_in = P^2 C_prev (and that embedding has no gate);
     full/SEA attention: 2 N N' d per head for QK^T and again for PV, with N'
     reduced by R^2; LA: 2 N d^2 per head per factor.  The matcher adds the
     coarse score product and, as a documented upper-bound convention, one
@@ -277,13 +279,18 @@ def flops_count(cfg: ModelConfig, height: int, width: int,
     bd = FlopsBreakdown()
     plan = stage_plan(cfg, height, width)
     pair = 2  # encoder/decoder run once per image
-    c_in = cfg.in_channels
+    c_in = IN_CHANNELS
+    dw_taps = DEPTHWISE_K * DEPTHWISE_K
     for i, (st, (c, h, w)) in enumerate(zip(cfg.stages, plan)):
         stage = f"stage{i + 1}"
         n = h * w
-        k = st.pe_kernel
-        bd.add(stage, "conv", "pe.proj", pair * _mac2(k * k, c_in, c, n))
-        bd.add(stage, "conv", "pe.gate", pair * _mac2(9, 1, c, n))
+        if cfg.patch_embed == "std":
+            p = st.pe_stride
+            bd.add(stage, "linear", "pe.proj", pair * _mac2(n, c_in * p * p, c))
+        else:
+            k = st.pe_kernel
+            bd.add(stage, "conv", "pe.proj", pair * _mac2(k * k, c_in, c, n))
+            bd.add(stage, "conv", "pe.gate", pair * _mac2(dw_taps, 1, c, n))
         a = st.heads
         d = c // a
         r = st.reduction if st.attention == "sea" else 1
@@ -298,9 +305,9 @@ def flops_count(cfg: ModelConfig, height: int, width: int,
             bd.add(stage, "linear", f"{blk}.out", pair * _mac2(n, c, c))
             bd.add(stage, "attention", f"{blk}.kernel",
                    pair * attention_kernel_flops(st.attention, n, c, a, r))
-            e = st.ffn_ratio
+            e = FFN_RATIO
             bd.add(stage, "linear", f"{blk}.ffn.fc1", pair * _mac2(n, c, e * c))
-            bd.add(stage, "conv", f"{blk}.ffn.dw", pair * _mac2(9, 1, e * c, n))
+            bd.add(stage, "conv", f"{blk}.ffn.dw", pair * _mac2(dw_taps, 1, e * c, n))
             bd.add(stage, "linear", f"{blk}.ffn.fc2", pair * _mac2(n, e * c, c))
         c_in = c
 
@@ -319,7 +326,7 @@ def flops_count(cfg: ModelConfig, height: int, width: int,
         (cc, hc, wc), (cf, hfo, wfo) = output_plan(cfg, height, width)
         n_c = hc * wc
         bd.add("matcher", "matcher", "coarse_scores", _mac2(n_c, n_c, cc))
-        bd.add("matcher", "matcher", "fine_windows", _mac2(n_c, 25, cf))
+        bd.add("matcher", "matcher", "fine_windows", _mac2(n_c, DEFAULT_WINDOW ** 2, cf))
     return bd
 
 

@@ -33,6 +33,13 @@ from .tensor import Tensor
 
 MATCH_FILE_MAGIC = "# matchformer-matches v1"
 
+# The matching values every caller starts from (``match_pair``'s defaults and
+# ``TrainConfig``'s): the coarse softmax temperature, the confidence threshold
+# on the dual-softmax probability, and the odd side of the fine window.
+DEFAULT_TAU = 0.1
+DEFAULT_THETA = 0.2
+DEFAULT_WINDOW = 5
+
 # Correlation temperature of the fine window softmax.  With l2-normalized
 # descriptors an identical pair's window center holds the largest logit (unit
 # self-similarity, 1/tau = 40), so the expected offset is pulled toward the
@@ -125,7 +132,7 @@ def _descriptor_rows(coarse_a: Tensor, coarse_b: Tensor, tau: float) -> tuple:
     return seq_a, seq_b, (ha, wa), (hb, wb)
 
 
-def coarse_scores(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1) -> Tensor:
+def coarse_scores(coarse_a: Tensor, coarse_b: Tensor, tau: float) -> Tensor:
     """S[i, j] = <a_i, b_j> / tau over flattened, l2-normalized coarse grids."""
     seq_a, seq_b, _, _ = _descriptor_rows(coarse_a, coarse_b, tau)
     return T.mul(T.matmul(seq_a, T.transpose(seq_b, (1, 0))), 1.0 / tau)
@@ -160,8 +167,8 @@ def select_coarse(probs, theta: float) -> CoarseMatchResult:
 _SCORE_BLOCK = 256
 
 
-def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float = 0.1,
-                         theta: float = 0.2) -> CoarseMatchResult:
+def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float,
+                         theta: float) -> CoarseMatchResult:
     """``select_coarse(dual_softmax(coarse_scores(a, b, tau)), theta)``
     without gradients and without any N1 x N2 array.
 
@@ -249,11 +256,12 @@ def fine_cells(flat: np.ndarray, grid: tuple, r_c: int, r_f: int,
 
 
 def fine_refine(coarse: CoarseMatchResult, fine_a: Tensor, fine_b: Tensor,
-                window: int = 5, r_c: int = 4, r_f: int = 8,
-                tau: float = DEFAULT_FINE_TAU) -> MatchSet:
+                window: int, r_c: int, r_f: int, tau: float) -> MatchSet:
     """Refine coarse matches to subpixel B-side coordinates.
 
-    For each coarse pair, the A coordinate is the coarse cell center; the B
+    ``r_c`` and ``r_f`` are the model's coarse and fine strides, ``window``
+    the odd side of the fine window and ``tau`` its temperature.  For each
+    coarse pair, the A coordinate is the coarse cell center; the B
     coordinate is the ``fine_offsets`` expectation around the back-located
     fine cell, mapped back to pixels, plus the A query's known sub-cell
     offset.
@@ -281,8 +289,7 @@ def fine_refine(coarse: CoarseMatchResult, fine_a: Tensor, fine_b: Tensor,
 
 
 def fine_offsets(fine_a: Tensor, fine_b: Tensor, centers_a: np.ndarray,
-                 centers_b: np.ndarray, radius: int = 2,
-                 tau: float = DEFAULT_FINE_TAU) -> Tensor:
+                 centers_b: np.ndarray, radius: int, tau: float) -> Tensor:
     """Differentiable expected (dy, dx) offsets, in fine-cell units.
 
     ``centers_*`` are [M, 2] integer (row, col) fine cells.  Windows that
@@ -312,8 +319,9 @@ def fine_offsets(fine_a: Tensor, fine_b: Tensor, centers_a: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def match_pair(img_a, img_b, model, tau: float = 0.1, theta: float = 0.2,
-               window: int = 5, fine_tau: float = DEFAULT_FINE_TAU) -> MatchSet:
+def match_pair(img_a, img_b, model, tau: float = DEFAULT_TAU,
+               theta: float = DEFAULT_THETA, window: int = DEFAULT_WINDOW,
+               fine_tau: float = DEFAULT_FINE_TAU) -> MatchSet:
     """Check the values, then encode -> fuse -> streamed dual softmax + MNN -> fine refinement."""
     check_temperature("tau", tau)
     check_theta(theta)

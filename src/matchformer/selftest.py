@@ -19,7 +19,7 @@ from . import evalkit as E
 from . import matcher as M
 from . import tensor as T
 from .blocks import Attention, AttentionBlock
-from .encoder import make_config, schedule_from_strings, with_schedule
+from .encoder import make_config
 from .model import MatchModel
 from .tensor import Tensor
 
@@ -86,7 +86,7 @@ def attention_error(got, attn: Attention, q_src, kv_src, kv_hw) -> float:
                   for i in range(0, h, r) for j in range(0, w, r)]
         red = _linear(attn.sr, np.stack(blocks, axis=1))
         mu = red.mean(-1, keepdims=True)
-        red = (red - mu) / np.sqrt(((red - mu) ** 2).mean(-1, keepdims=True) + attn.sr_norm.eps)
+        red = (red - mu) / np.sqrt(((red - mu) ** 2).mean(-1, keepdims=True) + T.LAYER_NORM_EPS)
         kv_src = red * attn.sr_norm.gain.data + attn.sr_norm.offset.data
     b, n, dim = q_src.shape
     d = dim // attn.heads
@@ -177,12 +177,12 @@ def mean_corner_distance(h_est, h_gt, width: int, height: int) -> float:
     return float(_distances(h_est, corners, _project(h_gt, corners)).mean())
 
 
-def mma_error(curve, matches, h_gt, thresholds=E.MMA_THRESHOLDS) -> float:
-    """Max |curve - reference|: per threshold t, the share of matches (x1 y1
-    x2 y2 ...) within t px of H's mapping."""
+def mma_error(curve, matches, h_gt) -> float:
+    """Max |curve - reference|: per threshold t of ``MMA_THRESHOLDS``, the
+    share of matches (x1 y1 x2 y2 ...) within t px of H's mapping."""
     m = _arr(matches)
     d = _distances(h_gt, m[:, :2], m[:, 2:4])
-    return float(np.abs(np.asarray(curve) - [(d <= t).mean() for t in thresholds]).max())
+    return float(np.abs(np.asarray(curve) - [(d <= t).mean() for t in E.MMA_THRESHOLDS]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +237,12 @@ def gradients_composite(seed: int):
         Tensor(rng.normal(size=(5, 6))), tol=1e-4)
 
     # the map ops of the decoder, the patch embedding and fine refinement
-    cw = Tensor(rng.normal(size=(2, 2, 3, 3)) * 0.4)
+    cw, cb = Tensor(rng.normal(size=(2, 2, 3, 3)) * 0.4), Tensor(np.zeros(2))
     dw, db = Tensor(rng.normal(size=(2, 1, 3, 3)) * 0.4), Tensor(rng.normal(size=2))
     vd, w_win = Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(2, 2, 3, 3)))
 
     def map_loss(m):
-        up = T.bilinear_upsample2x(T.conv2d(m, cw, padding=1))          # [1, 2, 8, 8]
+        up = T.bilinear_upsample2x(T.conv2d(m, cw, cb, padding=1))      # [1, 2, 8, 8]
         dwc = T.depthwise_conv2d(T.transpose(up, (0, 2, 3, 1)), dw, db)
         f = T.reshape(T.transpose(dwc, (0, 3, 1, 2)), (2, 8, 8))
         win = T.window_gather(f, [2, 5], [3, 4], 1)
@@ -296,9 +296,9 @@ def attention_equivalences(seed: int):
 
 def encoder_symmetries(seed: int):
     rng = np.random.default_rng(seed + 4)
-    cfg = make_config("lite", "sea", channels=(8, 12, 16, 24),
-                      coarse_channels=16, fine_channels=16, fusion_channels=16)
-    model = MatchModel(cfg, seed=seed)
+    toy = dict(channels=(8, 12, 16, 24), coarse_channels=16, fine_channels=16,
+               fusion_channels=16)
+    model = MatchModel(make_config("lite", "sea", **toy), seed=seed)
     a = Tensor(rng.uniform(size=(1, 1, 64, 64)))
     b = Tensor(rng.uniform(size=(1, 1, 64, 64)))
     with T.no_grad():
@@ -306,8 +306,7 @@ def encoder_symmetries(seed: int):
         p_ba = model.encoder.encode_pair(b, a)
     swap_ok = swap_symmetric(p_ab, p_ba)
 
-    cfg_nc = with_schedule(cfg, schedule_from_strings(("SSS",) * 4))
-    m_nc = MatchModel(cfg_nc, seed=seed)
+    m_nc = MatchModel(make_config("lite", "sea", schedule="self_only", **toy), seed=seed)
     with T.no_grad():
         q = m_nc.encoder.encode_pair(a, b)
         q2 = m_nc.encoder.encode_pair(a, Tensor(b.data + 1.0))
@@ -335,28 +334,28 @@ def matcher_oracles(seed: int):
     # streamed selection against the dense chain; 17 x 16 A cells make two
     # row blocks of S
     ca, cb = Tensor(rng.normal(size=(1, 8, 17, 16))), Tensor(rng.normal(size=(1, 8, 9, 7)))
-    p = M.dual_softmax(M.coarse_scores(ca, cb)).data
-    st = M.stream_select_coarse(ca, cb, theta=0.0)
+    p = M.dual_softmax(M.coarse_scores(ca, cb, M.DEFAULT_TAU)).data
+    st = M.stream_select_coarse(ca, cb, M.DEFAULT_TAU, 0.0)
     ok_st = mnn_matches_bruteforce(st.pairs, p, 0.0) and np.allclose(
         st.confidences, p[st.pairs[:, 0], st.pairs[:, 1]], rtol=1e-12, atol=0.0)
 
     # a uniform window leaves the coordinate at the query; a point mass at
-    # the window corner shifts it by exactly 2 r_f
+    # the window corner shifts it by exactly radius * r_f
     one_pair = M.CoarseMatchResult(pairs=np.array([[0, 0]]), confidences=np.array([1.0]),
                                    grid_a=(1, 1), grid_b=(1, 1))
+    window, r_c, r_f = M.DEFAULT_WINDOW, 16, 2
+    radius = window // 2
     u = np.zeros((3, 1, 1)); u[0] = 1.0
     fine_a = np.tile(u, (1, 9, 9))
     fine_b = -fine_a.copy()
-    fine_b[:, 6, 6] = u[:, 0, 0]           # window center is cell (4, 4)
-    ms_u = M.fine_refine(one_pair, Tensor(fine_a), Tensor(fine_a),
-                         window=5, r_c=16, r_f=2, tau=0.01)
+    fine_b[:, 4 + radius, 4 + radius] = u[:, 0, 0]   # window center is cell (4, 4)
+    ms_u = M.fine_refine(one_pair, Tensor(fine_a), Tensor(fine_a), window, r_c, r_f, tau=0.01)
     x1 = ms_u.points[0][0]
     uniform_ok = abs(ms_u.points[0][2] - x1) < 1e-9 \
         and abs(ms_u.points[0][3] - ms_u.points[0][1]) < 1e-9
-    ms_c = M.fine_refine(one_pair, Tensor(fine_a), Tensor(fine_b),
-                         window=5, r_c=16, r_f=2, tau=0.01)
-    corner_ok = abs((ms_c.points[0][2] - ms_u.points[0][2]) - 2 * 2) < 1e-9 \
-        and abs((ms_c.points[0][3] - ms_u.points[0][3]) - 2 * 2) < 1e-9
+    ms_c = M.fine_refine(one_pair, Tensor(fine_a), Tensor(fine_b), window, r_c, r_f, tau=0.01)
+    corner_ok = abs((ms_c.points[0][2] - ms_u.points[0][2]) - radius * r_f) < 1e-9 \
+        and abs((ms_c.points[0][3] - ms_u.points[0][3]) - radius * r_f) < 1e-9
     ok = ok_sel and ok_ds and ok_st and corner_ok and uniform_ok
     return ok, (f"select-vs-bruteforce {ok_sel}, dual-softmax bounds {ok_ds}, "
                 f"streamed-vs-dense {ok_st}, corner point-mass {corner_ok}, "

@@ -487,8 +487,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def layer_norm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis to mean 0 / variance 1, then affine."""
+# The variance floor of every layer norm.
+LAYER_NORM_EPS = 1e-6
+
+
+def layer_norm(x: Tensor, gain: Tensor, offset: Tensor) -> Tensor:
+    """Normalize over the last axis to mean 0 / variance 1 (variance floored
+    by ``LAYER_NORM_EPS``), then affine."""
     x, gain, offset = _as_tensor(x), _as_tensor(gain), _as_tensor(offset)
     if gain.shape != x.shape[-1:] or offset.shape != x.shape[-1:]:
         raise ShapeError("layer_norm gain/offset must match the last axis")
@@ -497,7 +502,7 @@ def layer_norm(x: Tensor, gain: Tensor, offset: Tensor, eps: float = 1e-6) -> Te
     xc = x.data - mu
     sq = xc * xc
     var = sq.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     val = np.multiply(xhat, gain.data, out=sq)   # the output reuses sq's buffer
     val += offset.data
@@ -697,13 +702,13 @@ def window_valid_mask(shape_hw: tuple, rows: np.ndarray, cols: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1,
+           padding: int = 0) -> Tensor:
     """Dense 2-D cross-correlation (no kernel flip), zero padding, square kernels.
 
-    ``x``: [B, C_in, H, W]; ``w``: [C_out, C_in, k, k].
+    ``x``: [B, C_in, H, W]; ``w``: [C_out, C_in, k, k]; ``bias``: [C_out].
     """
-    x, w = _as_tensor(x), _as_tensor(w)
+    x, w, bias = _as_tensor(x), _as_tensor(w), _as_tensor(bias)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError("conv2d expects x[B,C,H,W] and w[Co,Ci,k,k]")
     b_, cin, h, wd = x.shape
@@ -716,10 +721,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     wo = (wd + 2 * padding - k) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError("conv2d output extent is non-positive")
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.shape != (cout,):
-            raise ShapeError("conv2d bias must have shape (C_out,)")
+    if bias.shape != (cout,):
+        raise ShapeError("conv2d bias must have shape (C_out,)")
 
     wf = w.data.reshape(cout, cin * k * k)
     # one image's columns at a time; the backward rebuilds them all from x
@@ -727,8 +730,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     for i in range(b_):
         np.matmul(wf, _im2col(_pad_hw(x.data[i:i + 1], padding), k, stride, ho, wo)[0],
                   out=val[i].reshape(cout, ho * wo))
-    if bias is not None:
-        val += bias.data[None, :, None, None]
+    val += bias.data[None, :, None, None]
 
     def bwd(g):
         xp = _pad_hw(x.data, padding)
@@ -741,12 +743,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
             for kj in range(k):
                 dxp[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += dcols[:, :, ki, kj]
         dx = dxp[:, :, padding:padding + h, padding:padding + wd] if padding else dxp
-        grads = [dx, dw]
-        if bias is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
-        return tuple(grads)
+        return dx, dw, g.sum(axis=(0, 2, 3))
 
-    return _op("conv2d", val, (x, w) if bias is None else (x, w, bias), bwd)
+    return _op("conv2d", val, (x, w, bias), bwd)
 
 
 def _pad_hw(x: np.ndarray, padding: int) -> np.ndarray:

@@ -18,8 +18,7 @@ import numpy as np
 from . import data as D
 from . import matcher as M
 from . import tensor as T
-from .encoder import (NAMED_SCHEDULES, check_input_extents, make_config,
-                      schedule_from_strings)
+from .encoder import check_input_extents, make_config
 from .model import MatchModel
 from .tensor import Tensor
 
@@ -117,10 +116,10 @@ class TrainConfig:
     fine_channels: int = 64
     fusion_channels: int = 64
     image_size: tuple = (64, 64)
-    tau: float = 0.1
+    tau: float = M.DEFAULT_TAU
     fine_tau: float = M.DEFAULT_FINE_TAU
-    theta: float = 0.2
-    window: int = 5
+    theta: float = M.DEFAULT_THETA
+    window: int = M.DEFAULT_WINDOW
     max_rot: float = 0.12
     max_persp: float = 3e-4
     max_trans: float = 3.0
@@ -165,11 +164,8 @@ class TrainConfig:
         self.model_config()  # bad model keys fail here, before any model is built
 
     def model_config(self):
-        schedule = schedule_from_strings(NAMED_SCHEDULES[self.schedule]) \
-            if self.schedule in NAMED_SCHEDULES \
-            else schedule_from_strings(self.schedule.split())
         return make_config(self.variant, self.attention, self.patch_embed,
-                           channels=self.channels, schedule=schedule,
+                           channels=self.channels, schedule=self.schedule,
                            coarse_channels=self.coarse_channels,
                            fine_channels=self.fine_channels,
                            fusion_channels=self.fusion_channels)

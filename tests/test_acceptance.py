@@ -24,9 +24,7 @@ from matchformer import matcher as M
 from matchformer import selftest as S
 from matchformer import tensor as T
 from matchformer.blocks import Attention, AttentionBlock
-from matchformer.encoder import (NAMED_SCHEDULES, make_config,
-                                 output_plan, schedule_from_strings,
-                                 stage_plan, with_schedule)
+from matchformer.encoder import make_config, output_plan, stage_plan
 from matchformer.model import MatchModel
 from matchformer.tensor import Tensor
 from matchformer.trainer import TrainConfig, coarse_loss, train_toy
@@ -423,10 +421,8 @@ class TestCriterion10Ablations:
         assert report(f"10 ablation {schedule}/{pe} trains", ok)
 
     def test_no_cross_factorization_for_self_only_schedule(self):
-        cfg = with_schedule(
-            make_config("lite", "sea", channels=(8, 8, 8, 16), coarse_channels=8,
-                        fine_channels=8, fusion_channels=8),
-            schedule_from_strings(NAMED_SCHEDULES["self_only"]))
+        cfg = make_config("lite", "sea", channels=(8, 8, 8, 16), schedule="self_only",
+                          coarse_channels=8, fine_channels=8, fusion_channels=8)
         model = MatchModel(cfg, seed=1)
         rng = np.random.default_rng(2)
         a = Tensor(rng.uniform(size=(1, 1, 64, 64)))

@@ -9,9 +9,8 @@ from matchformer import blocks as B
 from matchformer import selftest as S
 from matchformer import tensor as T
 from matchformer.blocks import (CHECKPOINT_MAGIC, Attention, AttentionBlock, MixFFN,
-                                PosPatchEmbed, StdPatchEmbed, apply_checkpoint,
-                                load_checkpoint, save_checkpoint, seq_to_map,
-                                sinusoidal_position_code)
+                                PosPatchEmbed, StdPatchEmbed, load_checkpoint,
+                                save_checkpoint, seq_to_map, sinusoidal_position_code)
 from matchformer.encoder import make_config
 from matchformer.model import MatchModel
 from matchformer.tensor import Tensor
@@ -165,18 +164,18 @@ class TestSpatialEfficientAttention:
 
 class TestMixFFN:
     def test_zero_weights_zero_output(self):
-        ffn = MixFFN(np.random.default_rng(21), 8, 4)
+        ffn = MixFFN(np.random.default_rng(21), 8)
         for _, p in ffn.named_parameters():
             p.data[:] = 0.0
         out = ffn(Tensor(np.random.default_rng(22).normal(size=(1, 9, 8))), (3, 3))
         assert np.abs(out.data).max() == 0.0
 
     def test_hidden_width_is_expansion_times_dim(self):
-        ffn = MixFFN(np.random.default_rng(23), 128, 4)
+        ffn = MixFFN(np.random.default_rng(23), 128)
         assert ffn.fc1.weight.shape == (128, 512)
 
     def test_depthwise_weights_keep_checkpoint_names_and_shapes(self):
-        ffn = MixFFN(np.random.default_rng(25), 8, 4)
+        ffn = MixFFN(np.random.default_rng(25), 8)
         shapes = {n: p.shape for n, p in ffn.named_parameters()}
         assert shapes["dw.weight"] == (32, 1, 3, 3) and shapes["dw.bias"] == (32,)
         pe = PosPatchEmbed(np.random.default_rng(26), 1, 8, 7, 4, 3)
@@ -184,7 +183,7 @@ class TestMixFFN:
         assert shapes["gate.weight"] == (8, 1, 3, 3) and shapes["gate.bias"] == (8,)
 
     def test_extent_mismatch_rejected(self):
-        ffn = MixFFN(np.random.default_rng(27), 8, 4)
+        ffn = MixFFN(np.random.default_rng(27), 8)
         with pytest.raises(T.ShapeError):
             ffn(Tensor(np.zeros((1, 9, 8))), (2, 4))
 
@@ -276,7 +275,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, block.named_parameters())
         other = AttentionBlock(np.random.default_rng(99), 8, 2, "sea", 2)
-        apply_checkpoint(other, load_checkpoint(path))
+        load_checkpoint(path, into=other)
         for (_, a), (_, b) in zip(block.named_parameters(), other.named_parameters()):
             assert np.array_equal(a.data, b.data)
 
@@ -286,7 +285,7 @@ class TestCheckpoint:
         save_checkpoint(path, block.named_parameters())
         other = AttentionBlock(np.random.default_rng(37), 8, 2, "sea", 2)
         with pytest.raises(ValueError):
-            apply_checkpoint(other, load_checkpoint(path))
+            load_checkpoint(path, into=other)
 
     def test_truncated_file_rejected(self, tmp_path):
         block = AttentionBlock(np.random.default_rng(41), 8, 2, "full")
@@ -296,6 +295,16 @@ class TestCheckpoint:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("into", [False, True], ids=["state", "into"])
+    def test_duplicate_name_rejected(self, tmp_path, into):
+        module = B.Module()
+        module.w, module.v = Tensor(np.ones(2)), Tensor(np.ones(3))
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, [("w", np.zeros(2)), ("v", np.zeros(3)), ("w", np.full(2, 5.0))])
+        with pytest.raises(ValueError, match="tensor 'w' appears twice") as info:
+            load_checkpoint(path, into=module if into else None)
+        assert str(path) in str(info.value)
 
     def test_snapshot_header_format(self, tmp_path):
         path = tmp_path / "ckpt.txt"
@@ -316,11 +325,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="shape:"):
             load_checkpoint(path)
 
-    def test_apply_checkpoint_copies_the_state(self, tmp_path):
+    def test_load_into_copies_the_state(self, tmp_path):
         block = AttentionBlock(np.random.default_rng(42), 8, 2, "la")
         state = {name: p.data.copy() for name, p in block.named_parameters()}
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, list(state.items()))
         other = AttentionBlock(np.random.default_rng(43), 8, 2, "la")
-        apply_checkpoint(other, state)
+        load_checkpoint(path, into=other)
         for arr in state.values():
             arr[...] = 7.0
         for (_, a), (_, b) in zip(block.named_parameters(), other.named_parameters()):
@@ -482,15 +493,22 @@ class TestLoadIntoModule:
     def test_load_equals_apply_of_the_state(self, tmp_path):
         path = tmp_path / "ckpt.txt"
         self.make_model(1).save(path)
-        into, applied = self.make_model(2), self.make_model(2)
+        into = self.make_model(2)
         assert load_checkpoint(path, into=into) is None
-        apply_checkpoint(applied, load_checkpoint(path))
-        for (na, a), (nb, b) in zip(into.named_parameters(), applied.named_parameters()):
-            assert na == nb and np.array_equal(a.data, b.data)
+        state = load_checkpoint(path)
+        assert [name for name, _ in into.named_parameters()] == list(state)
+        for name, a in into.named_parameters():
+            assert np.array_equal(a.data, state[name])
             assert a.data.flags.c_contiguous and a.data.dtype == np.float64
 
-    @pytest.mark.parametrize("case", ["missing", "extra", "both", "shape"])
-    def test_mismatches_raise_apply_checkpoints_messages(self, tmp_path, case):
+    @pytest.mark.parametrize("case,message", [
+        ("missing", "checkpoint mismatch: missing=['attn.k.weight', 'norm1.gain'] extra=[]"),
+        ("extra", "checkpoint mismatch: missing=[] extra=['attn.sr.weight']"),
+        ("both", "checkpoint mismatch: missing=['attn.k.weight', 'norm1.gain'] "
+                 "extra=['attn.sr.weight']"),
+        ("shape", "checkpoint shape mismatch at attn.q.bias: (3,) vs (8,)")],
+        ids=["missing", "extra", "both", "shape"])
+    def test_mismatches_raise_apply_checkpoints_messages(self, tmp_path, case, message):
         params = dict(AttentionBlock(np.random.default_rng(46), 8, 2, "full")
                       .named_parameters())
         saved = {n: p.data for n, p in params.items()}
@@ -502,15 +520,11 @@ class TestLoadIntoModule:
             saved["attn.q.bias"] = np.zeros(3)
         path = tmp_path / "ckpt.txt"
         save_checkpoint(path, list(saved.items()))
-        errors = []
-        for load in (lambda m: apply_checkpoint(m, load_checkpoint(path)),
-                     lambda m: load_checkpoint(path, into=m)):
-            with pytest.raises(ValueError) as info:
-                load(AttentionBlock(np.random.default_rng(47), 8, 2, "full"))
-            errors.append(str(info.value))
-        assert errors[0] == errors[1]
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path, into=AttentionBlock(np.random.default_rng(47), 8, 2, "full"))
+        assert str(info.value) == message
         assert ("shape mismatch at attn.q.bias" if case == "shape"
-                else "checkpoint mismatch") in errors[0]
+                else "checkpoint mismatch") in str(info.value)
 
     def test_peak_memory_is_one_tensor_not_the_state(self, tmp_path):
         rng = np.random.default_rng(48)
@@ -522,8 +536,7 @@ class TestLoadIntoModule:
         state_bytes = 500 * 400 * 8
         peaks = {}
         for name, load in (("into", lambda: load_checkpoint(path, into=module)),
-                           ("apply", lambda: apply_checkpoint(module,
-                                                              load_checkpoint(path)))):
+                           ("state", lambda: load_checkpoint(path))):
             tracemalloc.start()
             try:
                 load()
@@ -531,7 +544,7 @@ class TestLoadIntoModule:
             finally:
                 tracemalloc.stop()
             peaks[name] = peak - kept
-        assert peaks["apply"] > state_bytes  # the measure sees the whole state
+        assert peaks["state"] > state_bytes  # the measure sees the whole state
         assert peaks["into"] < 0.1 * state_bytes
 
 

@@ -102,6 +102,21 @@ class TestMatch:
             assert code == 3
             assert "truncated" in capsys.readouterr().err
 
+    def test_duplicate_tensor_name_is_io_error(self, pgm_pair, tmp_path, capsys):
+        a, b = pgm_pair
+        cfgfile = tmp_path / "toy.cfg"
+        cfgfile.write_text(TOY_CONFIG)
+        ckpt = tmp_path / "ckpt.txt"
+        MatchModel(TrainConfig(**TOY_FIELDS).model_config(), seed=0).save(ckpt)
+        lines = ckpt.read_text().splitlines()
+        ckpt.write_text("\n".join(lines + lines[1:4]) + "\n")  # the first tensor again
+        code = main(["match", a, b, "--out", str(tmp_path / "o"), "--config", str(cfgfile),
+                     "--checkpoint", str(ckpt)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and f"tensor {lines[1]!r} appears twice" in err
+        assert "Traceback" not in err
+
     def test_even_window_is_usage_error_before_the_model_runs(self, pgm_pair, tmp_path,
                                                                monkeypatch, capsys):
         a, b = pgm_pair

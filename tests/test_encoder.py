@@ -7,7 +7,7 @@ from matchformer import selftest as S
 from matchformer import tensor as T
 from matchformer.encoder import (NAMED_SCHEDULES, make_config, output_plan,
                                  parse_config_text, schedule_from_strings,
-                                 stage_plan, with_schedule)
+                                 stage_plan)
 from matchformer.model import MatchModel
 from matchformer.tensor import Tensor
 from matchformer.trainer import config_from_dict
@@ -118,8 +118,7 @@ class TestEncodePair:
         assert S.swap_symmetric(p_ab, p_ba)
 
     def test_no_cross_factorization_to_last_bit(self):
-        cfg = with_schedule(make_config("lite", "sea", **TOY),
-                            schedule_from_strings(("SSS",) * 4))
+        cfg = make_config("lite", "sea", schedule="SSS SSS SSS SSS", **TOY)
         model = MatchModel(cfg, seed=3)
         rng = np.random.default_rng(2)
         a = Tensor(rng.uniform(size=(1, 1, 64, 64)))

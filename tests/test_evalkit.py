@@ -6,8 +6,11 @@ import pytest
 from matchformer import data as D
 from matchformer import evalkit as E
 from matchformer import selftest as S
+from matchformer import tensor as T
 from matchformer.blocks import Attention
 from matchformer.encoder import make_config
+from matchformer.model import MatchModel
+from matchformer.tensor import Tensor
 
 
 def exact_matches(h_mat, n, seed=0, lo=2, hi=62):
@@ -264,6 +267,33 @@ class TestMma:
 
 
 class TestFlops:
+    @pytest.mark.parametrize("attention", ["la", "sea"])
+    @pytest.mark.parametrize("pe", ["pos", "std"])
+    def test_module_flops_equal_the_ops_the_model_runs(self, pe, attention, monkeypatch):
+        # 2 x output elements x fan-in, over every linear, dense conv and
+        # depthwise conv of one forward pair, is the conv + linear count
+        cfg = make_config("lite", attention, pe, channels=(8, 12, 16, 24),
+                          coarse_channels=16, fine_channels=16, fusion_channels=16)
+        model = MatchModel(cfg, seed=0)
+        counted = []
+
+        def counting(op, fan_in):
+            def counted_op(x, w, *args, **kwargs):
+                out = op(x, w, *args, **kwargs)
+                counted.append(2 * out.size * fan_in(w.shape))
+                return out
+            return counted_op
+
+        for name, fan_in in (("linear", lambda s: s[0]),
+                             ("conv2d", lambda s: s[1] * s[2] * s[3]),
+                             ("depthwise_conv2d", lambda s: s[2] * s[3]),
+                             ("depthwise_gelu", lambda s: s[2] * s[3])):
+            monkeypatch.setattr(T, name, counting(getattr(T, name), fan_in))
+        img = Tensor(np.random.default_rng(0).uniform(size=(1, 1, 64, 64)))
+        with T.no_grad():
+            model.forward_pair(img, img)
+        assert sum(counted) == E.flops_count(cfg, 64, 64).module_flops
+
     def test_single_1x1_conv_is_two_flops(self):
         assert E._mac2(1, 1, 1, 1) == 2.0
 

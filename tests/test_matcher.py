@@ -168,12 +168,13 @@ class TestStreamSelectCoarse:
     def test_theta_domain(self, theta):
         fmap = Tensor(np.ones((1, 4, 2, 2)))
         with pytest.raises(ValueError, match="theta"):
-            M.stream_select_coarse(fmap, fmap, theta=theta)
+            M.stream_select_coarse(fmap, fmap, tau=M.DEFAULT_TAU, theta=theta)
 
     @pytest.mark.parametrize("tau", [np.inf, np.nan])
     def test_tau_domain(self, tau):
         fmap = Tensor(np.ones((1, 4, 2, 2)))
-        for select in (M.stream_select_coarse, M.coarse_scores):
+        for select in (lambda a, b, tau: M.stream_select_coarse(a, b, tau, M.DEFAULT_THETA),
+                       M.coarse_scores):
             with pytest.raises(ValueError, match="tau must be finite and > 0"):
                 select(fmap, fmap, tau=tau)
 
@@ -183,7 +184,7 @@ class TestStreamSelectCoarse:
         a, b = rng.normal(size=(1, 4, 3, 3)), rng.normal(size=(1, 4, 3, 3))
         a[0, 2, 1, 1] = bad
         with pytest.raises(T.NumericalError):
-            M.stream_select_coarse(Tensor(a), Tensor(b))
+            M.stream_select_coarse(Tensor(a), Tensor(b), M.DEFAULT_TAU, M.DEFAULT_THETA)
 
     def test_overflowing_scores_raise_as_in_the_dense_chain(self):
         rng = np.random.default_rng(13)
@@ -191,7 +192,7 @@ class TestStreamSelectCoarse:
         with pytest.raises(T.NumericalError):
             dense_probs(a, b, 1e-310)
         with pytest.raises(T.NumericalError):
-            M.stream_select_coarse(Tensor(a), Tensor(b), tau=1e-310)
+            M.stream_select_coarse(Tensor(a), Tensor(b), tau=1e-310, theta=M.DEFAULT_THETA)
 
 
 def one_pair_result():
@@ -260,7 +261,7 @@ class TestFineRefine:
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
             M.fine_refine(one_pair_result(), Tensor(np.zeros((1, 9, 9))),
-                          Tensor(np.zeros((1, 9, 9))), window=4, r_c=16, r_f=2)
+                          Tensor(np.zeros((1, 9, 9))), window=4, r_c=16, r_f=2, tau=0.01)
 
     def test_differentiable_offsets_agree_with_inference(self):
         # fine_refine against a per-match crop-and-softmax loop, on interior
@@ -308,8 +309,9 @@ class TestFineOffsets:
     def test_fine_tau_domain(self, tau):
         fmap = Tensor(np.ones((4, 5, 6)))
         calls = (lambda: M.fine_offsets(fmap, fmap, self.centers_a, self.centers_b,
-                                        tau=tau),
-                 lambda: M.fine_refine(one_pair_result(), fmap, fmap, tau=tau),
+                                        radius=2, tau=tau),
+                 lambda: M.fine_refine(one_pair_result(), fmap, fmap, window=5,
+                                       r_c=16, r_f=2, tau=tau),
                  lambda: M.match_pair(np.zeros((64, 64)), np.zeros((64, 64)),
                                       MatchModel(make_config("lite", "la", **TOY)),
                                       fine_tau=tau))
@@ -416,6 +418,30 @@ class TestMatchPair:
         assert np.abs(p_ab.data - p_ba.data.T).max() < 1e-15
 
 
+class TestLargeStrides:
+    """``match_pair`` on the large variant: coarse stride 2, fine stride 8."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("attention", ["la", "sea"])
+    def test_identity_pair_points(self, attention, seed):
+        from matchformer.data import gen_pattern
+        model = MatchModel(make_config("large", attention, **TOY), seed=seed)
+        r_c, r_f = model.cfg.coarse_stride, model.cfg.fine_stride
+        assert (r_c, r_f) == (2, 8)
+        img = gen_pattern(seed, 64, 64)
+        ms = M.match_pair(img, img, model, theta=0.0)
+        assert len(ms) > 0
+        # every A point is a stride-2 cell centre
+        cells = (ms.xy1 + 0.5) / r_c - 0.5
+        assert np.array_equal(cells, np.round(cells))
+        assert cells.min() >= 0 and cells.max() < 64 // r_c
+        # every B point lies inside the window around its A point: at most
+        # radius fine cells, 2 * 8 = 16 px, along each axis
+        shift = ms.xy2 - ms.xy1
+        assert np.abs(shift).max() <= (M.DEFAULT_WINDOW // 2) * r_f
+        assert np.median(np.hypot(*shift.T)) < r_f / 2
+
+
 class TestMatchFileIO:
     def test_roundtrip(self, tmp_path):
         pts = np.array([[1.5, 2.25, 3.125, 4.0, 0.75], [0, 0, 63, 63, 1.0]])
@@ -430,7 +456,8 @@ class TestMatchFileIO:
         res = M.CoarseMatchResult(pairs=np.zeros((0, 2), dtype=int), confidences=np.zeros(0),
                                   grid_a=(9, 9), grid_b=(9, 9))
         fine = Tensor(np.random.default_rng(6).normal(size=(4, 9, 9)))
-        refined = M.fine_refine(res, fine, fine, window=5, r_c=2, r_f=2)
+        refined = M.fine_refine(res, fine, fine, window=5, r_c=2, r_f=2,
+                                tau=M.DEFAULT_FINE_TAU)
         for k, matches in enumerate([M.MatchSet(points=np.zeros((0, 5))), refined]):
             path = tmp_path / f"empty{k}.tsv"
             M.save_matches(path, matches)

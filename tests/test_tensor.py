@@ -117,12 +117,12 @@ class TestConv2d:
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(1, 3, 4, 4)))
         w = Tensor(np.eye(3).reshape(3, 3, 1, 1))
-        assert np.array_equal(T.conv2d(x, w).data, x.data)
+        assert np.array_equal(T.conv2d(x, w, np.zeros(3)).data, x.data)
 
     def test_all_ones_overlap_counting(self):
         x = Tensor(np.ones((1, 1, 4, 4)))
         w = Tensor(np.ones((1, 1, 3, 3)))
-        out = T.conv2d(x, w, padding=1).data[0, 0]
+        out = T.conv2d(x, w, np.zeros(1), padding=1).data[0, 0]
         assert out[1, 1] == 9.0 and out[0, 0] == 4.0 and out[0, 3] == 4.0
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (2, 3)])
@@ -137,11 +137,11 @@ class TestConv2d:
 
     def test_channel_mismatch_error(self):
         with pytest.raises(T.ShapeError):
-            T.conv2d(Tensor(np.ones((1, 3, 4, 4))), Tensor(np.ones((2, 1, 3, 3))))
+            T.conv2d(Tensor(np.ones((1, 3, 4, 4))), Tensor(np.ones((2, 1, 3, 3))), np.zeros(2))
 
     def test_nonpositive_output_error(self):
         with pytest.raises(T.ShapeError):
-            T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))))
+            T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))), np.zeros(1))
 
     def test_one_by_one_on_a_strided_view_matches_the_padded_path(self):
         # padding 0 skips the pad, and a 1x1 stride-1 kernel skips im2col, so
@@ -393,7 +393,7 @@ class TestNoGradBuffers:
         w = Tensor(rng.normal(size=(8, 8, 3, 3)))
         cols_bytes = 4 * 8 * 9 * 32 * 32 * 8
         with T.no_grad():
-            out, peak = traced_peak(lambda: T.conv2d(x, w, padding=1))
+            out, peak = traced_peak(lambda: T.conv2d(x, w, np.zeros(8), padding=1))
         assert peak < 0.5 * cols_bytes
         assert out.shape == (4, 8, 32, 32)
 
@@ -413,7 +413,7 @@ class TestNoGradBuffers:
         x = Tensor(rng.normal(size=(4, 8, 32, 32)), requires_grad=True)
         w = Tensor(rng.normal(size=(8, 8, 3, 3)), requires_grad=True)
         cols_bytes = 4 * 8 * 9 * 32 * 32 * 8
-        out, held = traced_held(lambda: T.conv2d(x, w, padding=1))
+        out, held = traced_held(lambda: T.conv2d(x, w, np.zeros(8), padding=1))
         assert out.requires_grad
         assert held < 0.5 * cols_bytes
 
@@ -658,7 +658,7 @@ def fd_cases(seed):
     ]
     map_cases = [
         (lambda m: T.reduce_sum(T.mul(T.bilinear_upsample2x(m), w4)), m3),
-        (lambda m: T.reduce_sum(T.mul(c := T.conv2d(m, cw, padding=1), c)), m4),
+        (lambda m: T.reduce_sum(T.mul(c := T.conv2d(m, cw, np.zeros(2), padding=1), c)), m4),
         (lambda m: T.reduce_sum(T.mul(T.window_gather(m, [1, 2], [2, 1], 1), win)),
          Tensor(rng.normal(size=(2, 4, 4)))),
         (lambda m: T.reduce_sum(T.mul(c := T.window_dot(vd, m, [1, 3], [2, 0], 1), c)),
