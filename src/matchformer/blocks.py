@@ -85,12 +85,14 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    def __init__(self, rng, c_in: int, c_out: int, k: int, stride: int = 1,
-                 padding: int = 0):
+    """k x k convolution padded by ``k // 2``, as every convolution in the
+    model is (7 -> 3, 3 -> 1, 1 -> 0)."""
+
+    def __init__(self, rng, c_in: int, c_out: int, k: int, stride: int = 1):
         self.weight = _param(rng.normal(0.0, math.sqrt(2.0 / (k * k * c_out)),
                                         size=(c_out, c_in, k, k)))
         self.bias = _param(np.zeros(c_out))
-        self.stride, self.padding = stride, padding
+        self.stride, self.padding = stride, k // 2
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.weight, self.bias, stride=self.stride,
@@ -149,8 +151,8 @@ class PosPatchEmbed(Module):
     [B, C_in, H, W] image or map and returns a channels-last [B, h, w, C].
     """
 
-    def __init__(self, rng, c_in: int, c_out: int, k: int, stride: int, padding: int):
-        self.proj = Conv2d(rng, c_in, c_out, k, stride=stride, padding=padding)
+    def __init__(self, rng, c_in: int, c_out: int, k: int, stride: int):
+        self.proj = Conv2d(rng, c_in, c_out, k, stride=stride)
         self.gate = DepthwiseConv(rng, c_out)
         self.stride = stride
 
@@ -168,7 +170,7 @@ def sinusoidal_position_code(h: int, w: int, dim: int) -> np.ndarray:
         raise T.ShapeError("sinusoidal code needs dim divisible by 4")
     half = dim // 2
 
-    def axis_code(n, positions):
+    def axis_code(positions):
         freq = np.exp(-math.log(10000.0) * np.arange(half // 2) * 2.0 / half)
         ang = positions[:, None] * freq[None, :]
         code = np.zeros((len(positions), half))
@@ -177,8 +179,8 @@ def sinusoidal_position_code(h: int, w: int, dim: int) -> np.ndarray:
         return code
 
     ys, xs = np.mgrid[0:h, 0:w]
-    return np.concatenate([axis_code(w, xs.reshape(-1).astype(float)),
-                           axis_code(h, ys.reshape(-1).astype(float))], axis=1)
+    return np.concatenate([axis_code(xs.reshape(-1).astype(float)),
+                           axis_code(ys.reshape(-1).astype(float))], axis=1)
 
 
 class StdPatchEmbed(Module):
@@ -191,7 +193,6 @@ class StdPatchEmbed(Module):
         self.proj = Linear(rng, c_in * patch * patch, c_out)
         self.patch = patch
         self.c_out = c_out
-        self.stride = patch
         self._codes: dict[tuple, np.ndarray] = {}
 
     def __call__(self, x: Tensor) -> Tensor:

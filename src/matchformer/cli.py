@@ -41,7 +41,9 @@ from . import evalkit as E  # noqa: E402
 from . import matcher as M  # noqa: E402
 from . import tensor as T  # noqa: E402
 from . import selftest as S  # noqa: E402
-from .encoder import make_config, output_plan, parse_config_text, stage_plan  # noqa: E402
+from .blocks import ATTENTION_KINDS  # noqa: E402
+from .encoder import (VARIANTS, make_config, output_plan,  # noqa: E402
+                      parse_config_text, stage_plan)
 from .model import MatchModel  # noqa: E402
 from .trainer import (TrainConfig, TrainingDivergedError,  # noqa: E402
                       config_from_dict, train_toy)
@@ -328,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, matching=True):
         p.add_argument("--seed", type=_seed, default=None)
-        p.add_argument("--variant", choices=("lite", "large"))
-        p.add_argument("--attention", choices=("la", "sea", "full"))
+        p.add_argument("--variant", choices=VARIANTS)
+        p.add_argument("--attention", choices=ATTENTION_KINDS)
         p.add_argument("--config")
         if matching:  # train takes these from its config file only
             p.add_argument("--tau", type=float)
@@ -343,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_selftest)
 
     p = sub.add_parser("shapes", help="per-stage shape table")
-    p.add_argument("--variant", choices=("lite", "large"), required=True)
-    p.add_argument("--attention", choices=("la", "sea", "full"), default="sea")
+    p.add_argument("--variant", choices=VARIANTS, required=True)
+    p.add_argument("--attention", choices=ATTENTION_KINDS, default="sea")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--out")
@@ -378,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("bench", help="FLOPs breakdown and runtime scaling")
-    p.add_argument("--variant", choices=("lite", "large"), required=True)
+    p.add_argument("--variant", choices=VARIANTS, required=True)
+    # LA and SEA only: the kernels Table 5 compares
     p.add_argument("--attention", choices=("la", "sea"), default="sea")
     p.add_argument("--height", type=int, default=480)
     p.add_argument("--width", type=int, default=640)

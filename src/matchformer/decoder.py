@@ -18,7 +18,7 @@ class FPNDecoder(Module):
     def __init__(self, rng, cfg: ModelConfig):
         fw = cfg.fusion_channels
         self.laterals = [Conv2d(rng, st.channels, fw, 1) for st in cfg.stages]
-        self.smooths = [Conv2d(rng, fw, fw, 3, padding=1) for _ in range(3)]
+        self.smooths = [Conv2d(rng, fw, fw, 3) for _ in range(3)]
         self.coarse_head = Conv2d(rng, fw, cfg.coarse_channels, 1)
         self.fine_head = Conv2d(rng, fw, cfg.fine_channels, 1)
         self.cfg = cfg

@@ -55,11 +55,10 @@ class StageConfig:
     channels: int
     pe_kernel: int
     pe_stride: int
-    pe_padding: int
     cross_flags: tuple
     attention: str
     heads: int
-    reduction: int = 1
+    reduction: int  # SEA's key/value reduction R; 1 for the other kinds
 
     @property
     def depth(self) -> int:
@@ -68,13 +67,12 @@ class StageConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    variant: str
-    attention: str
-    patch_embed: str = "pos"
-    stages: tuple = ()
-    coarse_channels: int = 128
-    fine_channels: int = 192
-    fusion_channels: int = 128
+    """The whole model description; ``make_config`` is its one builder."""
+    patch_embed: str
+    stages: tuple
+    coarse_channels: int
+    fine_channels: int
+    fusion_channels: int
 
     @property
     def stage_strides(self) -> tuple:
@@ -102,14 +100,15 @@ class ModelConfig:
 def make_config(variant: str = "lite", attention: str = "sea",
                 patch_embed: str = "pos", channels=None,
                 schedule: str = "interleaving",
-                coarse_channels: int | None = None,
+                coarse_channels: int = 128,
                 fine_channels: int | None = None,
-                fusion_channels: int | None = None) -> ModelConfig:
+                fusion_channels: int = 128) -> ModelConfig:
     """Build a model configuration.
 
     Defaults reproduce the four published variants; ``channels`` and the
     head widths may be overridden for toy-scale models (heads scale with the
-    channel override so the per-head width stays valid).  ``schedule`` is a
+    channel override so the per-head width stays valid).  The fine width
+    defaults to 192 (lite) or 256 (large).  ``schedule`` is a
     ``NAMED_SCHEDULES`` name or four space-separated S/C rows, one per stage
     (e.g. "SSC SSC SCC SCC").
     """
@@ -125,15 +124,17 @@ def make_config(variant: str = "lite", attention: str = "sea",
         raise ValueError(f"channels must be 4 widths >= 2, got {channels}")
     if patch_embed == "std" and any(c % 4 for c in channels):  # its sine/cosine code
         raise ValueError(f"channels must be multiples of 4 with pe std, got {channels}")
+    if fine_channels is None:
+        fine_channels = 192 if variant == "lite" else 256
     for name, width in (("coarse_channels", coarse_channels),
                         ("fine_channels", fine_channels),
                         ("fusion_channels", fusion_channels)):
-        if width is not None and width < 1:
+        if width < 1:
             raise ValueError(f"{name} must be >= 1, got {width}")
     schedule = schedule_from_strings(NAMED_SCHEDULES.get(schedule) or schedule.split())
 
     first_stride = 4 if variant == "lite" else 2
-    pe_params = [(7, first_stride, 3), (3, 2, 1), (3, 2, 1), (3, 2, 1)]
+    pe_params = [(7, first_stride), (3, 2), (3, 2), (3, 2)]
     stages = []
     for i in range(4):
         if attention == "sea":
@@ -144,18 +145,13 @@ def make_config(variant: str = "lite", attention: str = "sea",
         # feature per head would make the LA feature softmax constant)
         while channels[i] % heads or channels[i] // heads < 2:
             heads //= 2
-        k, s, p = pe_params[i]
+        k, s = pe_params[i]
         stages.append(StageConfig(channels=channels[i], pe_kernel=k, pe_stride=s,
-                                  pe_padding=p, cross_flags=schedule[i],
-                                  attention=attention, heads=heads, reduction=red))
-    fine_default = 192 if variant == "lite" else 256
-    return ModelConfig(
-        variant=variant, attention=attention, patch_embed=patch_embed,
-        stages=tuple(stages),
-        coarse_channels=coarse_channels if coarse_channels is not None else 128,
-        fine_channels=fine_channels if fine_channels is not None else fine_default,
-        fusion_channels=fusion_channels if fusion_channels is not None else 128,
-    )
+                                  cross_flags=schedule[i], attention=attention,
+                                  heads=heads, reduction=red))
+    return ModelConfig(patch_embed=patch_embed, stages=tuple(stages),
+                       coarse_channels=coarse_channels, fine_channels=fine_channels,
+                       fusion_channels=fusion_channels)
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +167,7 @@ def check_input_extents(h: int, w: int, what: str = "input extents") -> None:
 def stage_plan(cfg: ModelConfig, h: int, w: int):
     """Per-stage (channels, height, width) for an input of extent h x w."""
     check_input_extents(h, w)
-    plan = []
-    for st in cfg.stages:
-        h, w = h // st.pe_stride, w // st.pe_stride
-        plan.append((st.channels, h, w))
-    return plan
+    return [(st.channels, h // s, w // s) for st, s in zip(cfg.stages, cfg.stage_strides)]
 
 
 def output_plan(cfg: ModelConfig, h: int, w: int):
@@ -194,8 +186,7 @@ def output_plan(cfg: ModelConfig, h: int, w: int):
 class Stage(Module):
     def __init__(self, rng, cfg: StageConfig, c_in: int, patch_embed: str):
         if patch_embed == "pos":
-            self.pe = PosPatchEmbed(rng, c_in, cfg.channels, cfg.pe_kernel,
-                                    cfg.pe_stride, cfg.pe_padding)
+            self.pe = PosPatchEmbed(rng, c_in, cfg.channels, cfg.pe_kernel, cfg.pe_stride)
         else:
             self.pe = StdPatchEmbed(rng, c_in, cfg.channels, cfg.pe_stride)
         self.blocks = [AttentionBlock(rng, cfg.channels, cfg.heads, cfg.attention,
@@ -221,7 +212,6 @@ class Encoder(Module):
         for st in cfg.stages:
             self.stages.append(Stage(rng, st, c_in, cfg.patch_embed))
             c_in = st.channels
-        self.cfg = cfg
 
     def encode_pair(self, img_a: Tensor, img_b: Tensor) -> list:
         """Run both streams through all stages as one batch, A stacked over B.

@@ -293,7 +293,7 @@ def flops_count(cfg: ModelConfig, height: int, width: int,
             bd.add(stage, "conv", "pe.gate", pair * _mac2(dw_taps, 1, c, n))
         a = st.heads
         d = c // a
-        r = st.reduction if st.attention == "sea" else 1
+        r = st.reduction
         n_kv = n // (r * r)
         for b in range(st.depth):
             blk = f"block{b}"
@@ -355,20 +355,26 @@ def fit_power_law(xs, ys) -> float:
 BENCH_REPEATS = 5
 
 
-def bench_attention_kernel(kind: str, n_tokens: int, dim: int = 64) -> float:
+def bench_attention_sweep(kind: str, ns, dim: int = 64) -> list[float]:
     """Median wall-clock seconds of one single-head ``blocks.Attention``
-    self-attention call over ``n_tokens`` tokens, with the tape off."""
+    self-attention call per token count in ``ns``, with the tape off.
+
+    Each size gets one warm-up call.  Then each of ``BENCH_REPEATS`` rounds
+    times every size once, in the order of ``ns``, so a load that comes or
+    goes mid-sweep falls on all sizes alike instead of tilting the fit."""
     rng = np.random.default_rng(0)
     attn = Attention(rng, kind, dim, heads=1)
-    x = Tensor(rng.normal(size=(1, n_tokens, dim)))
-    times = []
+    xs = [Tensor(rng.normal(size=(1, n, dim))) for n in ns]
+    times = [[] for _ in ns]
     with T.no_grad():
-        attn(x, x, (n_tokens, 1))  # warm-up
+        for x, n in zip(xs, ns):
+            attn(x, x, (n, 1))  # warm-up
         for _ in range(BENCH_REPEATS):
-            t0 = time.perf_counter()
-            attn(x, x, (n_tokens, 1))
-            times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+            for x, n, t in zip(xs, ns, times):
+                t0 = time.perf_counter()
+                attn(x, x, (n, 1))
+                t.append(time.perf_counter() - t0)
+    return [float(np.median(t)) for t in times]
 
 
 def complexity_exponents(ns=(256, 512, 1024, 2048, 4096), dim: int = 64,
@@ -379,12 +385,12 @@ def complexity_exponents(ns=(256, 512, 1024, 2048, 4096), dim: int = 64,
         counts = [attention_kernel_flops(kind, n, dim, 1) for n in ns]
         out[f"{kind}_analytic"] = fit_power_law(ns, counts)
         if measure_runtime:
-            # largest N first: the short calls are timed last, after the long
-            # ones have woken the BLAS threads and warmed the process, so
-            # start-up cost does not inflate them and flatten the exponent
+            # largest N first in every round: the short calls are timed after
+            # the long ones have woken the BLAS threads and warmed the process,
+            # so start-up cost does not inflate them and flatten the exponent
             big_first = sorted(ns, reverse=True)
-            times = [bench_attention_kernel(kind, n, dim) for n in big_first]
-            out[f"{kind}_runtime"] = fit_power_law(big_first, times)
+            out[f"{kind}_runtime"] = fit_power_law(big_first,
+                                                   bench_attention_sweep(kind, big_first, dim))
     counts_sea = [attention_kernel_flops("sea", n, dim, 1, reduction=4) for n in ns]
     out["sea_analytic"] = fit_power_law(ns, counts_sea)
     return out

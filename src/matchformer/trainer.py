@@ -75,8 +75,8 @@ class AdamState:
                    v=[np.zeros_like(p.data) for p in params], t=0)
 
 
-def adam_step(params, state: AdamState, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(params, state: AdamState, lr: float, beta1: float, beta2: float,
+              eps: float) -> None:
     """Standard bias-corrected Adam update, in place on the parameter data."""
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
@@ -176,7 +176,6 @@ class TrainResult:
     model: MatchModel
     metrics: list            # (step, loss_coarse, loss_fine, precision) rows
     holdout_precision: float
-    config: TrainConfig
 
 
 def _sample_pair(cfg: TrainConfig, index: int) -> D.PairSample:
@@ -286,8 +285,7 @@ def train_toy(cfg: TrainConfig, log_path=None, checkpoint_path=None,
         write_metrics_csv(log_path, metrics)
     if checkpoint_path is not None:
         model.save(checkpoint_path)
-    return TrainResult(model=model, metrics=metrics, holdout_precision=holdout,
-                       config=cfg)
+    return TrainResult(model=model, metrics=metrics, holdout_precision=holdout)
 
 
 # Held-out pairs: sample indices HOLDOUT_SEED_OFFSET + k for k < HOLDOUT_PAIRS.

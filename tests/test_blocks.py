@@ -23,7 +23,7 @@ def rng_pair(seed):
 
 class TestPosPatchEmbed:
     def test_zero_input_zero_biases_gives_zero(self):
-        pe = PosPatchEmbed(np.random.default_rng(0), 1, 8, 7, 4, 3)
+        pe = PosPatchEmbed(np.random.default_rng(0), 1, 8, 7, 4)
         pe.proj.bias.data[:] = 0.0
         pe.gate.bias.data[:] = 0.0
         out = pe(Tensor(np.zeros((1, 1, 32, 32))))
@@ -31,13 +31,13 @@ class TestPosPatchEmbed:
 
     @pytest.mark.parametrize("stride,expect", [(4, 16), (2, 32)])
     def test_stage1_output_extent(self, stride, expect):
-        pe = PosPatchEmbed(np.random.default_rng(1), 1, 128, 7, stride, 3)
+        pe = PosPatchEmbed(np.random.default_rng(1), 1, 128, 7, stride)
         out = pe(Tensor(np.random.default_rng(2).uniform(size=(1, 1, 64, 64))))
         assert out.shape == (1, expect, expect, 128)  # channels-last
 
     def test_saturated_gate_reduces_to_plain_conv(self):
         rng = np.random.default_rng(3)
-        pe = PosPatchEmbed(rng, 1, 6, 7, 4, 3)
+        pe = PosPatchEmbed(rng, 1, 6, 7, 4)
         pe.gate.weight.data[:] = 0.0
         pe.gate.bias.data[:] = 50.0  # sigmoid(50) == 1 to double precision
         x = Tensor(rng.uniform(size=(1, 1, 32, 32)))
@@ -45,9 +45,40 @@ class TestPosPatchEmbed:
         assert np.abs(pe(x).data - plain.data.transpose(0, 2, 3, 1)).max() < 1e-15
 
     def test_indivisible_extent_rejected(self):
-        pe = PosPatchEmbed(np.random.default_rng(4), 1, 8, 7, 4, 3)
+        pe = PosPatchEmbed(np.random.default_rng(4), 1, 8, 7, 4)
         with pytest.raises(T.ShapeError):
             pe(Tensor(np.zeros((1, 1, 30, 32))))
+
+
+class TestConv2d:
+    @pytest.mark.parametrize("pe", ["pos", "std"])
+    @pytest.mark.parametrize("attention", ["la", "sea", "full"])
+    @pytest.mark.parametrize("variant", ["lite", "large"])
+    def test_every_model_conv_pads_half_its_kernel(self, monkeypatch, variant, attention, pe):
+        model = MatchModel(make_config(variant, attention, pe, channels=(8, 12, 16, 24),
+                                       coarse_channels=16, fine_channels=16,
+                                       fusion_channels=16), seed=0)
+        padded = {}
+        real = T.conv2d
+
+        def recorded(x, w, b, stride=1, padding=0):
+            padded[id(w)] = (w.shape[-1], padding)
+            return real(x, w, b, stride=stride, padding=padding)
+
+        monkeypatch.setattr(T, "conv2d", recorded)
+        img = Tensor(np.random.default_rng(0).uniform(size=(1, 1, 64, 64)))
+        with T.no_grad():
+            model.forward_pair(img, img)
+        got = {name: padded[id(p)] for name, p in model.named_parameters() if id(p) in padded}
+        expect = {f"decoder.laterals.{i}.weight": (1, 0) for i in range(4)}
+        expect.update({f"decoder.smooths.{i}.weight": (3, 1) for i in range(3)})
+        expect.update({"decoder.coarse_head.weight": (1, 0), "decoder.fine_head.weight": (1, 0)})
+        if pe == "pos":  # the std embedding projects patches with a linear layer
+            expect["encoder.stages.0.pe.proj.weight"] = (7, 3)
+            expect.update({f"encoder.stages.{i}.pe.proj.weight": (3, 1) for i in (1, 2, 3)})
+        assert all(pad == k // 2 for k, pad in got.values())
+        assert got == expect
+        assert len(padded) == len(expect)
 
 
 class TestStdPatchEmbed:
@@ -178,7 +209,7 @@ class TestMixFFN:
         ffn = MixFFN(np.random.default_rng(25), 8)
         shapes = {n: p.shape for n, p in ffn.named_parameters()}
         assert shapes["dw.weight"] == (32, 1, 3, 3) and shapes["dw.bias"] == (32,)
-        pe = PosPatchEmbed(np.random.default_rng(26), 1, 8, 7, 4, 3)
+        pe = PosPatchEmbed(np.random.default_rng(26), 1, 8, 7, 4)
         shapes = {n: p.shape for n, p in pe.named_parameters()}
         assert shapes["gate.weight"] == (8, 1, 3, 3) and shapes["gate.bias"] == (8,)
 

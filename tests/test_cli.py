@@ -6,8 +6,9 @@ import pytest
 from matchformer import data as D
 from matchformer import matcher as M
 from matchformer import tensor as T
-from matchformer.cli import main
-from matchformer.encoder import parse_config_text
+from matchformer.blocks import ATTENTION_KINDS
+from matchformer.cli import build_parser, main
+from matchformer.encoder import VARIANTS, parse_config_text
 from matchformer.model import MatchModel
 from matchformer.trainer import TrainConfig, config_from_dict
 
@@ -67,6 +68,37 @@ class TestShapes:
         with pytest.raises(SystemExit) as exc:
             main(["shapes", "--variant", "lite", "--height", "64",
                   "--width", "64", "--bogus"])
+        assert exc.value.code == 2
+
+
+class TestModelChoices:
+    """``--variant``/``--attention`` accept what the model modules define."""
+
+    ARGV = {"shapes": ["shapes", "--height", "64", "--width", "64"],
+            "match": ["match", "a.pgm", "b.pgm", "--out", "o"],
+            "train": ["train", "--out", "o"],
+            "eval": ["eval", "--manifest", "m.tsv", "--out", "o"]}
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_choices_come_from_the_model_modules(self, command):
+        argv = self.ARGV[command] + (["--variant", "lite"] if command == "shapes" else [])
+        parser = build_parser()
+        for variant in VARIANTS:
+            assert parser.parse_args(argv + ["--variant", variant]).variant == variant
+        for kind in ATTENTION_KINDS:
+            assert parser.parse_args(argv + ["--attention", kind]).attention == kind
+
+    @pytest.mark.parametrize("command", sorted(ARGV) + ["bench"])
+    @pytest.mark.parametrize("flag,value", [("--variant", "huge"), ("--attention", "lsh")])
+    def test_unknown_value_is_usage_error(self, command, flag, value):
+        argv = self.ARGV.get(command, ["bench"]) + ["--variant", "lite"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+
+    def test_bench_keeps_la_and_sea(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--variant", "lite", "--attention", "full"])
         assert exc.value.code == 2
 
 

@@ -1,12 +1,15 @@
 """Encoder: schedules, shape conformance, stream symmetry, config grammar."""
 
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
 from matchformer import selftest as S
 from matchformer import tensor as T
-from matchformer.encoder import (NAMED_SCHEDULES, make_config, output_plan,
-                                 parse_config_text, schedule_from_strings,
+from matchformer.blocks import PosPatchEmbed
+from matchformer.encoder import (NAMED_SCHEDULES, ModelConfig, StageConfig, make_config,
+                                 output_plan, parse_config_text, schedule_from_strings,
                                  stage_plan)
 from matchformer.model import MatchModel
 from matchformer.tensor import Tensor
@@ -80,19 +83,45 @@ class TestShapePlans:
     def test_la_heads(self):
         cfg = make_config("large", "la")
         assert [s.heads for s in cfg.stages] == [8] * 4
+        assert [s.reduction for s in cfg.stages] == [1] * 4  # flops_count reads it as is
 
     def test_pe_parameters(self):
         lite = make_config("lite", "sea")
         large = make_config("large", "sea")
-        assert (lite.stages[0].pe_kernel, lite.stages[0].pe_stride,
-                lite.stages[0].pe_padding) == (7, 4, 3)
+
+        def kernel_stride_padding(st):
+            pe = PosPatchEmbed(np.random.default_rng(0), 1, 2, st.pe_kernel, st.pe_stride)
+            return st.pe_kernel, st.pe_stride, pe.proj.padding
+
+        assert kernel_stride_padding(lite.stages[0]) == (7, 4, 3)
         assert (large.stages[0].pe_kernel, large.stages[0].pe_stride) == (7, 2)
         for st in lite.stages[1:]:
-            assert (st.pe_kernel, st.pe_stride, st.pe_padding) == (3, 2, 1)
+            assert kernel_stride_padding(st) == (3, 2, 1)
 
     def test_indivisible_input_rejected(self):
         with pytest.raises(T.ShapeError):
             stage_plan(make_config(), 100, 640)
+
+
+class TestModelConfig:
+    """``make_config`` is the one owner of the model description: the config
+    classes repeat none of its defaults and hold no field nothing reads."""
+
+    def test_fields_have_no_defaults(self):
+        assert [f.name for f in fields(ModelConfig)] == [
+            "patch_embed", "stages", "coarse_channels", "fine_channels", "fusion_channels"]
+        assert [f.name for f in fields(StageConfig)] == [
+            "channels", "pe_kernel", "pe_stride", "cross_flags", "attention", "heads",
+            "reduction"]
+        for cls in (ModelConfig, StageConfig):
+            assert all(f.default is MISSING and f.default_factory is MISSING
+                       for f in fields(cls)), cls
+
+    def test_widths_are_required(self):
+        # only make_config knows the variant, so only it may pick the widths
+        with pytest.raises(TypeError):
+            ModelConfig("pos", make_config("large").stages)
+        assert make_config("large").fine_channels == 256
 
 
 class TestEncodePair:

@@ -353,9 +353,26 @@ class TestFlops:
             return real(self, q_src, kv_src, kv_hw)
 
         monkeypatch.setattr(Attention, "__call__", counted)
-        assert E.bench_attention_kernel("la", 32, dim=8) > 0
+        [median] = E.bench_attention_sweep("la", (32,), dim=8)
+        assert median > 0
         # one warm-up call, then the timed repeats
         assert calls == [("la", 1, (1, 32, 8), (32, 1))] * (1 + E.BENCH_REPEATS)
+
+    def test_runtime_sweep_times_the_sizes_round_robin(self, monkeypatch):
+        calls = []
+        real = Attention.__call__
+
+        def counted(self, q_src, kv_src, kv_hw):
+            calls.append((self.kind, q_src.shape))
+            return real(self, q_src, kv_src, kv_hw)
+
+        monkeypatch.setattr(Attention, "__call__", counted)
+        exps = E.complexity_exponents(ns=(64, 32), dim=8, measure_runtime=True)
+        assert {"full_runtime", "la_runtime"} <= exps.keys()
+        # per kind: one warm-up per size, then rounds that each time every
+        # size once, largest first
+        assert calls == [(kind, (1, n, 8)) for kind in ("full", "la")
+                         for n in (64, 32) * (1 + E.BENCH_REPEATS)]
 
     def test_power_law_fit(self):
         xs = [256, 512, 1024, 2048]

@@ -80,19 +80,22 @@ class TestFineLoss:
         assert fine_b.grad is not None and np.abs(fine_b.grad).sum() > 0
 
 
+ADAM = {k: getattr(TrainConfig(), k) for k in ("beta1", "beta2", "eps")}
+
+
 class TestAdam:
     def test_zero_gradients_leave_parameters_unchanged(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         state = AdamState.for_params([p])
         before = p.data.copy()
-        adam_step([p], state, lr=0.1)
+        adam_step([p], state, lr=0.1, **ADAM)
         assert np.array_equal(p.data, before)
 
     def test_first_step_moves_by_lr(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
         p.grad = np.array([1.0])
         state = AdamState.for_params([p])
-        adam_step([p], state, lr=0.1)
+        adam_step([p], state, lr=0.1, **ADAM)
         assert abs(p.data[0] + 0.1) < 1e-8  # bias-corrected ratio is 1
 
     def test_minimizes_quadratic(self):
@@ -100,14 +103,14 @@ class TestAdam:
         state = AdamState.for_params([p])
         for _ in range(500):
             p.grad = 2.0 * p.data
-            adam_step([p], state, lr=0.05)
+            adam_step([p], state, lr=0.05, **ADAM)
         assert abs(p.data[0]) < 1e-3
 
     def test_shape_mismatch_rejected(self):
         p = Tensor(np.zeros(3), requires_grad=True)
         p.grad = np.zeros(2)
         with pytest.raises(T.ShapeError):
-            adam_step([p], AdamState.for_params([p]), lr=0.1)
+            adam_step([p], AdamState.for_params([p]), lr=0.1, **ADAM)
 
 
 class TestTrainToy:
