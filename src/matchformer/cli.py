@@ -116,8 +116,16 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
+def _flag_config(args):
+    """The model of ``--variant`` and ``--attention``; an unset kernel is
+    ``make_config``'s, and is set in ``args`` for the output and manifest."""
+    cfg = make_config(args.variant, **({"attention": args.attention} if args.attention else {}))
+    args.attention = cfg.stages[0].attention
+    return cfg
+
+
 def cmd_shapes(args) -> int:
-    cfg = make_config(args.variant, args.attention)
+    cfg = _flag_config(args)
     plan = stage_plan(cfg, args.height, args.width)
     (cc, hc, wc), (cf, hf, wf) = output_plan(cfg, args.height, args.width)
     print(f"{args.variant}-{args.attention} @ {args.height}x{args.width}")
@@ -229,7 +237,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = make_config(args.variant, args.attention)
+    cfg = _flag_config(args)
     bd = E.flops_count(cfg, args.height, args.width,
                        include_matcher=args.include_matcher)
     print(f"{args.variant}-{args.attention} @ {args.height}x{args.width} "
@@ -346,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shapes", help="per-stage shape table")
     p.add_argument("--variant", choices=VARIANTS, required=True)
-    p.add_argument("--attention", choices=ATTENTION_KINDS, default="sea")
+    p.add_argument("--attention", choices=ATTENTION_KINDS)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--out")
@@ -382,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="FLOPs breakdown and runtime scaling")
     p.add_argument("--variant", choices=VARIANTS, required=True)
     # LA and SEA only: the kernels Table 5 compares
-    p.add_argument("--attention", choices=("la", "sea"), default="sea")
+    p.add_argument("--attention", choices=("la", "sea"))
     p.add_argument("--height", type=int, default=480)
     p.add_argument("--width", type=int, default=640)
     p.add_argument("--include-matcher", action="store_true")

@@ -200,7 +200,7 @@ def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float,
     col_sum = np.zeros(n2)
     for r0, r1 in blocks:
         s = score_block(r0, r1)
-        if not np.all(np.isfinite(s)):
+        if not np.logical_and.reduce(np.isfinite(s), axis=None):
             raise T.NumericalError("coarse scores produced non-finite values")
         new_max = np.maximum(col_max, s.max(axis=0))
         col_sum *= np.exp(col_max - new_max)

@@ -38,7 +38,7 @@ class MatchModel(Module):
         load_checkpoint(path, into=self)
 
 
-def build_model(variant: str = "lite", attention: str = "sea", seed: int = 0,
-                **config_kwargs) -> MatchModel:
-    return MatchModel(make_config(variant=variant, attention=attention,
-                                  **config_kwargs), seed=seed)
+def build_model(*config_args, seed: int = 0, **config_kwargs) -> MatchModel:
+    """A model of ``make_config(*config_args, **config_kwargs)``, which owns
+    every default, with weights drawn from ``seed``."""
+    return MatchModel(make_config(*config_args, **config_kwargs), seed=seed)

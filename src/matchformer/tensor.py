@@ -23,6 +23,13 @@ forward and backward:
   conv's slab loop: taps, bias and GELU while the slab is in cache
   (``blocks.MixFFN``), with ``gelu``'s maths (``_gelu_into``, ``_gelu_grad``).
 
+The ops call numpy's C entry points: ufuncs and ``ufunc.reduce`` (not
+``.sum``/``.mean``/``.max``/``.all``, which run numpy's Python-level
+``_methods``), ``np.matmul``, and the ``np.ndarray`` constructor for strided
+window views (not ``as_strided`` or ``sliding_window_view``).  No einsum path
+search runs per call.  At toy widths the fixed cost of those wrappers was a
+large share of an op's time.
+
 Supported broadcasting is restricted to the two cases the model needs:
 scalars, and a smaller operand whose shape equals the trailing dimensions of
 the larger one (bias adds, affine gains).  Anything else is a shape error.
@@ -196,7 +203,7 @@ def _op(name: str, value: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     """The one exit of every tape op: test ``value`` for NaN/Inf (unless the
     op is in ``_UNCHECKED_OPS``), wrap it, and record a tape node when any
     parent needs a gradient."""
-    if name not in _UNCHECKED_OPS and not np.isfinite(value).all():
+    if name not in _UNCHECKED_OPS and not np.logical_and.reduce(np.isfinite(value), axis=None):
         raise NumericalError(f"{name} produced non-finite values")
     out = Tensor(value)
     if _recording(parents):
@@ -266,10 +273,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.add.reduce(g, axis=tuple(range(extra)))
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
+            g = np.add.reduce(g, axis=ax, keepdims=True)
     return g.reshape(shape)
 
 
@@ -406,10 +413,12 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def bwd(g):
         if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+            g = g.reshape([1 if a in axis else n for a, n in enumerate(x.shape)])
+        dx = np.empty(x.shape)
+        dx[...] = g
+        return (dx,)
 
-    return _op("reduce_sum", x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
+    return _op("reduce_sum", np.add.reduce(x.data, axis=axis, keepdims=keepdims), (x,), bwd)
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -462,8 +471,8 @@ def _check_matmul(name: str, a: Tensor, b: Tensor) -> None:
 
 def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
     """Gradients of ``a @ b`` for both operands."""
-    ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-    gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+    ga = np.matmul(g, b.data.swapaxes(-1, -2))
+    gb = np.matmul(a.data.swapaxes(-1, -2), g)
     return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
 
@@ -471,12 +480,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` (max-subtracted)."""
     x = _as_tensor(x)
     ax = axis % x.ndim
-    shifted = x.data - x.data.max(axis=ax, keepdims=True)
+    shifted = x.data - np.maximum.reduce(x.data, axis=ax, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=ax, keepdims=True)
+    y = e / np.add.reduce(e, axis=ax, keepdims=True)
 
     def bwd(g):
-        dot = (g * y).sum(axis=ax, keepdims=True)
+        dot = np.add.reduce(g * y, axis=ax, keepdims=True)
         return (y * (g - dot),)
 
     return _op("softmax", y, (x,), bwd)
@@ -498,10 +507,10 @@ def layer_norm(x: Tensor, gain: Tensor, offset: Tensor) -> Tensor:
     if gain.shape != x.shape[-1:] or offset.shape != x.shape[-1:]:
         raise ShapeError("layer_norm gain/offset must match the last axis")
     n = x.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
     xc = x.data - mu
     sq = xc * xc
-    var = sq.mean(axis=-1, keepdims=True)
+    var = np.add.reduce(sq, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     val = np.multiply(xhat, gain.data, out=sq)   # the output reuses sq's buffer
@@ -509,13 +518,13 @@ def layer_norm(x: Tensor, gain: Tensor, offset: Tensor) -> Tensor:
 
     def bwd(g):
         sum_axes = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=sum_axes)
-        doffset = g.sum(axis=sum_axes)
+        dgain = np.add.reduce(g * xhat, axis=sum_axes)
+        doffset = np.add.reduce(g, axis=sum_axes)
         dxhat = g * gain.data
         # Fused form of the mean/variance chain rule.
         dx = inv / n * (n * dxhat
-                        - dxhat.sum(axis=-1, keepdims=True)
-                        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
+                        - np.add.reduce(dxhat, axis=-1, keepdims=True)
+                        - xhat * np.add.reduce(dxhat * xhat, axis=-1, keepdims=True))
         return (dx, dgain, doffset)
 
     return _op("layer_norm", val, (x, gain, offset), bwd)
@@ -525,12 +534,12 @@ def l2_normalize(x: Tensor, axis: int = -1) -> Tensor:
     """Scale vectors along ``axis`` to unit norm; zero vectors stay zero."""
     x = _as_tensor(x)
     ax = axis % x.ndim
-    norm = np.sqrt((x.data * x.data).sum(axis=ax, keepdims=True))
+    norm = np.sqrt(np.add.reduce(x.data * x.data, axis=ax, keepdims=True))
     safe = np.where(norm > 0, norm, 1.0)
     y = x.data / safe
 
     def bwd(g):
-        dot = (g * y).sum(axis=ax, keepdims=True)
+        dot = np.add.reduce(g * y, axis=ax, keepdims=True)
         dx = (g - y * dot) / safe
         return (np.where(norm > 0, dx, 0.0),)
 
@@ -557,19 +566,18 @@ def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(x.ndim)):
         raise ShapeError(f"invalid transpose axes {axes} for ndim {x.ndim}")
-    inv = tuple(np.argsort(axes))
-    return _op("transpose", np.transpose(x.data, axes), (x,),
-               lambda g: (np.transpose(g, inv),))
+    # only the backward needs the inverse permutation
+    return _op("transpose", x.data.transpose(axes), (x,),
+               lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
     ax = axis % ts[0].ndim
     sizes = [t.shape[ax] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
-        return tuple(np.split(g, splits, axis=ax))
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=ax))
 
     return _op("concat", np.concatenate([t.data for t in ts], axis=ax), tuple(ts), bwd)
 
@@ -596,8 +604,8 @@ def swap_halves(x: Tensor) -> Tensor:
     if x.ndim == 0 or x.shape[0] % 2:
         raise ShapeError(f"swap_halves needs an even leading axis, got shape {x.shape}")
     half = x.shape[0] // 2
-    return _op("swap_halves", np.roll(x.data, half, axis=0), (x,),
-               lambda g: (np.roll(g, half, axis=0),))
+    return _op("swap_halves", np.concatenate((x.data[half:], x.data[:half])), (x,),
+               lambda g: (np.concatenate((g[half:], g[:half])),))
 
 
 def take_pairs(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
@@ -635,18 +643,19 @@ def window_gather(x: Tensor, rows: np.ndarray, cols: np.ndarray, radius: int) ->
         raise ShapeError("window_gather expects a [C, H, W] map")
     c, h, w = x.shape
     rr, cc = _window_slots(rows, cols, radius)
-    if rr.min(initial=0) < 0 or rr.max(initial=radius) > h - 1 \
-            or cc.min(initial=0) < 0 or cc.max(initial=radius) > w - 1:
+    lo, hi = np.minimum.reduce, np.maximum.reduce
+    if lo(rr, axis=None, initial=0) < 0 or hi(rr, axis=None, initial=radius) > h - 1 \
+            or lo(cc, axis=None, initial=0) < 0 or hi(cc, axis=None, initial=radius) > w - 1:
         raise ShapeError("window exceeds map bounds")
     gathered = x.data[:, rr, cc]                    # [C, M, w, w]
 
     def bwd(g):
         dx_t = np.zeros((h, w, c))
-        g_t = np.moveaxis(g, 1, -1)                 # [M, w, w, C]
+        g_t = g.transpose(0, 2, 3, 1)               # [M, w, w, C]
         np.add.at(dx_t, (rr + np.zeros_like(cc), cc + np.zeros_like(rr)), g_t)
-        return (np.moveaxis(dx_t, -1, 0),)
+        return (dx_t.transpose(2, 0, 1),)
 
-    val = np.ascontiguousarray(np.moveaxis(gathered, 0, 1))
+    val = np.ascontiguousarray(gathered.transpose(1, 0, 2, 3))
     return _op("window_gather", val, (x,), bwd)
 
 
@@ -736,14 +745,14 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1,
         xp = _pad_hw(x.data, padding)
         cols = _im2col(xp, k, stride, ho, wo)
         gg = g.reshape(b_, cout, ho * wo)
-        dw = np.matmul(gg, np.swapaxes(cols, -1, -2)).sum(axis=0).reshape(w.shape)
+        dw = np.add.reduce(np.matmul(gg, cols.swapaxes(-1, -2)), axis=0).reshape(w.shape)
         dcols = np.matmul(wf.T, gg).reshape(b_, cin, k, k, ho, wo)
         dxp = np.zeros(xp.shape)   # C order even when xp is a view of a strided x
         for ki in range(k):
             for kj in range(k):
                 dxp[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride] += dcols[:, :, ki, kj]
         dx = dxp[:, :, padding:padding + h, padding:padding + wd] if padding else dxp
-        return dx, dw, g.sum(axis=(0, 2, 3))
+        return dx, dw, np.add.reduce(g, axis=(0, 2, 3))
 
     return _op("conv2d", val, (x, w, bias), bwd)
 
@@ -761,12 +770,13 @@ def _pad_hw(x: np.ndarray, padding: int) -> np.ndarray:
 def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """[B, C, Hp, Wp] padded maps -> [B, C*k*k, Ho*Wo] im2col columns."""
     b_, cin = xp.shape[:2]
+    xp = np.ascontiguousarray(xp)
     if k == 1 and stride == 1:
-        return np.ascontiguousarray(xp).reshape(b_, cin, ho * wo)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]                       # [B, Cin, Ho, Wo, k, k]
-    cols = np.ascontiguousarray(np.moveaxis(win, (2, 3), (4, 5)))
-    return cols.reshape(b_, cin * k * k, ho * wo)
+        return xp.reshape(b_, cin, ho * wo)
+    sb, sc, sh, sw = xp.strides
+    win = np.ndarray((b_, cin, k, k, ho, wo), xp.dtype, xp,
+                     strides=(sb, sc, sh, sw, sh * stride, sw * stride))
+    return np.ascontiguousarray(win).reshape(b_, cin * k * k, ho * wo)
 
 
 # Elements of one [B, rows, W, C] slab of the depthwise loops (256 KB): each
@@ -839,7 +849,7 @@ def _depthwise(name: str, x, w, bias) -> tuple:
             dw += np.einsum("bhwc,bhwcij->ijc", g[:, r0:r1], _halo_windows(halo, x.data, r0, r1, k))
             np.einsum("bhwcij,ijc->bhwc", _halo_windows(halo, g, r0, r1, k), taps[::-1, ::-1],
                       out=dx[:, r0:r1])
-        return dx, np.moveaxis(dw, -1, 0).reshape(w.shape), g.sum(axis=(0, 1, 2))
+        return dx, dw.transpose(2, 0, 1).reshape(w.shape), np.add.reduce(g, axis=(0, 1, 2))
 
     return val, (x, w, bias), bwd
 
@@ -854,8 +864,10 @@ def _halo_windows(buf: np.ndarray, x: np.ndarray, r0: int, r1: int, k: int) -> n
     buf[:, :top] = 0.0
     buf[:, top:top + hi - lo, p:p + x.shape[2]] = x[:, lo:hi]
     buf[:, top + hi - lo:end] = 0.0
-    return np.lib.stride_tricks.as_strided(buf, (x.shape[0], r1 - r0, *x.shape[2:], k, k),
-                                           buf.strides + buf.strides[1:3], writeable=False)
+    win = np.ndarray((x.shape[0], r1 - r0, *x.shape[2:], k, k), buf.dtype, buf,
+                     strides=buf.strides + buf.strides[1:3])
+    win.flags.writeable = False
+    return win
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +875,8 @@ def _halo_windows(buf: np.ndarray, x: np.ndarray, r0: int, r1: int, k: int) -> n
 # ---------------------------------------------------------------------------
 
 _UPSAMPLE_CACHE: dict[int, np.ndarray] = {}
+# einsum's contraction path of the upsample backward, per input shape
+_UPSAMPLE_BWD_PATH: dict[tuple, list] = {}
 
 
 def _upsample_matrix(n: int) -> np.ndarray:
@@ -886,14 +900,34 @@ def bilinear_upsample2x(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     if x.ndim != 4:
         raise ShapeError("bilinear_upsample2x expects [B, C, H, W]")
-    b_, c, h, w = x.shape
-    uh, uw = _upsample_matrix(h), _upsample_matrix(w)
-    val = np.einsum("ih,bchw,jw->bcij", uh, x.data, uw, optimize=True)
+    uh, uw = _upsample_matrix(x.shape[2]), _upsample_matrix(x.shape[3])
 
     def bwd(g):
-        return (np.einsum("ih,bcij,jw->bchw", uh, g, uw, optimize=True),)
+        # _upsample_hw(g, uh.T, uw.T) gives the same values but not einsum's
+        # memory layout, which sets the summation order of the gradient sums
+        # downstream: training's last bits would move.
+        path = _UPSAMPLE_BWD_PATH.get(x.shape)
+        if path is None:
+            path = np.einsum_path("ih,bcij,jw->bchw", uh, g, uw, optimize=True)[0]
+            _UPSAMPLE_BWD_PATH[x.shape] = path
+        return (np.einsum("ih,bcij,jw->bchw", uh, g, uw, optimize=path),)
 
-    return _op("bilinear_upsample2x", val, (x,), bwd)
+    return _op("bilinear_upsample2x", _upsample_hw(x.data, uh, uw), (x,), bwd)
+
+
+def _upsample_hw(x: np.ndarray, uh: np.ndarray, uw: np.ndarray) -> np.ndarray:
+    """``einsum("ih,bchw,jw->bcij", uh, x, uw, optimize=True)`` of a
+    [B, C, H, W] map, its values bit for bit: the two GEMMs of the path
+    einsum picks, which contracts the longer spatial axis first (rows on a
+    tie)."""
+    if uh.shape[1] >= uw.shape[1]:
+        return _gemm_last(_gemm_last(x.swapaxes(2, 3), uh).swapaxes(2, 3), uw)
+    return _gemm_last(_gemm_last(x, uw).swapaxes(2, 3), uh).swapaxes(2, 3)
+
+
+def _gemm_last(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``t[..., n] @ m[n', n].T`` as one 2-D GEMM over all leading axes."""
+    return (t.reshape(-1, t.shape[-1]) @ m.T).reshape(*t.shape[:-1], m.shape[0])
 
 
 # ---------------------------------------------------------------------------

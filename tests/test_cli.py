@@ -8,7 +8,7 @@ from matchformer import matcher as M
 from matchformer import tensor as T
 from matchformer.blocks import ATTENTION_KINDS
 from matchformer.cli import build_parser, main
-from matchformer.encoder import VARIANTS, parse_config_text
+from matchformer.encoder import VARIANTS, make_config, parse_config_text
 from matchformer.model import MatchModel
 from matchformer.trainer import TrainConfig, config_from_dict
 
@@ -100,6 +100,16 @@ class TestModelChoices:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--variant", "lite", "--attention", "full"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["shapes", "bench"])
+    def test_unset_attention_is_make_configs_default(self, command, tmp_path, capsys):
+        # the parser holds no default; the run reports and records make_config's
+        default = make_config("lite").stages[0].attention
+        argv = [command, "--variant", "lite", "--height", "64", "--width", "64"]
+        assert build_parser().parse_args(argv).attention is None
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith(f"lite-{default} @ 64x64")
+        assert f"attention: {default}\n" in (tmp_path / "manifest.txt").read_text()
 
 
 class TestMatch:

@@ -11,7 +11,7 @@ from matchformer.blocks import PosPatchEmbed
 from matchformer.encoder import (NAMED_SCHEDULES, ModelConfig, StageConfig, make_config,
                                  output_plan, parse_config_text, schedule_from_strings,
                                  stage_plan)
-from matchformer.model import MatchModel
+from matchformer.model import MatchModel, build_model
 from matchformer.tensor import Tensor
 from matchformer.trainer import config_from_dict
 
@@ -122,6 +122,12 @@ class TestModelConfig:
         with pytest.raises(TypeError):
             ModelConfig("pos", make_config("large").stages)
         assert make_config("large").fine_channels == 256
+
+    def test_build_model_takes_every_default_from_make_config(self):
+        small = dict(channels=(8, 8, 8, 16), coarse_channels=8, fine_channels=8,
+                     fusion_channels=8)
+        assert build_model(**small).cfg == make_config(**small)
+        assert build_model("large", "la", seed=1, **small).cfg == make_config("large", "la", **small)
 
 
 class TestEncodePair:
