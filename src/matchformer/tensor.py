@@ -18,7 +18,8 @@ traffic goes through memory; each equals its unfused chain bit for bit,
 forward and backward:
 
 - ``linear(x, w, b)`` is ``add(matmul(x, w), b)`` with the bias added in
-  place into the fresh product (every ``blocks.Linear``);
+  place into the fresh product (every ``blocks.Linear``), and a large
+  C-contiguous ``x`` of more than 2 dims runs as one 2-D GEMM, same bits;
 - ``depthwise_gelu(x, w, b)`` is ``gelu(depthwise_conv2d(x, w, b))`` on the
   conv's slab loop: taps, bias and GELU while the slab is in cache
   (``blocks.MixFFN``), with ``gelu``'s maths (``_gelu_into``, ``_gelu_grad``).
@@ -218,12 +219,18 @@ def _accumulate(parent: Tensor, g: Optional[np.ndarray]) -> None:
         return
     if parent._from_op:
         parent._g = g if parent._g is None else parent._g + g
+    elif parent.grad is None:
+        parent.grad = g.copy()
     else:
-        parent.grad = g.copy() if parent.grad is None else parent.grad + g
+        parent.grad += g  # in place: a leaf bound to a buffer keeps receiving it
 
 
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
+
+    A leaf without a ``grad`` gets a copy of its first contribution; a leaf
+    that has one (``trainer.AdamState`` binds each parameter's to its arena)
+    receives every contribution in place.
 
     Consumes (clears) the active tape.  ``loss`` must be a scalar.
     """
@@ -445,6 +452,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                lambda g: _matmul_grads(g, a, b))
 
 
+# Multiply-adds from which ``linear`` runs a C-contiguous batch of rows as one
+# 2-D GEMM, which packs the weight once, not once per leading index.  With
+# OpenBLAS 0.3.31 on 1 thread, the one GEMM was as fast or up to 31 % faster
+# at every lite-SEA 128x128 shape above this size, and up to 30 % slower at
+# the toy model's shapes, all below it.
+_LINEAR_GEMM_MACS = 1 << 22
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x[..., K] @ w[K, N] + b[N]`` as one op: the bias is added in place
     into the fresh product, so no second output array is written."""
@@ -454,7 +469,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_matmul("linear", x, w)
     if b.shape != w.shape[1:]:
         raise ShapeError(f"linear bias must have shape {w.shape[1:]}, got {b.shape}")
-    val = np.matmul(x.data, w.data)
+    if (x.ndim > 2 and x.size * w.shape[1] >= _LINEAR_GEMM_MACS
+            and x.data.flags.c_contiguous):
+        val = np.matmul(x.data.reshape(-1, x.shape[-1]), w.data)
+        val = val.reshape(*x.shape[:-1], w.shape[1])
+    else:
+        val = np.matmul(x.data, w.data)
     val += b.data
     return _op("linear", val, (x, w, b),
                lambda g: (*_matmul_grads(g, x, w), _unbroadcast(g, b.shape)))

@@ -63,33 +63,112 @@ def fine_loss(pred_offsets: Tensor, gt_offsets: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+# Elements per pass of ``adam_step``: 128 KB of each buffer, so the six
+# blocks one pass touches (768 KB) stay in L2.
+_ADAM_BLOCK = 1 << 14
+
+
+def _check_grad(grad: np.ndarray, data: np.ndarray) -> None:
+    if grad.shape != data.shape:
+        raise T.ShapeError(f"gradient shape {grad.shape} != param shape {data.shape}")
+
+
+@dataclass(eq=False)
 class AdamState:
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    """Adam over one flat arena: the parameters, their gradients and both
+    moments are four float64 buffers of one length, and every ``p.data`` and
+    ``p.grad`` is a view of its parameter's span (the layout ZeRO keeps,
+    arXiv 1910.02054).  Adam is elementwise, so a step runs over the whole
+    buffers and allocates no array memory."""
+
+    params: tuple
+    data: np.ndarray
+    grad: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    data_views: tuple
+    grad_views: tuple
     t: int = 0
+    scratch: tuple = field(default_factory=lambda: (np.empty(_ADAM_BLOCK),
+                                                    np.empty(_ADAM_BLOCK)))
 
     @classmethod
     def for_params(cls, params) -> "AdamState":
-        return cls(m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params], t=0)
+        """Copy each parameter (and its gradient, if it has one) into its
+        span and rebind ``p.data`` and ``p.grad`` to the span's views."""
+        params = tuple(params)
+        total = sum(p.data.size for p in params)
+        data, grad, m, v = (np.zeros(total) for _ in range(4))
+        data_views, grad_views = [], []
+        start = 0
+        for p in params:
+            end = start + p.data.size
+            dview = data[start:end].reshape(p.data.shape)
+            gview = grad[start:end].reshape(p.data.shape)
+            dview[...] = p.data
+            if p.grad is not None:
+                _check_grad(p.grad, p.data)
+                gview[...] = p.grad
+            p.data, p.grad = dview, gview
+            data_views.append(dview)
+            grad_views.append(gview)
+            start = end
+        return cls(params, data, grad, m, v, tuple(data_views), tuple(grad_views))
+
+    def zero_grad(self) -> None:
+        """Zero the gradient buffer and bind every ``p.grad`` to its view."""
+        self.grad.fill(0.0)
+        for p, gview in zip(self.params, self.grad_views):
+            p.grad = gview
 
 
 def adam_step(params, state: AdamState, lr: float, beta1: float, beta2: float,
               eps: float) -> None:
-    """Standard bias-corrected Adam update, in place on the parameter data."""
+    """Standard bias-corrected Adam update, in place on the arena.
+
+    Every ``p.data`` must still be its arena view.  A ``p.grad`` that is not
+    its view is copied in (``None`` counts as zero).  The update runs in
+    blocks of ``_ADAM_BLOCK`` elements, one ufunc pass per operation of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``, evaluated in that order.
+    """
+    params = tuple(params)
+    if len(params) != len(state.params):
+        raise ValueError(f"adam_step got {len(params)} parameters, "
+                         f"its state holds {len(state.params)}")
+    for i, (p, dview, gview) in enumerate(zip(params, state.data_views,
+                                              state.grad_views)):
+        if p.data is not dview:
+            raise ValueError(f"parameter {i}: data is no longer its Adam arena view")
+        if p.grad is None:
+            gview.fill(0.0)
+        elif p.grad is not gview:
+            _check_grad(p.grad, p.data)
+            gview[...] = p.grad
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
-    for p, m, v in zip(params, state.m, state.v):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise T.ShapeError(f"gradient shape {g.shape} != param shape {p.data.shape}")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    k1, k2 = 1.0 - beta1, 1.0 - beta2
+    buf_a, buf_b = state.scratch
+    for start in range(0, state.data.size, _ADAM_BLOCK):
+        end = min(start + _ADAM_BLOCK, state.data.size)
+        p, g = state.data[start:end], state.grad[start:end]
+        m, v = state.m[start:end], state.v[start:end]
+        a, b = buf_a[:end - start], buf_b[:end - start]
+        np.multiply(m, beta1, out=m)
+        np.multiply(g, k1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, beta2, out=v)
+        np.multiply(g, k2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(v, a, out=v)
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        np.add(a, eps, out=a)
+        np.divide(m, c1, out=b)
+        np.multiply(b, lr, out=b)
+        np.divide(b, a, out=b)
+        np.subtract(p, b, out=p)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +353,7 @@ def train_toy(cfg: TrainConfig, log_path=None, checkpoint_path=None,
                 raise TrainingDivergedError(step, f"non-finite loss {loss_val}")
             T.backward(loss)
             adam_step(params, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-            model.zero_grad()
+            state.zero_grad()
             metrics.append((step, float(loss_c.data), loss_f_val, precision))
             if progress and step % progress == 0:
                 print(f"step {step:5d}  loss_c {float(loss_c.data):.4f}  "

@@ -5,7 +5,8 @@ and the ``np.ndarray`` constructor).  Each one is checked here, forward and
 backward and bit for bit, against a reference written with ``.mean``,
 ``.sum``, ``.max``, ``np.transpose``, ``np.roll``, ``einsum(optimize=True)``,
 ``sliding_window_view`` and ``as_strided``, at shapes of the toy model (64x64
-input) and of lite-SEA (128x128 input, and the decoder maps of 480x640).  The
+input) and of lite-SEA (128x128 input, and the decoder maps of 480x640);
+``linear`` is checked against the batched ``np.matmul`` it replaced.  The
 backward cases take strided gradients, as a convolution's input gradient
 (a ``[:, :, 1:-1, 1:-1]`` view of its padded buffer) is.  The last test checks
 that a forward pass enters none of those helpers.
@@ -19,7 +20,7 @@ import pytest
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from matchformer import tensor as T
-from matchformer.model import MatchModel
+from matchformer.model import MatchModel, build_model
 from matchformer.tensor import Tensor, _upsample_matrix
 from matchformer.trainer import TrainConfig
 
@@ -250,6 +251,50 @@ def test_conv2d_of_a_strided_unpadded_map():
     w, b = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4)
     g = strided(rng, (2, 4, 6, 6))
     assert_same_bits(forward_and_vjp(T.conv2d, (x, w, b), g), ref_conv2d(x, w, b, 1, 0, g))
+
+
+def batched_linear(x, w, b):
+    out = np.matmul(x, w)
+    out += b
+    return out
+
+
+@pytest.mark.parametrize("gemm_macs", [T._LINEAR_GEMM_MACS, 0])  # 0: every shape
+@pytest.mark.parametrize("build,size", [
+    (lambda: MatchModel(TrainConfig().model_config(), seed=0), 64),  # toy
+    (lambda: build_model("lite", "sea", seed=5), 128),               # lite-SEA
+])
+def test_linear_equals_the_batched_matmul_at_every_model_shape(build, size, gemm_macs,
+                                                                monkeypatch):
+    net = build()
+    real, calls = T.linear, []
+
+    def checked(x, w, b):
+        out = real(x, w, b)
+        assert out.data.tobytes() == batched_linear(x.data, w.data, b.data).tobytes()
+        calls.append(x.ndim > 2 and x.data.flags.c_contiguous
+                     and x.size * w.shape[1] >= gemm_macs)
+        return out
+    monkeypatch.setattr(T, "linear", checked)
+    monkeypatch.setattr(T, "_LINEAR_GEMM_MACS", gemm_macs)
+    img = np.random.default_rng(15).random((size, size))
+    net.forward_pair(Tensor(img[None, None]), Tensor(img.T.copy()[None, None]))
+    T.active_tape().clear()
+    # with the default bound the toy's linears all stay batched
+    assert any(calls) == (size > 64 or gemm_macs == 0)
+
+
+@pytest.mark.parametrize("x", [
+    strided(np.random.default_rng(16), (2, 16, 64)),
+    np.random.default_rng(17).normal(size=(2, 64, 16)).swapaxes(1, 2),
+    np.random.default_rng(18).normal(size=(16, 64)),
+])
+def test_linear_of_any_layout_equals_the_batched_matmul(x, monkeypatch):
+    monkeypatch.setattr(T, "_LINEAR_GEMM_MACS", 0)  # only the layout decides
+    rng = np.random.default_rng(19)
+    w, b = rng.normal(size=(64, 24)), rng.normal(size=24)
+    out = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+    assert out.tobytes() == batched_linear(x, w, b).tobytes()
 
 
 @pytest.mark.parametrize("x_shape", [(2, 16, 16, 32), (2, 2, 2, 512), (2, 32, 32, 128),

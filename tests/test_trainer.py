@@ -113,6 +113,129 @@ class TestAdam:
             adam_step([p], AdamState.for_params([p]), lr=0.1, **ADAM)
 
 
+class ListAdamState:
+    """Adam as it was before the arena: one pair of moment arrays per
+    parameter, and gradients left to the leaves."""
+
+    def __init__(self, params):
+        self.params = list(params)
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
+
+    @classmethod
+    def for_params(cls, params):
+        return cls(params)
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad = None
+
+
+def list_adam_step(params, state, lr, beta1, beta2, eps):
+    state.t += 1
+    c1 = 1.0 - beta1 ** state.t
+    c2 = 1.0 - beta2 ** state.t
+    for p, m, v in zip(params, state.m, state.v):
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def flat_params(result):
+    return np.concatenate([p.data.reshape(-1) for p in result.model.parameters()])
+
+
+class TestAdamArena:
+    @pytest.mark.parametrize("warmup", [0.3, 0.0])  # 0.0: the fine loss runs too
+    def test_training_equals_per_parameter_adam(self, monkeypatch, warmup):
+        cfg = tiny_config(steps=5, fine_warmup_precision=warmup)
+        arena = train_toy(cfg)
+        monkeypatch.setattr(trainer, "AdamState", ListAdamState)
+        monkeypatch.setattr(trainer, "adam_step", list_adam_step)
+        reference = train_toy(cfg)
+        assert arena.metrics == reference.metrics
+        assert arena.holdout_precision == reference.holdout_precision
+        assert flat_params(arena).tobytes() == flat_params(reference).tobytes()
+
+    def test_training_keeps_every_array_in_the_arena(self, monkeypatch):
+        states = []
+        real = trainer.adam_step
+
+        def checked(params, state, *args):
+            # backward has just run: every gradient landed in the arena
+            assert all(p.grad is view for p, view in zip(params, state.grad_views))
+            states.append(state)
+            real(params, state, *args)
+        monkeypatch.setattr(trainer, "adam_step", checked)
+        result = train_toy(tiny_config(steps=2))
+        assert len(states) == 2 and states[0] is states[1]
+        state = states[0]
+        params = result.model.parameters()
+        assert state.data.size == sum(p.data.size for p in params)
+        for p in params:
+            assert np.shares_memory(p.data, state.data)
+            assert np.shares_memory(p.grad, state.grad)
+
+    def test_replaced_data_raises_naming_the_parameter(self):
+        params = [Tensor(np.ones(2), requires_grad=True) for _ in range(3)]
+        state = AdamState.for_params(params)
+        params[1].data = np.ones(2)
+        with pytest.raises(ValueError, match="parameter 1"):
+            adam_step(params, state, lr=0.1, **ADAM)
+        assert state.t == 0
+
+    def test_user_gradient_is_copied_in(self):
+        p = Tensor(np.zeros((2, 2)), requires_grad=True)
+        state = AdamState.for_params([p])
+        p.grad = np.full((2, 2), 3.0)
+        adam_step([p], state, lr=0.1, **ADAM)
+        assert np.array_equal(state.grad, np.full(4, 3.0))
+        assert np.allclose(p.data, -0.1)
+        state.zero_grad()
+        assert p.grad is state.grad_views[0] and not p.grad.any()
+        p.grad = np.zeros(3)
+        with pytest.raises(T.ShapeError):
+            adam_step([p], state, lr=0.1, **ADAM)
+
+    def test_none_gradient_counts_as_zero(self):
+        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        state = AdamState.for_params([p])
+        state.grad[:] = 5.0
+        p.grad = None
+        adam_step([p], state, lr=0.1, **ADAM)
+        assert np.array_equal(p.data, [1.0, 2.0])
+
+    def test_leaf_used_twice_sums_in_place(self):
+        rng = np.random.default_rng(3)
+        p = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        state = AdamState.for_params([p])
+        x, y = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        T.backward(T.add(T.reduce_sum(T.mul(p, Tensor(x))),
+                         T.reduce_sum(T.mul(p, Tensor(y)))))
+        assert p.grad is state.grad_views[0]
+        assert np.array_equal(p.grad, x + y)
+
+    def test_update_spans_several_blocks(self):
+        # parameters straddle block bounds; each element moves as in the
+        # per-parameter reference
+        rng = np.random.default_rng(4)
+        sizes = [trainer._ADAM_BLOCK - 3, 7, 2 * trainer._ADAM_BLOCK + 1]
+        params = [Tensor(rng.normal(size=n), requires_grad=True) for n in sizes]
+        twins = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+        state, ref = AdamState.for_params(params), ListAdamState(twins)
+        for _ in range(3):
+            for p, q in zip(params, twins):
+                p.grad = q.grad = rng.normal(size=p.data.shape)
+            adam_step(params, state, lr=0.01, **ADAM)
+            list_adam_step(twins, ref, lr=0.01, **ADAM)
+        for p, q in zip(params, twins):
+            assert p.data.tobytes() == q.data.tobytes()
+
+
 class TestTrainToy:
     def test_zero_steps_returns_initialization(self, tmp_path):
         cfg = tiny_config(steps=0)
