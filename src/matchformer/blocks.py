@@ -48,10 +48,6 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.grad = None
-
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     """Normal(0, std) resampled until every draw lies within two deviations.

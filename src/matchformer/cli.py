@@ -325,6 +325,7 @@ def _arg_type(kind, valid, expected: str):
 
 
 _seed = _arg_type(int, lambda n: n >= 0, "a seed >= 0")
+_progress = _arg_type(int, lambda n: n >= 1, "a progress interval in steps >= 1")
 _window = _arg_type(int, M.check_window, "an odd window size >= 1")
 _ransac_iters = _arg_type(int, lambda n: n >= 1, "a number of RANSAC trials >= 1")
 _ransac_thresh = _arg_type(float, lambda t: np.isfinite(t) and t > 0,
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="toy training on synthetic pairs")
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--progress", type=int, default=None)
+    p.add_argument("--progress", type=_progress, default=None)
     common(p, matching=False)
     p.set_defaults(fn=cmd_train)
 

@@ -228,21 +228,19 @@ def _accumulate(parent: Tensor, g: Optional[np.ndarray]) -> None:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires-grad leaf reachable from ``loss``.
 
-    A leaf without a ``grad`` gets a copy of its first contribution; a leaf
-    that has one (``trainer.AdamState`` binds each parameter's to its arena)
-    receives every contribution in place.
+    A leaf, ``loss`` included, gets a copy of its first contribution and adds
+    every later one into its ``grad`` in place.
 
     Consumes (clears) the active tape.  ``loss`` must be a scalar.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = _ACTIVE_TAPE
-    loss._g = np.ones_like(loss.data)
     if not loss._from_op:
-        if loss.requires_grad:
-            loss.grad = np.ones_like(loss.data) if loss.grad is None else loss.grad + 1.0
+        _accumulate(loss, np.ones_like(loss.data))
         tape.clear()
         return
+    loss._g = np.ones_like(loss.data)
     for node in reversed(tape.nodes):
         g = node.out._g
         node.out._g = None

@@ -68,83 +68,52 @@ def fine_loss(pred_offsets: Tensor, gt_offsets: np.ndarray) -> Tensor:
 _ADAM_BLOCK = 1 << 14
 
 
-def _check_grad(grad: np.ndarray, data: np.ndarray) -> None:
-    if grad.shape != data.shape:
-        raise T.ShapeError(f"gradient shape {grad.shape} != param shape {data.shape}")
-
-
 @dataclass(eq=False)
 class AdamState:
-    """Adam over one flat arena: the parameters, their gradients and both
-    moments are four float64 buffers of one length, and every ``p.data`` and
-    ``p.grad`` is a view of its parameter's span (the layout ZeRO keeps,
-    arXiv 1910.02054).  Adam is elementwise, so a step runs over the whole
-    buffers and allocates no array memory."""
+    """Adam over one flat arena, the only owner of the training storage: the
+    parameters, their gradients and both moments are four float64 buffers of
+    one length, and every ``p.data`` and ``p.grad`` is a view of its
+    parameter's span (the layout ZeRO keeps, arXiv 1910.02054).  Backward adds
+    into each ``p.grad`` in place; rebinding ``p.data`` or ``p.grad`` detaches
+    the parameter, which Adam then neither reads nor moves.  Adam is
+    elementwise, so a step runs over the whole buffers and allocates nothing."""
 
-    params: tuple
     data: np.ndarray
     grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
-    data_views: tuple
-    grad_views: tuple
     t: int = 0
     scratch: tuple = field(default_factory=lambda: (np.empty(_ADAM_BLOCK),
                                                     np.empty(_ADAM_BLOCK)))
 
     @classmethod
     def for_params(cls, params) -> "AdamState":
-        """Copy each parameter (and its gradient, if it has one) into its
-        span and rebind ``p.data`` and ``p.grad`` to the span's views."""
+        """Copy each parameter into its span and bind ``p.data`` and
+        ``p.grad`` to the span's views; every gradient starts at zero."""
         params = tuple(params)
         total = sum(p.data.size for p in params)
         data, grad, m, v = (np.zeros(total) for _ in range(4))
-        data_views, grad_views = [], []
         start = 0
         for p in params:
             end = start + p.data.size
             dview = data[start:end].reshape(p.data.shape)
-            gview = grad[start:end].reshape(p.data.shape)
             dview[...] = p.data
-            if p.grad is not None:
-                _check_grad(p.grad, p.data)
-                gview[...] = p.grad
-            p.data, p.grad = dview, gview
-            data_views.append(dview)
-            grad_views.append(gview)
+            p.data, p.grad = dview, grad[start:end].reshape(dview.shape)
             start = end
-        return cls(params, data, grad, m, v, tuple(data_views), tuple(grad_views))
+        return cls(data, grad, m, v)
 
     def zero_grad(self) -> None:
-        """Zero the gradient buffer and bind every ``p.grad`` to its view."""
         self.grad.fill(0.0)
-        for p, gview in zip(self.params, self.grad_views):
-            p.grad = gview
 
 
-def adam_step(params, state: AdamState, lr: float, beta1: float, beta2: float,
+def adam_step(state: AdamState, lr: float, beta1: float, beta2: float,
               eps: float) -> None:
     """Standard bias-corrected Adam update, in place on the arena.
 
-    Every ``p.data`` must still be its arena view.  A ``p.grad`` that is not
-    its view is copied in (``None`` counts as zero).  The update runs in
-    blocks of ``_ADAM_BLOCK`` elements, one ufunc pass per operation of
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
+    The update runs in blocks of ``_ADAM_BLOCK`` elements, one ufunc pass per
+    operation of ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``, evaluated in that order.
     """
-    params = tuple(params)
-    if len(params) != len(state.params):
-        raise ValueError(f"adam_step got {len(params)} parameters, "
-                         f"its state holds {len(state.params)}")
-    for i, (p, dview, gview) in enumerate(zip(params, state.data_views,
-                                              state.grad_views)):
-        if p.data is not dview:
-            raise ValueError(f"parameter {i}: data is no longer its Adam arena view")
-        if p.grad is None:
-            gview.fill(0.0)
-        elif p.grad is not gview:
-            _check_grad(p.grad, p.data)
-            gview[...] = p.grad
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
@@ -307,8 +276,7 @@ def train_toy(cfg: TrainConfig, log_path=None, checkpoint_path=None,
               progress=None) -> TrainResult:
     """Run the reference toy training loop; see module docstring."""
     model = MatchModel(cfg.model_config(), seed=cfg.seed)
-    params = model.parameters()
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(model.parameters())
     rng = np.random.default_rng(cfg.seed + 17)
     r_c = model.cfg.coarse_stride
     metrics = []
@@ -352,7 +320,7 @@ def train_toy(cfg: TrainConfig, log_path=None, checkpoint_path=None,
             if not np.isfinite(loss_val):
                 raise TrainingDivergedError(step, f"non-finite loss {loss_val}")
             T.backward(loss)
-            adam_step(params, state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+            adam_step(state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
             state.zero_grad()
             metrics.append((step, float(loss_c.data), loss_f_val, precision))
             if progress and step % progress == 0:

@@ -351,6 +351,17 @@ class TestTrain:
             assert main(argv) == 2
         assert not (tmp_path / "run").exists()
 
+    def test_progress_below_one_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("matchformer.cli.train_toy",
+                            lambda *a, **kw: pytest.fail("training ran"))
+        for value in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["train", "--out", str(tmp_path / "run"), "--progress", value])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--progress" in err and f"got '{value}'" in err
+        assert not (tmp_path / "run").exists()
+
     def test_out_of_domain_value_names_its_key(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("matchformer.cli.train_toy",
                             lambda *a, **kw: pytest.fail("training ran"))

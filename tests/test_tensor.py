@@ -584,6 +584,13 @@ class TestBackward:
         T.backward(T.reduce_sum(T.add(T.mul(x, 3.0), T.mul(x, 4.0))))
         assert x.grad[0] == 7.0
 
+    def test_leaf_loss_accumulates_in_place(self):
+        x = Tensor([3.0], requires_grad=True)
+        T.backward(x)
+        first = x.grad
+        T.backward(x)
+        assert x.grad is first and x.grad[0] == 2.0
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(T.ShapeError):
