@@ -270,6 +270,8 @@ def save_manifest(path, entries) -> None:
 
 
 def load_manifest(path):
+    """The (seed, homography) samples of a ``save_manifest`` file; blank
+    lines are skipped, and a file with no sample line is an error."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -288,4 +290,6 @@ def load_manifest(path):
                 out.append((seed, h_mat))
             except ValueError as e:
                 raise ValueError(f"{path}: line {lineno}: {e}") from None
+    if not out:
+        raise ValueError(f"{path}: no sample lines")
     return out

@@ -2,11 +2,15 @@
 
 Coarse stage: temperature-scaled inner products between l2-normalized coarse
 descriptors, a dual softmax turning scores into mutual match probabilities,
-and threshold + mutual-nearest-neighbor selection.  Training differentiates
-through the dense chain (``coarse_scores`` -> ``dual_softmax``) and selects
-on its P with ``select_coarse``; inference and the holdout precision select
-with ``stream_select_coarse``, which never holds an N1 x N2 array.  Both
-selectors end in one mutual-best rule (``_mutual_best``).
+and threshold + mutual-nearest-neighbor selection.  Training, inference and
+the holdout precision all run on one pass over row blocks of S that takes
+its row and column log-sum-exps (``_log_sum_exps``) and never holds an
+N1 x N2 array: ``stream_select_coarse`` selects from it, and the coarse loss
+``dual_softmax_nll`` takes log P at the labelled cells from it and
+recomputes the blocks in its backward.  The dense chain (``coarse_scores``
+-> ``dual_softmax`` -> ``select_coarse``) is the reference that the self-test
+and the tests compare against.  Both selectors end in one mutual-best rule
+(``_mutual_best``).
 
 Fine stage: each selected coarse match is back-located onto the fine maps,
 and the expectation of a softmax correlation between the A-side center
@@ -161,45 +165,38 @@ def select_coarse(probs, theta: float) -> CoarseMatchResult:
     return _mutual_best(p.argmax(axis=1), p.max(axis=1), p.argmax(axis=0), theta)
 
 
-# Rows of S per block of ``stream_select_coarse``.  A block is 256 x N2
-# float64: 2 MB at N2 = 1024 and 39 MB at 640x480's N2 = 19200, where the
-# block GEMM still runs at full speed.
+# Rows of S per block of ``stream_select_coarse`` and ``dual_softmax_nll``.
+# A block is 256 x N2 float64: 2 MB at N2 = 1024 and 39 MB at 640x480's
+# N2 = 19200, where the block GEMM still runs at full speed.
 _SCORE_BLOCK = 256
 
+# log(1e-12), the floor of the coarse loss's log P.
+_LOG_P_FLOOR = float(np.log(1e-12))
 
-def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float,
-                         theta: float) -> CoarseMatchResult:
-    """``select_coarse(dual_softmax(coarse_scores(a, b, tau)), theta)``
-    without gradients and without any N1 x N2 array.
 
-    Two passes run over blocks of rows of S, each block recomputed from the
-    descriptor rows.  The first takes every row's log-sum-exp, and every
-    column's online as a running max and a sum rescaled to it (Milakov &
-    Gimelshein, arXiv 1805.02867).  The second forms
-    log P = 2 S - lse_row - lse_col and keeps each row's best value and
-    index, and each column's best over the blocks so far.  A column's best
-    moves only to a strictly greater value, so the lowest index wins ties,
-    as ``argmax`` does in the dense chain.  MNN and theta then run on O(N)
-    vectors (``_mutual_best``).  The result equals the dense chain's up to
-    rounding: pairs may differ only where two probabilities tie to the last bits.
-    """
-    check_theta(theta)
-    with T.no_grad():
-        seq_a, seq_b, grid_a, grid_b = _descriptor_rows(coarse_a, coarse_b, tau)
-    rows_a, cols_b = seq_a.data, seq_b.data.T
+def _row_blocks(n1: int) -> list:
+    return [(r, min(n1, r + _SCORE_BLOCK)) for r in range(0, n1, _SCORE_BLOCK)]
+
+
+def _score_block(rows_a: np.ndarray, cols_b: np.ndarray, tau: float, r0: int,
+                 r1: int) -> np.ndarray:
+    """Rows ``r0:r1`` of S from [N1, C] descriptor rows and [C, N2] columns."""
+    s = np.matmul(rows_a[r0:r1], cols_b)
+    s *= 1.0 / tau
+    return s
+
+
+def _log_sum_exps(rows_a: np.ndarray, cols_b: np.ndarray, tau: float) -> tuple:
+    """Every row's and every column's log-sum-exp of S, one row block at a
+    time: the row ones directly, the column ones online as a running max and
+    a sum rescaled to it (Milakov & Gimelshein, arXiv 1805.02867).  Raises
+    ``NumericalError`` on a non-finite score."""
     n1, n2 = rows_a.shape[0], cols_b.shape[1]
-    blocks = [(r, min(n1, r + _SCORE_BLOCK)) for r in range(0, n1, _SCORE_BLOCK)]
-
-    def score_block(r0, r1):
-        s = np.matmul(rows_a[r0:r1], cols_b)
-        s *= 1.0 / tau
-        return s
-
     lse_row = np.empty(n1)
     col_max = np.full(n2, -np.inf)
     col_sum = np.zeros(n2)
-    for r0, r1 in blocks:
-        s = score_block(r0, r1)
+    for r0, r1 in _row_blocks(n1):
+        s = _score_block(rows_a, cols_b, tau, r0, r1)
         if not np.logical_and.reduce(np.isfinite(s), axis=None):
             raise T.NumericalError("coarse scores produced non-finite values")
         new_max = np.maximum(col_max, s.max(axis=0))
@@ -210,15 +207,38 @@ def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float,
         row_max = s.max(axis=1, keepdims=True)
         np.exp(np.subtract(s, row_max, out=e), out=e)
         lse_row[r0:r1] = row_max[:, 0] + np.log(e.sum(axis=1))
-    lse_col = col_max + np.log(col_sum)
+    return lse_row, col_max + np.log(col_sum)
+
+
+def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float,
+                         theta: float) -> CoarseMatchResult:
+    """``select_coarse(dual_softmax(coarse_scores(a, b, tau)), theta)``
+    without gradients and without any N1 x N2 array.
+
+    Two passes run over blocks of rows of S, each block recomputed from the
+    descriptor rows.  The first takes the row and column log-sum-exps
+    (``_log_sum_exps``).  The second forms log P = 2 S - lse_row - lse_col
+    and keeps each row's best value and index, and each column's best over
+    the blocks so far.  A column's best moves only to a strictly greater
+    value, so the lowest index wins ties, as ``argmax`` does in the dense
+    chain.  MNN and theta then run on O(N) vectors (``_mutual_best``).  The
+    result equals the dense chain's up to rounding: pairs may differ only
+    where two probabilities tie to the last bits.
+    """
+    check_theta(theta)
+    with T.no_grad():
+        seq_a, seq_b, grid_a, grid_b = _descriptor_rows(coarse_a, coarse_b, tau)
+    rows_a, cols_b = seq_a.data, seq_b.data.T
+    n1, n2 = rows_a.shape[0], cols_b.shape[1]
+    lse_row, lse_col = _log_sum_exps(rows_a, cols_b, tau)
 
     best_j = np.empty(n1, dtype=np.intp)
     best_lp = np.empty(n1)
     col_best_i = np.zeros(n2, dtype=np.intp)
     col_best_lp = np.full(n2, -np.inf)
     cols = np.arange(n2)
-    for r0, r1 in blocks:
-        lp = score_block(r0, r1)
+    for r0, r1 in _row_blocks(n1):
+        lp = _score_block(rows_a, cols_b, tau, r0, r1)
         lp *= 2.0
         lp -= lse_row[r0:r1, None]
         lp -= lse_col
@@ -231,6 +251,57 @@ def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float,
         col_best_lp[better] = v[better]
         col_best_i[better] = i[better] + r0
     return _mutual_best(best_j, np.exp(best_lp), col_best_i, theta, grid_a, grid_b)
+
+
+def dual_softmax_nll(coarse_a: Tensor, coarse_b: Tensor, rows: np.ndarray,
+                     cols: np.ndarray, tau: float) -> Tensor:
+    """Mean over k of ``-max(log P[rows[k], cols[k]], log 1e-12)``, P the dual
+    softmax of ``coarse_scores(a, b, tau)``, as one tape op that holds no
+    N1 x N2 array.
+
+    The forward takes ``_log_sum_exps`` and forms
+    log P_ij = 2 S_ij - lse_row_i - lse_col_j at the given cells only.  The
+    backward recomputes S block by block (as FlashAttention does, arXiv
+    2205.14135): with r_i and c_j the number of cells above the floor in
+    row i and column j, and L the number of cells,
+    dl/dS = (r_i softmax_row(S) + c_j softmax_col(S) - 2 [ij above the
+    floor]) / L, and each block is contracted into the gradients of both
+    descriptor rows.  A cell at or below the floor adds a constant and no
+    gradient.
+    """
+    seq_a, seq_b, _, _ = _descriptor_rows(coarse_a, coarse_b, tau)
+    rows_a, rows_b = seq_a.data, seq_b.data
+    cols_b = rows_b.T
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    lse_row, lse_col = _log_sum_exps(rows_a, cols_b, tau)
+    s_lab = np.add.reduce(rows_a[rows] * rows_b[cols], axis=1) * (1.0 / tau)
+    log_p = 2.0 * s_lab - lse_row[rows] - lse_col[cols]
+    live = log_p > _LOG_P_FLOOR
+    loss = -np.add.reduce(np.where(live, log_p, _LOG_P_FLOOR)) / len(rows)
+
+    def bwd(g):
+        n1, n2 = rows_a.shape[0], rows_b.shape[0]
+        r = np.bincount(rows[live], minlength=n1).astype(np.float64)[:, None]
+        c = np.bincount(cols[live], minlength=n2).astype(np.float64)
+        scale = float(g) / (len(rows) * tau)
+        da, db = np.empty(rows_a.shape), np.zeros(rows_b.shape)
+        for r0, r1 in _row_blocks(n1):
+            s = _score_block(rows_a, cols_b, tau, r0, r1)
+            d = np.subtract(s, lse_row[r0:r1, None])
+            np.exp(d, out=d)
+            d *= r[r0:r1]
+            s -= lse_col
+            np.exp(s, out=s)
+            s *= c
+            d += s
+            here = live & (rows >= r0) & (rows < r1)
+            np.add.at(d, (rows[here] - r0, cols[here]), -2.0)
+            d *= scale
+            np.matmul(d, rows_b, out=da[r0:r1])
+            db += np.matmul(d.T, rows_a[r0:r1])
+        return da, db
+
+    return T._op("dual_softmax_nll", loss, (seq_a, seq_b), bwd)
 
 
 # ---------------------------------------------------------------------------

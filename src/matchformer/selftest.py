@@ -250,7 +250,12 @@ def gradients_composite(seed: int):
         return T.add(T.reduce_sum(T.mul(win, w_win)), T.reduce_sum(T.mul(dots, dots)))
 
     r3 = T.fd_check(map_loss, Tensor(rng.normal(size=(1, 2, 4, 4))), tol=1e-4)
-    reports = (r1, r2, r3)
+
+    # the streamed coarse loss; 17 x 16 A cells make two row blocks of S
+    nll_b = Tensor(rng.normal(size=(1, 4, 3, 3)))
+    r4 = T.fd_check(lambda m: M.dual_softmax_nll(m, nll_b, [0, 5, 9, 270], [2, 2, 0, 8], 0.5),
+                    Tensor(rng.normal(size=(1, 4, 17, 16))), tol=1e-4, max_coords=24)
+    reports = (r1, r2, r3, r4)
     worst = max(r.max_rel_err for r in reports)
     return all(r.passed for r in reports), f"max rel err {worst:.2e}"
 
@@ -338,6 +343,12 @@ def matcher_oracles(seed: int):
     st = M.stream_select_coarse(ca, cb, M.DEFAULT_TAU, 0.0)
     ok_st = mnn_matches_bruteforce(st.pairs, p, 0.0) and np.allclose(
         st.confidences, p[st.pairs[:, 0], st.pairs[:, 1]], rtol=1e-12, atol=0.0)
+    # the streamed coarse loss against the dense P, every A cell labelled
+    labels = rng.integers(0, p.shape[1], size=p.shape[0])
+    rows = np.arange(p.shape[0])
+    nll = float(M.dual_softmax_nll(ca, cb, rows, labels, M.DEFAULT_TAU).data)
+    ref = -np.log(np.maximum(p[rows, labels], 1e-12)).mean()
+    ok_nll = abs(nll - ref) <= 1e-12 * ref
 
     # a uniform window leaves the coordinate at the query; a point mass at
     # the window corner shifts it by exactly radius * r_f
@@ -356,9 +367,10 @@ def matcher_oracles(seed: int):
     ms_c = M.fine_refine(one_pair, Tensor(fine_a), Tensor(fine_b), window, r_c, r_f, tau=0.01)
     corner_ok = abs((ms_c.points[0][2] - ms_u.points[0][2]) - radius * r_f) < 1e-9 \
         and abs((ms_c.points[0][3] - ms_u.points[0][3]) - radius * r_f) < 1e-9
-    ok = ok_sel and ok_ds and ok_st and corner_ok and uniform_ok
+    ok = ok_sel and ok_ds and ok_st and ok_nll and corner_ok and uniform_ok
     return ok, (f"select-vs-bruteforce {ok_sel}, dual-softmax bounds {ok_ds}, "
-                f"streamed-vs-dense {ok_st}, corner point-mass {corner_ok}, "
+                f"streamed-vs-dense {ok_st}, streamed-nll-vs-dense {ok_nll}, "
+                f"corner point-mass {corner_ok}, "
                 f"uniform window {uniform_ok}")
 
 

@@ -35,9 +35,10 @@ Supported broadcasting is restricted to the two cases the model needs:
 scalars, and a smaller operand whose shape equals the trailing dimensions of
 the larger one (bias adds, affine gains).  Anything else is a shape error.
 
-Every op leaves through ``_op``, the one place where a tape node is made.
-It tests the result for NaN/Inf and raises ``NumericalError`` at once rather
-than let non-finite values propagate; the layout and gather ops
+Every op leaves through ``_op``, the one place where a tape node is made
+(``matcher.dual_softmax_nll``, the coarse loss, is the one op defined outside
+this module).  It tests the result for NaN/Inf and raises ``NumericalError``
+at once rather than let non-finite values propagate; the layout and gather ops
 (``_UNCHECKED_OPS``), whose outputs only move, pick or clamp input values,
 skip the test.  Nodes carry their op's name, which is also the key for fault
 injection: ``inject_fault(name)`` makes ``backward`` scale the incoming
@@ -71,7 +72,8 @@ _OPS = _UNCHECKED_OPS | frozenset((
     "add", "sub", "mul", "div", "exp", "log", "sqrt", "sigmoid", "gelu",
     "reduce_sum", "matmul", "linear", "softmax", "layer_norm", "l2_normalize",
     "window_dot", "conv2d", "depthwise_conv2d", "depthwise_gelu",
-    "bilinear_upsample2x"))
+    "bilinear_upsample2x",
+    "dual_softmax_nll"))  # matcher's streamed coarse loss
 
 # Fault injection for the self-test negative control: op name -> factor that
 # ``backward`` applies to the incoming gradient of that op's nodes.
@@ -231,7 +233,9 @@ def backward(loss: Tensor) -> None:
     A leaf, ``loss`` included, gets a copy of its first contribution and adds
     every later one into its ``grad`` in place.
 
-    Consumes (clears) the active tape.  ``loss`` must be a scalar.
+    Consumes (clears) the active tape.  ``loss`` must be a scalar, and a
+    non-leaf ``loss`` must still have its graph on the tape: a second
+    ``backward`` of the same loss raises ``RuntimeError``.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -251,6 +255,9 @@ def backward(loss: Tensor) -> None:
         for parent, pg in zip(node.parents, node.backward_fn(g)):
             _accumulate(parent, pg)
     tape.clear()
+    if loss._g is not None:  # no node made it: its graph was already consumed
+        loss._g = None
+        raise RuntimeError("backward: the graph of this loss was already consumed")
 
 
 # ---------------------------------------------------------------------------

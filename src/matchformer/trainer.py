@@ -3,9 +3,13 @@
 One optimizer step per synthetic pair: the coarse head is trained with a
 negative-log-likelihood over the dual-softmax probabilities at ground-truth
 cell assignments, the fine head with a squared-distance regression on the
-window-expectation offsets.  Fine supervision switches on only after the
-coarse precision clears a warm-up bar, so the windows being supervised are
-not garbage.  Everything is bit-reproducible from (seed, config).
+window-expectation offsets.  The coarse loss and the step's precision run
+on the streamed log-sum-exp passes and the mutual-best rule that
+``match_pair`` uses (``matcher.dual_softmax_nll``,
+``matcher.stream_select_coarse``), so no step holds an N1 x N2 array.  Fine
+supervision switches on only after the coarse precision clears a warm-up
+bar, so the windows being supervised are not garbage.  Everything is
+bit-reproducible from (seed, config).
 """
 
 from __future__ import annotations
@@ -40,16 +44,17 @@ class TrainingDivergedError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def coarse_loss(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log probability at the labeled (i, j) cells.
-
-    Probabilities are floored at 1e-12 before the log.
+def coarse_loss(coarse_a: Tensor, coarse_b: Tensor, labels: np.ndarray,
+                tau: float) -> Tensor:
+    """Mean negative log dual-softmax probability at the labeled (i, j)
+    cells, ``labels[i] = j`` (``-1`` for none), of the coarse maps' scores at
+    temperature ``tau``.  log P is floored at log(1e-12); the streamed op
+    ``matcher.dual_softmax_nll`` holds no N1 x N2 array.
     """
     labeled = np.flatnonzero(labels >= 0)
     if len(labeled) == 0:
         raise EmptyAssignmentError("no labeled cells; skip this sample")
-    picked = T.take_pairs(probs, labeled, labels[labeled])
-    return T.mul(T.reduce_mean(T.log(T.maximum_scalar(picked, 1e-12))), -1.0)
+    return M.dual_softmax_nll(coarse_a, coarse_b, labeled, labels[labeled], tau)
 
 
 def fine_loss(pred_offsets: Tensor, gt_offsets: np.ndarray) -> Tensor:
@@ -292,12 +297,11 @@ def train_toy(cfg: TrainConfig, log_path=None, checkpoint_path=None,
             img_a = Tensor(sample.image_a[None, None])
             img_b = Tensor(sample.image_b[None, None])
             coarse_a, fine_a, coarse_b, fine_b = model.forward_pair(img_a, img_b)
-            grids = (coarse_a.shape[2:], coarse_b.shape[2:])
-            probs = M.dual_softmax(M.coarse_scores(coarse_a, coarse_b, tau=cfg.tau))
-            loss_c = coarse_loss(probs, labels)
-
-            precision = _step_precision(M.select_coarse(probs, cfg.theta).pairs,
-                                        labels, grids[0])
+            loss_c = coarse_loss(coarse_a, coarse_b, labels, cfg.tau)
+            coarse = M.stream_select_coarse(coarse_a, coarse_b, tau=cfg.tau,
+                                            theta=cfg.theta)
+            grids = (coarse.grid_a, coarse.grid_b)
+            precision = _step_precision(coarse.pairs, labels, grids[0])
             running_precision = 0.9 * running_precision + 0.1 * precision
             if running_precision > cfg.fine_warmup_precision:
                 fine_active = True

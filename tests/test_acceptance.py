@@ -97,8 +97,7 @@ class TestCriterion1Gradients:
                 setattr(_owner, _attr, p)
                 try:
                     ca, fa, cb, fb = model.forward_pair(img_a, img_b)
-                    probs = M.dual_softmax(M.coarse_scores(ca, cb, tau=0.1))
-                    loss = coarse_loss(probs, labels)
+                    loss = coarse_loss(ca, cb, labels, 0.1)
                     offs = M.fine_offsets(fa, fb, np.array([[2, 2]]),
                                           np.array([[2, 2]]), radius=1, tau=0.05)
                     return T.add(loss, T.reduce_sum(T.mul(offs, offs)))

@@ -495,6 +495,17 @@ class TestEval:
         assert f"{manifest}: line 1: " in capsys.readouterr().err
         assert spy_match_pair == []
 
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_manifest_without_samples_is_io_error_before_any_output(
+            self, tmp_path, capsys, text, spy_match_pair):
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text(text)
+        out = tmp_path / "o"
+        assert main(["eval", "--manifest", str(manifest), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{manifest}: no sample lines" in err and "Traceback" not in err
+        assert not (out / "report.csv").exists() and spy_match_pair == []
+
     @pytest.mark.parametrize("row", ["1\t2\t3\t4", "1\t2\t3\t4\t0.5\t6",
                                      "1\t2\t3\t4\tnan"])
     def test_malformed_matches_file_is_io_error(self, tmp_path, capsys, row):

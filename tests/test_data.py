@@ -205,6 +205,12 @@ class TestManifest:
         for (_, a), (_, b) in zip(entries, back):
             assert np.array_equal(a, b)
 
+    def test_manifest_without_samples_names_the_file(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_text("\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no sample lines")):
+            D.load_manifest(path)
+
     def test_malformed_line_names_lineno(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("5\t1 2 3\n")

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from matchformer import matcher as M
 from matchformer import tensor as T
 from matchformer.selftest import naive_conv2d, naive_depthwise, naive_matmul
 from matchformer.tensor import Tensor
@@ -591,6 +592,15 @@ class TestBackward:
         T.backward(x)
         assert x.grad is first and x.grad[0] == 2.0
 
+    def test_second_backward_of_a_consumed_graph_raises(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = T.reduce_sum(T.mul(x, x))
+        T.backward(y)
+        with pytest.raises(RuntimeError, match="already consumed"):
+            T.backward(y)
+        assert np.array_equal(x.grad, [0.0, 2.0, 4.0]) and y._g is None
+        assert len(T.active_tape()) == 0
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(T.ShapeError):
@@ -675,7 +685,11 @@ def fd_cases(seed):
         (lambda m: T.reduce_sum(T.mul(c := T.depthwise_gelu(m, dw, db), c)),
          Tensor(rng.normal(size=(1, 4, 4, 2)))),
     ]
-    lb = Tensor(rng.normal(size=4))  # drawn last, so the older cases keep their inputs
+    lb = Tensor(rng.normal(size=4))  # drawn after the cases above, so they keep their inputs
+    cb = Tensor(rng.normal(size=(1, 3, 2, 2)))
+    # a repeated row and a shared column among the labelled cells
+    map_cases.append((lambda m: M.dual_softmax_nll(m, cb, [0, 3, 5, 5], [1, 1, 0, 2], 0.5),
+                      Tensor(rng.normal(size=(1, 3, 2, 3)))))
     return [(fn, x) for fn in cases] + map_cases
 
 
@@ -712,7 +726,8 @@ class TestFdCheck:
         assert not rep.passed
 
     def test_fault_names_are_the_ops_that_record_nodes(self):
-        in_source = set(re.findall(r'_op\("(\w+)"', inspect.getsource(T)))
+        in_source = set(re.findall(r'_op\("(\w+)"',
+                                   inspect.getsource(T) + inspect.getsource(M)))
         recorded = set().union(*(recorded_ops(fn, x) for fn, x in fd_cases(0)))
         assert in_source == recorded == T._OPS
         with pytest.raises(ValueError, match="valid ops"):

@@ -1,5 +1,7 @@
 """Trainer: losses, Adam, short training loops, reproducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,40 +25,137 @@ def tiny_config(**kw):
                        **{**TINY, **kw})
 
 
+def one_hot_maps(n):
+    """A [1, n, 1, n] coarse map whose n descriptor rows are the unit vectors."""
+    return Tensor(np.eye(n).reshape(1, n, 1, n))
+
+
+def dense_coarse_loss(coarse_a, coarse_b, labels, tau):
+    """The coarse loss through the dense chain: coarse_scores -> dual_softmax
+    -> take_pairs -> P floored at 1e-12 -> mean negative log."""
+    labeled = np.flatnonzero(labels >= 0)
+    probs = M.dual_softmax(M.coarse_scores(coarse_a, coarse_b, tau))
+    picked = T.take_pairs(probs, labeled, labels[labeled])
+    return T.mul(T.reduce_mean(T.log(T.maximum_scalar(picked, 1e-12))), -1.0)
+
+
+def two_block_case(seed):
+    """Random maps with 17 x 16 = 272 A cells (two row blocks of S) and 63 B
+    cells, every third row unlabelled, rows 1 and 2 labelled with the same
+    column, and row 4 labelled with its lowest-scoring column, whose P is
+    below the 1e-12 floor at tau = 0.1."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(1, 8, 17, 16)), rng.normal(size=(1, 8, 9, 7))
+    labels = rng.integers(0, 63, size=272)
+    labels[::3] = -1
+    labels[2] = labels[1]
+    labels[4] = M.coarse_scores(Tensor(a), Tensor(b), 0.1).data[4].argmin()
+    return a, b, labels, 0.1
+
+
 class TestCoarseLoss:
     def test_perfect_probabilities_give_zero(self):
-        probs = Tensor(np.eye(4))
+        # S = 1000 on the diagonal and 0 elsewhere: P = 1 at every label
         labels = np.arange(4)
-        assert float(coarse_loss(probs, labels).data) == 0.0
+        assert float(coarse_loss(one_hot_maps(4), one_hot_maps(4), labels, 1e-3).data) == 0.0
 
     def test_e_inverse_gives_one(self):
-        probs = Tensor(np.full((3, 3), np.exp(-1.0)))
-        labels = np.arange(3)
-        assert abs(float(coarse_loss(probs, labels).data) - 1.0) < 1e-12
+        # 2 x 2 S = s I: log P_ii = 2s - 2 log(e^s + 1) = -1 at e^-s = e^0.5 - 1
+        tau = -1.0 / np.log(np.expm1(0.5))
+        labels = np.arange(2)
+        loss = float(coarse_loss(one_hot_maps(2), one_hot_maps(2), labels, tau).data)
+        assert abs(loss - 1.0) < 1e-12
 
     def test_unlabeled_cells_ignored(self):
-        probs = Tensor(np.array([[1.0, 0.0], [0.0, 1e-30]]))
-        labels = np.array([0, -1])
-        assert float(coarse_loss(probs, labels).data) == 0.0
+        # A's row 1 is -e0: P = 1 at (0, 0) and 1/2 at (1, 1)
+        ca = Tensor(np.array([[1.0, -1.0], [0.0, 0.0]]).reshape(1, 2, 1, 2))
+        cb = one_hot_maps(2)
+        assert float(coarse_loss(ca, cb, np.array([0, -1]), 1e-3).data) == 0.0
+        assert float(coarse_loss(ca, cb, np.array([0, 1]), 1e-3).data) > 0.3
 
     def test_empty_assignment_raises(self):
         with pytest.raises(EmptyAssignmentError):
-            coarse_loss(Tensor(np.eye(2)), np.array([-1, -1]))
+            coarse_loss(one_hot_maps(2), one_hot_maps(2), np.array([-1, -1]), 0.1)
 
     def test_floor_prevents_infinite_loss(self):
-        probs = Tensor(np.zeros((2, 2)))
-        loss = float(coarse_loss(probs, np.array([0, 1])).data)
+        # log P = -2000 at both off-diagonal labels: each adds -log(1e-12)
+        # and no gradient
+        ca, cb = (Tensor(m.data, requires_grad=True) for m in (one_hot_maps(2),) * 2)
+        loss_t = coarse_loss(ca, cb, np.array([1, 0]), 1e-3)
+        loss = float(loss_t.data)
         assert np.isfinite(loss) and loss <= -np.log(1e-12) + 1e-9
+        T.backward(loss_t)
+        assert not ca.grad.any() and not cb.grad.any()
 
     def test_gradient_through_dual_softmax(self):
         rng = np.random.default_rng(0)
         labels = np.array([1, 0, 2, -1])
+        cb = Tensor(rng.normal(size=(1, 5, 1, 3)))
 
-        def fn(s):
-            return coarse_loss(M.dual_softmax(s), labels)
+        def fn(ca):
+            return coarse_loss(ca, cb, labels, 0.5)
 
-        rep = T.fd_check(fn, Tensor(rng.normal(size=(4, 3))), tol=1e-3)
+        rep = T.fd_check(fn, Tensor(rng.normal(size=(1, 5, 2, 2))), tol=1e-3)
         assert rep.passed, rep.max_rel_err
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_loss_and_gradients_equal_the_dense_chain(self, seed):
+        a, b, labels, tau = two_block_case(seed)
+        got = []
+        for loss_fn in (coarse_loss, dense_coarse_loss):
+            ca, cb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+            loss = loss_fn(ca, cb, labels, tau)
+            T.backward(loss)
+            got.append((float(loss.data), ca.grad, cb.grad))
+        (loss, ga, gb), (ref, ref_ga, ref_gb) = got
+        assert abs(loss - ref) <= 1e-12 * ref
+        for g, ref_g in ((ga, ref_ga), (gb, ref_gb)):
+            assert np.abs(g - ref_g).max() <= 1e-10 * np.abs(ref_g).max()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_case_holds_clamped_and_live_labels(self, seed):
+        a, b, labels, tau = two_block_case(seed)
+        p = M.dual_softmax(M.coarse_scores(Tensor(a), Tensor(b), tau)).data
+        labeled = np.flatnonzero(labels >= 0)
+        p_lab = p[labeled, labels[labeled]]
+        assert p[4, labels[4]] < 1e-12 and (p_lab > 1e-12).sum() > 100
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_fd_check_on_two_row_blocks(self, side):
+        a, b, labels, tau = two_block_case(1)
+
+        def fn(x):
+            ca, cb = (x, Tensor(b)) if side == "a" else (Tensor(a), x)
+            return coarse_loss(ca, cb, labels, tau)
+
+        rep = T.fd_check(fn, Tensor(a if side == "a" else b), max_coords=40, tol=1e-4)
+        assert rep.passed, rep.max_rel_err
+
+    def test_train_toy_never_runs_the_dense_chain(self, monkeypatch):
+        for name in ("coarse_scores", "dual_softmax", "select_coarse"):
+            monkeypatch.setattr(M, name, lambda *a, _n=name, **kw: pytest.fail(f"{_n} ran"))
+        result = train_toy(tiny_config(steps=3))
+        assert len(result.metrics) == 3
+
+    def test_peak_memory_below_one_dense_score_matrix(self):
+        # toy widths at 256 x 256: 64 x 64 = 4096 coarse cells per image, so
+        # one dense 4096 x 4096 float64 array is 134 MB
+        cfg = TrainConfig(image_size=(256, 256))
+        side = 256 // cfg.model_config().coarse_stride
+        rng = np.random.default_rng(0)
+        shape = (1, cfg.coarse_channels, side, side)
+        ca, cb = (Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(2))
+        labels = rng.integers(-1, side * side, size=side * side)
+        assert side * side == 4096
+        tracemalloc.start()
+        try:
+            T.backward(coarse_loss(ca, cb, labels, cfg.tau))
+            M.stream_select_coarse(ca, cb, cfg.tau, cfg.theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ca.grad.any() and cb.grad.any()
+        assert peak < 4096 * 4096 * 8, peak
 
 
 class TestFineLoss:
@@ -239,9 +338,8 @@ class TestTrainToy:
             labels = gt_coarse_labels(sample.h_mat, (64, 64), model.cfg.coarse_stride)
             ca, fa, cb, fb = model.forward_pair(Tensor(sample.image_a[None, None]),
                                                 Tensor(sample.image_b[None, None]))
-            probs = M.dual_softmax(M.coarse_scores(ca, cb, tau=0.1))
             offs = M.fine_offsets(fa, fb, centers, centers, radius=2, tau=0.05)
-            loss = T.add(coarse_loss(probs, labels),
+            loss = T.add(coarse_loss(ca, cb, labels, 0.1),
                          T.mul(fine_loss(offs, np.zeros((2, 2))), 0.25))
             T.backward(loss)
             for name, p in params.items():
@@ -277,7 +375,7 @@ class TestTrainToy:
             monkeypatch.setattr(T, "_UNCHECKED_OPS", T._OPS)
         real = trainer.coarse_loss
         monkeypatch.setattr(trainer, "coarse_loss",
-                            lambda probs, labels: corrupt(real(probs, labels)))
+                            lambda *args: corrupt(real(*args)))
         T.active_tape().clear()
         with pytest.raises(error):
             train_toy(tiny_config(steps=1))
