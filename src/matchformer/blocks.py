@@ -216,13 +216,15 @@ ATTENTION_KINDS = ("full", "la", "sea")
 
 
 class Attention(Module):
-    """Multi-head attention over token sequences.
+    """Multi-head attention over token sequences: the q, k and v linears,
+    one attention core op on their outputs, and the output linear.
 
     kind:
-      full  softmax(Q K^T / sqrt(d)) V
-      la    softmax_feat(Q) (softmax_pos(K)^T V), never materializes N x N
-      sea   key/value map reduced RxR before full attention; R == 1 skips the
-            reduction entirely so it equals ``full`` bit for bit
+      full  softmax(Q K^T / sqrt(d)) V, ``tensor.attention`` (row blocks)
+      la    softmax_feat(Q) (softmax_pos(K)^T V), ``tensor.linear_attention``,
+            never materializes N x M
+      sea   key/value map reduced RxR before ``tensor.attention``; R == 1
+            skips the reduction entirely so it equals ``full`` bit for bit
     """
 
     def __init__(self, rng, kind: str, dim: int, heads: int, reduction: int = 1):
@@ -244,15 +246,6 @@ class Attention(Module):
             self.sr = Linear(rng, dim * reduction * reduction, dim)
             self.sr_norm = LayerNorm(dim)
 
-    def _split(self, x: Tensor) -> Tensor:
-        b, n, _ = x.shape
-        d = self.dim // self.heads
-        return T.transpose(T.reshape(x, (b, n, self.heads, d)), (0, 2, 1, 3))
-
-    def _merge(self, x: Tensor) -> Tensor:
-        b, a, n, d = x.shape
-        return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, n, a * d))
-
     def _reduce(self, kv: Tensor, hw: tuple) -> Tensor:
         h, w = hw
         r = self.reduction
@@ -269,19 +262,9 @@ class Attention(Module):
             raise T.ShapeError("attention input width does not match configured dim")
         if self.kind == "sea" and self.reduction > 1:
             kv_src = self._reduce(kv_src, kv_hw)
-        q = self._split(self.q(q_src))
-        k = self._split(self.k(kv_src))
-        v = self._split(self.v(kv_src))
-        if self.kind == "la":
-            qn = T.softmax(q, axis=-1)
-            kn = T.softmax(k, axis=-2)
-            ctx = T.matmul(T.transpose(kn, (0, 1, 3, 2)), v)   # [B, A, d, d]
-            y = T.matmul(qn, ctx)
-        else:
-            d = self.dim // self.heads
-            scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d))
-            y = T.matmul(T.softmax(scores, axis=-1), v)
-        return self.out(self._merge(y))
+        q, k, v = self.q(q_src), self.k(kv_src), self.v(kv_src)
+        core = T.linear_attention if self.kind == "la" else T.attention
+        return self.out(core(q, k, v, self.heads))
 
 
 class MixFFN(Module):

@@ -4,12 +4,13 @@ Coarse stage: temperature-scaled inner products between l2-normalized coarse
 descriptors, a dual softmax turning scores into mutual match probabilities,
 and threshold + mutual-nearest-neighbor selection.  Training, inference and
 the holdout precision all run on one pass over row blocks of S that takes
-its row and column log-sum-exps (``_log_sum_exps``) and never holds an
-N1 x N2 array: ``stream_select_coarse`` selects from it, and the coarse loss
+its row and column log-sum-exps (``coarse_pass``) and never holds an
+N1 x N2 array: ``stream_select`` selects from it, and the coarse loss
 ``dual_softmax_nll`` takes log P at the labelled cells from it and
-recomputes the blocks in its backward.  The dense chain (``coarse_scores``
--> ``dual_softmax`` -> ``select_coarse``) is the reference that the self-test
-and the tests compare against.  Both selectors end in one mutual-best rule
+recomputes the blocks in its backward; a training step runs the pass once
+for both.  The dense chain (``coarse_scores`` -> ``dual_softmax`` ->
+``select_coarse``) is the reference that the self-test and the tests compare
+against.  Both selectors end in one mutual-best rule
 (``_mutual_best``).
 
 Fine stage: each selected coarse match is back-located onto the fine maps,
@@ -165,7 +166,7 @@ def select_coarse(probs, theta: float) -> CoarseMatchResult:
     return _mutual_best(p.argmax(axis=1), p.max(axis=1), p.argmax(axis=0), theta)
 
 
-# Rows of S per block of ``stream_select_coarse`` and ``dual_softmax_nll``.
+# Rows of S per block of the streamed passes and of ``dual_softmax_nll``.
 # A block is 256 x N2 float64: 2 MB at N2 = 1024 and 39 MB at 640x480's
 # N2 = 19200, where the block GEMM still runs at full speed.
 _SCORE_BLOCK = 256
@@ -210,28 +211,53 @@ def _log_sum_exps(rows_a: np.ndarray, cols_b: np.ndarray, tau: float) -> tuple:
     return lse_row, col_max + np.log(col_sum)
 
 
+@dataclass
+class CoarsePass:
+    """The first pass over S of two coarse maps at temperature ``tau``
+    (``coarse_pass``): the l2-normalized [N, C] descriptor rows, recorded on
+    the tape when gradients are on, the grids, and every row's and column's
+    log-sum-exp of S.  The coarse loss and the streamed selection both read
+    it."""
+
+    seq_a: Tensor
+    seq_b: Tensor
+    grid_a: tuple
+    grid_b: tuple
+    tau: float
+    lse_row: np.ndarray
+    lse_col: np.ndarray
+
+
+def coarse_pass(coarse_a: Tensor, coarse_b: Tensor, tau: float) -> CoarsePass:
+    seq_a, seq_b, grid_a, grid_b = _descriptor_rows(coarse_a, coarse_b, tau)
+    return CoarsePass(seq_a, seq_b, grid_a, grid_b, tau,
+                      *_log_sum_exps(seq_a.data, seq_b.data.T, tau))
+
+
 def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float,
                          theta: float) -> CoarseMatchResult:
     """``select_coarse(dual_softmax(coarse_scores(a, b, tau)), theta)``
-    without gradients and without any N1 x N2 array.
+    without gradients and without any N1 x N2 array: ``coarse_pass`` and
+    then ``stream_select``."""
+    with T.no_grad():
+        return stream_select(coarse_pass(coarse_a, coarse_b, tau), theta)
 
-    Two passes run over blocks of rows of S, each block recomputed from the
-    descriptor rows.  The first takes the row and column log-sum-exps
-    (``_log_sum_exps``).  The second forms log P = 2 S - lse_row - lse_col
-    and keeps each row's best value and index, and each column's best over
-    the blocks so far.  A column's best moves only to a strictly greater
-    value, so the lowest index wins ties, as ``argmax`` does in the dense
-    chain.  MNN and theta then run on O(N) vectors (``_mutual_best``).  The
-    result equals the dense chain's up to rounding: pairs may differ only
-    where two probabilities tie to the last bits.
+
+def stream_select(coarse: CoarsePass, theta: float) -> CoarseMatchResult:
+    """Threshold + mutual-nearest-neighbor selection from a ``CoarsePass``.
+
+    The second pass over blocks of rows of S, each block recomputed from the
+    descriptor rows, forms log P = 2 S - lse_row - lse_col and keeps each
+    row's best value and index, and each column's best over the blocks so
+    far.  A column's best moves only to a strictly greater value, so the
+    lowest index wins ties, as ``argmax`` does in the dense chain.  MNN and
+    theta then run on O(N) vectors (``_mutual_best``).  The result equals
+    the dense chain's up to rounding: pairs may differ only where two
+    probabilities tie to the last bits.
     """
     check_theta(theta)
-    with T.no_grad():
-        seq_a, seq_b, grid_a, grid_b = _descriptor_rows(coarse_a, coarse_b, tau)
-    rows_a, cols_b = seq_a.data, seq_b.data.T
+    rows_a, cols_b, tau = coarse.seq_a.data, coarse.seq_b.data.T, coarse.tau
     n1, n2 = rows_a.shape[0], cols_b.shape[1]
-    lse_row, lse_col = _log_sum_exps(rows_a, cols_b, tau)
-
     best_j = np.empty(n1, dtype=np.intp)
     best_lp = np.empty(n1)
     col_best_i = np.zeros(n2, dtype=np.intp)
@@ -240,8 +266,8 @@ def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float,
     for r0, r1 in _row_blocks(n1):
         lp = _score_block(rows_a, cols_b, tau, r0, r1)
         lp *= 2.0
-        lp -= lse_row[r0:r1, None]
-        lp -= lse_col
+        lp -= coarse.lse_row[r0:r1, None]
+        lp -= coarse.lse_col
         j = lp.argmax(axis=1)
         best_j[r0:r1] = j
         best_lp[r0:r1] = lp[np.arange(r1 - r0), j]
@@ -250,16 +276,16 @@ def stream_select_coarse(coarse_a: Tensor, coarse_b: Tensor, tau: float,
         better = v > col_best_lp
         col_best_lp[better] = v[better]
         col_best_i[better] = i[better] + r0
-    return _mutual_best(best_j, np.exp(best_lp), col_best_i, theta, grid_a, grid_b)
+    return _mutual_best(best_j, np.exp(best_lp), col_best_i, theta,
+                        coarse.grid_a, coarse.grid_b)
 
 
-def dual_softmax_nll(coarse_a: Tensor, coarse_b: Tensor, rows: np.ndarray,
-                     cols: np.ndarray, tau: float) -> Tensor:
+def dual_softmax_nll(coarse: CoarsePass, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """Mean over k of ``-max(log P[rows[k], cols[k]], log 1e-12)``, P the dual
-    softmax of ``coarse_scores(a, b, tau)``, as one tape op that holds no
+    softmax of the scores of a ``CoarsePass``, as one tape op that holds no
     N1 x N2 array.
 
-    The forward takes ``_log_sum_exps`` and forms
+    The forward reads the pass's log-sum-exps and forms
     log P_ij = 2 S_ij - lse_row_i - lse_col_j at the given cells only.  The
     backward recomputes S block by block (as FlashAttention does, arXiv
     2205.14135): with r_i and c_j the number of cells above the floor in
@@ -269,11 +295,10 @@ def dual_softmax_nll(coarse_a: Tensor, coarse_b: Tensor, rows: np.ndarray,
     descriptor rows.  A cell at or below the floor adds a constant and no
     gradient.
     """
-    seq_a, seq_b, _, _ = _descriptor_rows(coarse_a, coarse_b, tau)
-    rows_a, rows_b = seq_a.data, seq_b.data
+    rows_a, rows_b, tau = coarse.seq_a.data, coarse.seq_b.data, coarse.tau
     cols_b = rows_b.T
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    lse_row, lse_col = _log_sum_exps(rows_a, cols_b, tau)
+    lse_row, lse_col = coarse.lse_row, coarse.lse_col
     s_lab = np.add.reduce(rows_a[rows] * rows_b[cols], axis=1) * (1.0 / tau)
     log_p = 2.0 * s_lab - lse_row[rows] - lse_col[cols]
     live = log_p > _LOG_P_FLOOR
@@ -301,7 +326,7 @@ def dual_softmax_nll(coarse_a: Tensor, coarse_b: Tensor, rows: np.ndarray,
             db += np.matmul(d.T, rows_a[r0:r1])
         return da, db
 
-    return T._op("dual_softmax_nll", loss, (seq_a, seq_b), bwd)
+    return T._op("dual_softmax_nll", loss, (coarse.seq_a, coarse.seq_b), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,10 @@ def gradients_elementwise(seed: int):
     worst = 0.0
     wc = Tensor(rng.normal(size=(8, 6)))
     picks = ([0, 3, 1, 2], [5, 0, 3, 3])
+    wm = Tensor(rng.normal(size=(6, 3)))
     cases = [
         ("mul", lambda x: T.reduce_sum(T.mul(x, x))),
+        ("matmul", lambda x: T.reduce_sum(T.mul(T.matmul(x, wm), T.matmul(x, wm)))),
         ("sigmoid", lambda x: T.reduce_sum(T.sigmoid(x))),
         ("gelu", lambda x: T.reduce_sum(T.gelu(x))),
         ("exp", lambda x: T.reduce_sum(T.exp(x))),
@@ -253,9 +255,16 @@ def gradients_composite(seed: int):
 
     # the streamed coarse loss; 17 x 16 A cells make two row blocks of S
     nll_b = Tensor(rng.normal(size=(1, 4, 3, 3)))
-    r4 = T.fd_check(lambda m: M.dual_softmax_nll(m, nll_b, [0, 5, 9, 270], [2, 2, 0, 8], 0.5),
+    r4 = T.fd_check(lambda m: M.dual_softmax_nll(M.coarse_pass(m, nll_b, 0.5), [0, 5, 9, 270],
+                                                  [2, 2, 0, 8]),
                     Tensor(rng.normal(size=(1, 4, 17, 16))), tol=1e-4, max_coords=24)
-    reports = (r1, r2, r3, r4)
+    # both attention cores, 2 heads, keys and values from the swapped halves
+    w_att = Tensor(rng.normal(size=(2, 5, 8)))
+    r5, r6 = (T.fd_check(lambda t, core=core: T.reduce_sum(T.mul(
+        core(t, T.swap_halves(t), T.mul(T.swap_halves(t), t), 2), w_att)),
+        Tensor(rng.normal(size=(2, 5, 8))), tol=1e-4)
+        for core in (T.attention, T.linear_attention))
+    reports = (r1, r2, r3, r4, r5, r6)
     worst = max(r.max_rel_err for r in reports)
     return all(r.passed for r in reports), f"max rel err {worst:.2e}"
 
@@ -346,7 +355,7 @@ def matcher_oracles(seed: int):
     # the streamed coarse loss against the dense P, every A cell labelled
     labels = rng.integers(0, p.shape[1], size=p.shape[0])
     rows = np.arange(p.shape[0])
-    nll = float(M.dual_softmax_nll(ca, cb, rows, labels, M.DEFAULT_TAU).data)
+    nll = float(M.dual_softmax_nll(M.coarse_pass(ca, cb, M.DEFAULT_TAU), rows, labels).data)
     ref = -np.log(np.maximum(p[rows, labels], 1e-12)).mean()
     ok_nll = abs(nll - ref) <= 1e-12 * ref
 

@@ -13,16 +13,30 @@ one gather with the taps flipped), ``bilinear_upsample2x``, ``swap_halves``
 for cross attention, and ``window_gather`` and ``window_dot`` for fine
 refinement.
 
-Two ops fuse what the model always runs back to back, so that less float64
-traffic goes through memory; each equals its unfused chain bit for bit,
-forward and backward:
+Four ops fuse what the model always runs back to back, so that less float64
+traffic goes through memory and fewer nodes go on the tape:
 
 - ``linear(x, w, b)`` is ``add(matmul(x, w), b)`` with the bias added in
   place into the fresh product (every ``blocks.Linear``), and a large
   C-contiguous ``x`` of more than 2 dims runs as one 2-D GEMM, same bits;
 - ``depthwise_gelu(x, w, b)`` is ``gelu(depthwise_conv2d(x, w, b))`` on the
   conv's slab loop: taps, bias and GELU while the slab is in cache
-  (``blocks.MixFFN``), with ``gelu``'s maths (``_gelu_into``, ``_gelu_grad``).
+  (``blocks.MixFFN``), with ``gelu``'s maths (``_gelu_into``, ``_gelu_grad``);
+- ``linear_attention(q, k, v, heads)`` and ``attention(q, k, v, heads)`` are
+  the attention cores of ``blocks.Attention``: head split, softmaxes,
+  products and merge of the [B, N, C] projections as one node.
+  ``attention`` runs blocks of query rows and recomputes each block's
+  probabilities in its backward, so no N x M array is held.
+
+``linear``, ``depthwise_gelu`` and ``linear_attention`` equal their unfused
+chains bit for bit, forward and backward, gradient memory layouts included.
+So does ``attention`` within one row block; over several, a block's GEMM
+can round differently from one GEMM over all rows, and the key and value
+gradients add up block by block, which can move the last bits.
+
+A reduction over an innermost axis shorter than 8 (``_reduce_keep``), such
+as linear attention's feature softmax over 4-wide heads, runs as one ufunc
+call per element along that axis, with the bits of ``ufunc.reduce``.
 
 The ops call numpy's C entry points: ufuncs and ``ufunc.reduce`` (not
 ``.sum``/``.mean``/``.max``/``.all``, which run numpy's Python-level
@@ -72,7 +86,7 @@ _OPS = _UNCHECKED_OPS | frozenset((
     "add", "sub", "mul", "div", "exp", "log", "sqrt", "sigmoid", "gelu",
     "reduce_sum", "matmul", "linear", "softmax", "layer_norm", "l2_normalize",
     "window_dot", "conv2d", "depthwise_conv2d", "depthwise_gelu",
-    "bilinear_upsample2x",
+    "bilinear_upsample2x", "attention", "linear_attention",
     "dual_softmax_nll"))  # matcher's streamed coarse loss
 
 # Fault injection for the self-test negative control: op name -> factor that
@@ -501,19 +515,173 @@ def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
     return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
 
+# Below this many elements numpy's pairwise sum adds in order, and
+# ``ufunc.reduce`` over an innermost axis runs one inner loop per row.
+_SHORT_AXIS = 8
+
+
+def _reduce_keep(ufunc, x: np.ndarray, ax: int) -> np.ndarray:
+    """``ufunc.reduce(x, axis=ax, keepdims=True)`` for ``np.add`` or
+    ``np.maximum``, bit for bit.  An innermost axis shorter than
+    ``_SHORT_AXIS`` is reduced by one ufunc call per element along it, in
+    order, from ``np.add``'s identity 0.0 (the per-row loop took 20 times the
+    time of the ``exp`` on LA's [2, 8, 256, 4] head features)."""
+    n = x.shape[ax]
+    if ax != x.ndim - 1 or n >= _SHORT_AXIS:
+        return ufunc.reduce(x, axis=ax, keepdims=True)
+    out = x[..., :1] + 0.0 if ufunc is np.add else x[..., :1].copy()
+    for i in range(1, n):
+        ufunc(out, x[..., i:i + 1], out=out)
+    return out
+
+
+def _softmax(x: np.ndarray, ax: int) -> np.ndarray:
+    """Max-subtracted softmax of ``x`` along ``ax``, built in one fresh array."""
+    e = x - _reduce_keep(np.maximum, x, ax)
+    np.exp(e, out=e)
+    e /= _reduce_keep(np.add, e, ax)
+    return e
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, ax: int) -> np.ndarray:
+    """Input gradient of a softmax ``y`` along ``ax`` for output gradient ``g``."""
+    return y * (g - _reduce_keep(np.add, g * y, ax))
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` (max-subtracted)."""
     x = _as_tensor(x)
     ax = axis % x.ndim
-    shifted = x.data - np.maximum.reduce(x.data, axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.add.reduce(e, axis=ax, keepdims=True)
+    y = _softmax(x.data, ax)
+    return _op("softmax", y, (x,), lambda g: (_softmax_grad(g, y, ax),))
+
+
+# ---------------------------------------------------------------------------
+# Attention cores
+# ---------------------------------------------------------------------------
+
+
+def _check_attention(name: str, q: Tensor, k: Tensor, v: Tensor, heads: int) -> None:
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
+        raise ShapeError(f"{name} needs q[B,N,C] and k, v[B,M,C], got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    if q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
+        raise ShapeError(f"{name} batch or width differs: {q.shape} vs {k.shape}")
+    if heads < 1 or q.shape[2] % heads:
+        raise ShapeError(f"{name}: width {q.shape[2]} not divisible by {heads} heads")
+
+
+def _heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """[B, N, C] -> a [B, heads, N, C / heads] view."""
+    b, n, c = x.shape
+    return x.reshape(b, n, heads, c // heads).transpose(0, 2, 1, 3)
+
+
+def linear_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Linear attention (Katharopoulos et al., arXiv 2006.16236) per head:
+    ``softmax_feat(Q) (softmax_pos(K)^T V)`` of the [B, N, C] queries and
+    [B, M, C] keys and values, returned as merged [B, N, C].  Never holds an
+    N x M array.  The values and gradients equal the chain of head splits,
+    softmaxes, products and merge bit for bit."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    _check_attention("linear_attention", q, k, v, heads)
+    b, n, c = q.shape
+    m, d = k.shape[1], c // heads
+    # the feature softmax runs over the d-wide rows of q's [B*N*heads, d]
+    # view and the position softmax over k's axis 1, each in its memory order
+    qn, kn = _softmax(q.data.reshape(-1, d), 1), _softmax(k.data, 1)
+    qh, kh, vh = _heads(qn.reshape(b, n, c), heads), _heads(kn, heads), _heads(v.data, heads)
+    ctx = np.matmul(kh.swapaxes(-1, -2), vh)           # [B, heads, d, d]
+    out = np.empty((b, n, c))
+    np.matmul(qh, ctx, out=_heads(out, heads))
 
     def bwd(g):
-        dot = np.add.reduce(g * y, axis=ax, keepdims=True)
-        return (y * (g - dot),)
+        gy = _heads(g, heads)
+        gctx = np.matmul(qh.swapaxes(-1, -2), gy)
+        gqn, gv = np.empty((b, n, c)), np.empty((b, m, c))
+        np.matmul(gy, ctx.swapaxes(-1, -2), out=_heads(gqn, heads))
+        np.matmul(kh, gctx, out=_heads(gv, heads))
+        gkn = np.matmul(gctx, vh.swapaxes(-1, -2)).transpose(0, 3, 1, 2).reshape(b, m, c)
+        return (_softmax_grad(gqn.reshape(-1, d), qn, 1).reshape(b, n, c),
+                _softmax_grad(gkn, kn, 1), gv)
 
-    return _op("softmax", y, (x,), bwd)
+    return _op("linear_attention", out, (q, k, v), bwd)
+
+
+def _abs_max(a: np.ndarray) -> float:
+    return np.maximum.reduce(np.abs(a), axis=None, initial=0.0)
+
+
+# Query rows per block of ``attention``: a block's scores are
+# [B, heads, 256, M], 4.9 MB for lite-SEA's first stage at 640x480
+# (B = 2, heads = 1, M = 1200).
+_ATTENTION_ROWS = 256
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Softmax attention ``softmax(Q K^T / sqrt(d)) V`` per head of the
+    [B, N, C] queries and [B, M, C] keys and values, returned as merged
+    [B, N, C].
+
+    It runs blocks of ``_ATTENTION_ROWS`` query rows, so one block of scores
+    is alive at a time; softmax is per row, so each block is exact.  The
+    backward recomputes each block's probabilities from q, k and the saved
+    row max and sum (FlashAttention's recompute, Dao et al., arXiv
+    2205.14135).  A score can only overflow when d * max|q| * max|k| is
+    huge; then every block is tested, and a non-finite score raises
+    ``NumericalError`` as the unfused chain did.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    _check_attention("attention", q, k, v, heads)
+    b, n, c = q.shape
+    d = c // heads
+    scale = 1.0 / math.sqrt(d)
+    qh, kh, vh = _heads(q.data, heads), _heads(k.data, heads), _heads(v.data, heads)
+    kt = kh.swapaxes(-1, -2)
+    blocks = [(r, min(n, r + _ATTENTION_ROWS)) for r in range(0, n, _ATTENTION_ROWS)]
+    check = not d * _abs_max(q.data) * _abs_max(k.data) < 1e300
+
+    def scores(r0: int, r1: int) -> np.ndarray:
+        s = np.matmul(qh[:, :, r0:r1], kt)
+        if check and not np.logical_and.reduce(np.isfinite(s), axis=None):
+            raise NumericalError("attention produced non-finite scores")
+        s *= scale
+        return s
+
+    keep = _recording((q, k, v))
+    row_max = np.empty((b, heads, n, 1)) if keep else None
+    row_sum = np.empty((b, heads, n, 1)) if keep else None
+    out = np.empty((b, n, c))
+    oh = _heads(out, heads)
+    for r0, r1 in blocks:
+        p = scores(r0, r1)
+        m = _reduce_keep(np.maximum, p, 3)
+        p -= m
+        np.exp(p, out=p)
+        s = _reduce_keep(np.add, p, 3)
+        p /= s
+        np.matmul(p, vh, out=oh[:, :, r0:r1])
+        if keep:
+            row_max[:, :, r0:r1], row_sum[:, :, r0:r1] = m, s
+
+    def bwd(g):
+        gy = _heads(g, heads)
+        gq, gv = np.empty((b, n, c)), np.zeros(v.shape)
+        gqh, gvh = _heads(gq, heads), _heads(gv, heads)
+        gkt = np.zeros((b, heads, d, k.shape[1]))  # k^T's gradient, as the chain laid it out
+        for r0, r1 in blocks:
+            p = scores(r0, r1)
+            p -= row_max[:, :, r0:r1]
+            np.exp(p, out=p)
+            p /= row_sum[:, :, r0:r1]
+            gvh += np.matmul(p.swapaxes(-1, -2), gy[:, :, r0:r1])
+            gp = _softmax_grad(np.matmul(gy[:, :, r0:r1], vh.swapaxes(-1, -2)), p, 3)
+            gp *= scale
+            np.matmul(gp, kh, out=gqh[:, :, r0:r1])
+            gkt += np.matmul(qh[:, :, r0:r1].swapaxes(-1, -2), gp)
+        return gq, gkt.transpose(0, 3, 1, 2).reshape(k.shape), gv
+
+    return _op("attention", out, (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ One optimizer step per synthetic pair: the coarse head is trained with a
 negative-log-likelihood over the dual-softmax probabilities at ground-truth
 cell assignments, the fine head with a squared-distance regression on the
 window-expectation offsets.  The coarse loss and the step's precision run
-on the streamed log-sum-exp passes and the mutual-best rule that
-``match_pair`` uses (``matcher.dual_softmax_nll``,
-``matcher.stream_select_coarse``), so no step holds an N1 x N2 array.  Fine
-supervision switches on only after the coarse precision clears a warm-up
-bar, so the windows being supervised are not garbage.  Everything is
-bit-reproducible from (seed, config).
+on one streamed log-sum-exp pass (``matcher.coarse_pass``), shared by the
+loss (``matcher.dual_softmax_nll``) and by the selection and mutual-best
+rule that ``match_pair`` uses (``matcher.stream_select``), so no step holds
+an N1 x N2 array.  Fine supervision switches on only after the coarse
+precision clears a warm-up bar, so the windows being supervised are not
+garbage.  Everything is bit-reproducible from (seed, config).
 """
 
 from __future__ import annotations
@@ -44,17 +44,16 @@ class TrainingDivergedError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def coarse_loss(coarse_a: Tensor, coarse_b: Tensor, labels: np.ndarray,
-                tau: float) -> Tensor:
+def coarse_loss(coarse: M.CoarsePass, labels: np.ndarray) -> Tensor:
     """Mean negative log dual-softmax probability at the labeled (i, j)
-    cells, ``labels[i] = j`` (``-1`` for none), of the coarse maps' scores at
-    temperature ``tau``.  log P is floored at log(1e-12); the streamed op
+    cells, ``labels[i] = j`` (``-1`` for none), of the scores of a
+    ``matcher.coarse_pass``.  log P is floored at log(1e-12); the streamed op
     ``matcher.dual_softmax_nll`` holds no N1 x N2 array.
     """
     labeled = np.flatnonzero(labels >= 0)
     if len(labeled) == 0:
         raise EmptyAssignmentError("no labeled cells; skip this sample")
-    return M.dual_softmax_nll(coarse_a, coarse_b, labeled, labels[labeled], tau)
+    return M.dual_softmax_nll(coarse, labeled, labels[labeled])
 
 
 def fine_loss(pred_offsets: Tensor, gt_offsets: np.ndarray) -> Tensor:
@@ -297,11 +296,11 @@ def train_toy(cfg: TrainConfig, log_path=None, checkpoint_path=None,
             img_a = Tensor(sample.image_a[None, None])
             img_b = Tensor(sample.image_b[None, None])
             coarse_a, fine_a, coarse_b, fine_b = model.forward_pair(img_a, img_b)
-            loss_c = coarse_loss(coarse_a, coarse_b, labels, cfg.tau)
-            coarse = M.stream_select_coarse(coarse_a, coarse_b, tau=cfg.tau,
-                                            theta=cfg.theta)
+            coarse = M.coarse_pass(coarse_a, coarse_b, cfg.tau)
+            loss_c = coarse_loss(coarse, labels)
+            selected = M.stream_select(coarse, cfg.theta)
             grids = (coarse.grid_a, coarse.grid_b)
-            precision = _step_precision(coarse.pairs, labels, grids[0])
+            precision = _step_precision(selected.pairs, labels, grids[0])
             running_precision = 0.9 * running_precision + 0.1 * precision
             if running_precision > cfg.fine_warmup_precision:
                 fine_active = True

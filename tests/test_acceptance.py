@@ -97,7 +97,7 @@ class TestCriterion1Gradients:
                 setattr(_owner, _attr, p)
                 try:
                     ca, fa, cb, fb = model.forward_pair(img_a, img_b)
-                    loss = coarse_loss(ca, cb, labels, 0.1)
+                    loss = coarse_loss(M.coarse_pass(ca, cb, 0.1), labels)
                     offs = M.fine_offsets(fa, fb, np.array([[2, 2]]),
                                           np.array([[2, 2]]), radius=1, tau=0.05)
                     return T.add(loss, T.reduce_sum(T.mul(offs, offs)))

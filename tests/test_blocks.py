@@ -193,6 +193,40 @@ class TestSpatialEfficientAttention:
             attn(Tensor(np.zeros((1, 6, 8))), Tensor(np.zeros((1, 6, 8))), (2, 3))
 
 
+class TestAttentionMemory:
+    """Full attention at N = 4096 tokens (dim 64, 1 head) holds one row block
+    of scores at a time, never the N x N matrix: 4096^2 float64 is 134 MB."""
+
+    n = 4096
+
+    def traced(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_no_grad_peak_below_32_mb(self):
+        rng = np.random.default_rng(31)
+        attn = Attention(rng, "full", 64, 1)
+        x = Tensor(rng.normal(size=(1, self.n, 64)))
+        with T.no_grad():
+            peak = self.traced(lambda: attn(x, x, (64, 64)))
+        assert peak < 32e6, peak
+
+    def test_forward_and_backward_peak_below_one_score_matrix(self):
+        rng = np.random.default_rng(32)
+        attn = Attention(rng, "full", 64, 1)
+        x = Tensor(rng.normal(size=(1, self.n, 64)), requires_grad=True)
+        w = Tensor(rng.normal(size=(1, self.n, 64)))
+        T.active_tape().clear()
+        peak = self.traced(lambda: T.backward(T.reduce_sum(T.mul(attn(x, x, (64, 64)), w))))
+        assert x.grad.any() and attn.q.weight.grad.any()
+        assert peak < self.n * self.n * 8, peak
+
+
 class TestMixFFN:
     def test_zero_weights_zero_output(self):
         ffn = MixFFN(np.random.default_rng(21), 8)

@@ -11,7 +11,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from matchformer import blocks
 from matchformer import data as D
 from matchformer import evalkit as E
 from matchformer import matcher as M
@@ -184,6 +183,6 @@ def test_attention_group_fails_on_a_wrong_full_attention_scale(monkeypatch):
     assert S.attention_equivalences(0)[0]
     # 1/d in place of 1/sqrt(d); SEA with R = 1 shares the scale, so it still
     # equals full attention bit for bit, and only the reference sees the change
-    monkeypatch.setattr(blocks, "math", SimpleNamespace(**{**vars(math), "sqrt": lambda v: v}))
+    monkeypatch.setattr(T, "math", SimpleNamespace(**{**vars(math), "sqrt": lambda v: v}))
     ok, detail = S.attention_equivalences(0)
     assert not ok and "SEA(R=1)==FULL True" in detail

@@ -1,6 +1,7 @@
 """Tensor core: forward semantics, gradient rules, and the oracle checks."""
 
 import inspect
+import math
 import re
 import tracemalloc
 
@@ -322,6 +323,176 @@ class TestFusedOps:
         with pytest.raises(T.ShapeError, match="linear"):
             T.linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)),
                      Tensor(np.ones(b_shape)))
+
+
+def unfused_core(op, heads):
+    """The chain of tape ops that ``blocks.Attention`` ran in place of ``op``:
+    head splits, the two softmaxes and products, and the merge."""
+    def split(x):
+        b, n, c = x.shape
+        return T.transpose(T.reshape(x, (b, n, heads, c // heads)), (0, 2, 1, 3))
+
+    def core(q, k, v):
+        q, k, v = split(q), split(k), split(v)
+        if op is T.linear_attention:
+            ctx = T.matmul(T.transpose(T.softmax(k, axis=-2), (0, 1, 3, 2)), v)
+            y = T.matmul(T.softmax(q, axis=-1), ctx)
+        else:
+            scale = 1.0 / math.sqrt(q.shape[-1])
+            scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
+            y = T.matmul(T.softmax(scores, axis=-1), v)
+        b, a, n, d = y.shape
+        return T.reshape(T.transpose(y, (0, 2, 1, 3)), (b, n, a * d))
+
+    return core
+
+
+# (op, heads, N, M, cross): self and cross attention (keys and values
+# through swap_halves), 1 and 8 heads over 16 features, and N != M as SEA's
+# reduced keys give
+ATTENTION_CASES = [(op, heads, n, m, cross)
+                   for op in (T.attention, T.linear_attention)
+                   for heads, n, m, cross in ((1, 5, 5, False), (8, 5, 5, False),
+                                              (8, 5, 5, True), (2, 6, 3, True),
+                                              (1, 10, 4, False))]
+
+
+def attention_inputs(seed, n, m, c=16):
+    rng = np.random.default_rng(seed)
+    return ([rng.normal(size=(2, n, c)), rng.normal(size=(2, m, c)), rng.normal(size=(2, m, c))],
+            rng.normal(size=(2, n, c)))
+
+
+class TestAttentionCores:
+    """``attention`` and ``linear_attention`` against the unfused chain they
+    replaced in ``blocks.Attention``."""
+
+    @staticmethod
+    def with_keys(fn, cross):
+        return (lambda q, k, v: fn(q, T.swap_halves(k), T.swap_halves(v))) if cross else fn
+
+    @pytest.mark.parametrize("rows", [T._ATTENTION_ROWS, 4])
+    @pytest.mark.parametrize("op,heads,n,m,cross", ATTENTION_CASES)
+    def test_equals_the_unfused_chain(self, op, heads, n, m, cross, rows, monkeypatch):
+        # rows = 4 runs N = 10 queries as three row blocks, the last one ragged
+        monkeypatch.setattr(T, "_ATTENTION_ROWS", rows)
+        inputs, r = attention_inputs(70, n, m)
+        fused = run_with_grads(self.with_keys(lambda q, k, v: op(q, k, v, heads), cross),
+                               inputs, r, True)
+        chain = run_with_grads(self.with_keys(unfused_core(op, heads), cross), inputs, r, True)
+        for got, want in zip(fused, chain):
+            if op is T.linear_attention or n <= rows:
+                assert np.array_equal(got, want)
+            else:  # the key and value gradients sum the row blocks one by one
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("op", [T.attention, T.linear_attention])
+    def test_linear_gradients_equal_the_chain_bit_for_bit(self, op):
+        # the input gradients keep the chain's memory layout, so the q, k and
+        # v linears' weight and bias sums add in the same order
+        rng = np.random.default_rng(76)
+        inputs = [rng.normal(size=s) for s in [(2, 9, 8)] + [(8, 8)] * 3 + [(8,)] * 3]
+
+        def projected(core):
+            def fn(x, *params):
+                q, k, v = (T.linear(x, w, b) for w, b in zip(params[:3], params[3:]))
+                return core(q, k, v)
+            return fn
+
+        r = rng.normal(size=(2, 9, 8))
+        fused = run_with_grads(projected(lambda q, k, v: op(q, k, v, 2)), inputs, r, True)
+        chain = run_with_grads(projected(unfused_core(op, 2)), inputs, r, True)
+        for got, want in zip(fused, chain):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("op,heads,n,m,cross", ATTENTION_CASES)
+    def test_gradients_match_finite_differences(self, op, heads, n, m, cross, monkeypatch):
+        monkeypatch.setattr(T, "_ATTENTION_ROWS", 4)
+        inputs, r = attention_inputs(71, n, m)
+        core = self.with_keys(lambda q, k, v: op(q, k, v, heads), cross)
+        for i in range(3):
+            def loss(x, i=i):
+                args = [Tensor(a) for a in inputs]
+                args[i] = x
+                return T.reduce_sum(T.mul(core(*args), Tensor(r)))
+
+            rep = T.fd_check(loss, Tensor(inputs[i]), tol=1e-4)
+            assert rep.passed, (i, rep.max_rel_err)
+
+    @pytest.mark.parametrize("op", [T.attention, T.linear_attention])
+    def test_one_node_per_call(self, op):
+        inputs, _ = attention_inputs(72, 6, 4)
+        T.active_tape().clear()
+        op(*(Tensor(a, requires_grad=True) for a in inputs), 4)
+        assert [node.name for node in T.active_tape().nodes] == [op.__name__]
+        T.active_tape().clear()
+
+    def test_more_queries_than_one_row_block(self):
+        inputs, r = attention_inputs(73, T._ATTENTION_ROWS + 44, 9, c=8)
+        fused = run_with_grads(lambda q, k, v: T.attention(q, k, v, 2), inputs, r, True)
+        chain = run_with_grads(unfused_core(T.attention, 2), inputs, r, True)
+        for got, want in zip(fused, chain):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("op", [T.attention, T.linear_attention])
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_raises_where_the_chain_raised(self, op, which, bad):
+        # a -inf that a softmax maps to probability 0 leaves both results
+        # finite (linear attention's queries or keys); every other case raises
+        inputs, _ = attention_inputs(74, 5, 3)
+        inputs[which][1, 0, 0] = bad
+
+        def raises(fn):
+            try:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    fn(*(Tensor(a) for a in inputs))
+            except T.NumericalError as e:
+                return str(e)
+            return None
+
+        fused = raises(lambda q, k, v: op(q, k, v, 2))
+        assert (fused is None) == (raises(unfused_core(op, 2)) is None)
+        assert (fused is None) == (op is T.linear_attention and bad == -np.inf and which < 2)
+        assert fused is None or fused.startswith(f"{op.__name__} produced")
+
+    def test_overflowing_score_raises_as_the_chain_did(self):
+        # one score is -inf; its probability is 0, so the output is finite,
+        # but the chain's product raised, and so must the op
+        inputs, _ = attention_inputs(75, 3, 3, c=4)
+        inputs[0][0, 0] = 1e200
+        inputs[1][0, 0] = -1e200
+        for op in (lambda q, k, v: T.attention(q, k, v, 1), unfused_core(T.attention, 1)):
+            with np.errstate(over="ignore"):
+                with pytest.raises(T.NumericalError):
+                    op(*(Tensor(a) for a in inputs))
+
+    @pytest.mark.parametrize("shapes,heads", [
+        (((4, 8), (1, 4, 8), (1, 4, 8)), 2),        # 2-D queries
+        (((1, 3, 8), (1, 4, 8), (1, 5, 8)), 2),     # keys and values differ
+        (((2, 3, 8), (1, 4, 8), (1, 4, 8)), 2),     # batch differs
+        (((1, 3, 8), (1, 4, 6), (1, 4, 6)), 2),     # width differs
+        (((1, 3, 8), (1, 4, 8), (1, 4, 8)), 3),     # heads do not divide the width
+    ])
+    def test_shape_errors(self, shapes, heads):
+        for op in (T.attention, T.linear_attention):
+            with pytest.raises(T.ShapeError, match=op.__name__):
+                op(*(Tensor(np.ones(s)) for s in shapes), heads)
+
+
+class TestShortAxisReduce:
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_ufunc_reduce_bit_for_bit(self, ufunc, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(3, 40, n)) * 10.0 ** rng.integers(-8, 9, size=(3, 40, n))
+        x[0, :5] = -0.0                  # rows of negative zeros: add starts from 0.0
+        x[1, :5, 0] = 0.0
+        for view in (x, np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1),
+                     x.transpose(1, 0, 2)):
+            got, want = T._reduce_keep(ufunc, view, 2), ufunc.reduce(view, axis=2, keepdims=True)
+            assert got.shape == want.shape
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def traced_peak(fn):
@@ -688,8 +859,13 @@ def fd_cases(seed):
     lb = Tensor(rng.normal(size=4))  # drawn after the cases above, so they keep their inputs
     cb = Tensor(rng.normal(size=(1, 3, 2, 2)))
     # a repeated row and a shared column among the labelled cells
-    map_cases.append((lambda m: M.dual_softmax_nll(m, cb, [0, 3, 5, 5], [1, 1, 0, 2], 0.5),
+    map_cases.append((lambda m: M.dual_softmax_nll(M.coarse_pass(m, cb, 0.5), [0, 3, 5, 5],
+                                                   [1, 1, 0, 2]),
                       Tensor(rng.normal(size=(1, 3, 2, 3)))))
+    wa = Tensor(rng.normal(size=(2, 3, 4)))
+    for core in (T.attention, T.linear_attention):
+        map_cases.append((lambda m, core=core: T.reduce_sum(T.mul(
+            core(m, T.swap_halves(m), T.mul(m, m), 2), wa)), Tensor(rng.normal(size=(2, 3, 4)))))
     return [(fn, x) for fn in cases] + map_cases
 
 

@@ -30,6 +30,11 @@ def one_hot_maps(n):
     return Tensor(np.eye(n).reshape(1, n, 1, n))
 
 
+def streamed_coarse_loss(coarse_a, coarse_b, labels, tau):
+    """``coarse_loss`` on the coarse pass of two maps, as a training step runs it."""
+    return coarse_loss(M.coarse_pass(coarse_a, coarse_b, tau), labels)
+
+
 def dense_coarse_loss(coarse_a, coarse_b, labels, tau):
     """The coarse loss through the dense chain: coarse_scores -> dual_softmax
     -> take_pairs -> P floored at 1e-12 -> mean negative log."""
@@ -57,31 +62,32 @@ class TestCoarseLoss:
     def test_perfect_probabilities_give_zero(self):
         # S = 1000 on the diagonal and 0 elsewhere: P = 1 at every label
         labels = np.arange(4)
-        assert float(coarse_loss(one_hot_maps(4), one_hot_maps(4), labels, 1e-3).data) == 0.0
+        loss = streamed_coarse_loss(one_hot_maps(4), one_hot_maps(4), labels, 1e-3)
+        assert float(loss.data) == 0.0
 
     def test_e_inverse_gives_one(self):
         # 2 x 2 S = s I: log P_ii = 2s - 2 log(e^s + 1) = -1 at e^-s = e^0.5 - 1
         tau = -1.0 / np.log(np.expm1(0.5))
         labels = np.arange(2)
-        loss = float(coarse_loss(one_hot_maps(2), one_hot_maps(2), labels, tau).data)
+        loss = float(streamed_coarse_loss(one_hot_maps(2), one_hot_maps(2), labels, tau).data)
         assert abs(loss - 1.0) < 1e-12
 
     def test_unlabeled_cells_ignored(self):
         # A's row 1 is -e0: P = 1 at (0, 0) and 1/2 at (1, 1)
         ca = Tensor(np.array([[1.0, -1.0], [0.0, 0.0]]).reshape(1, 2, 1, 2))
         cb = one_hot_maps(2)
-        assert float(coarse_loss(ca, cb, np.array([0, -1]), 1e-3).data) == 0.0
-        assert float(coarse_loss(ca, cb, np.array([0, 1]), 1e-3).data) > 0.3
+        assert float(streamed_coarse_loss(ca, cb, np.array([0, -1]), 1e-3).data) == 0.0
+        assert float(streamed_coarse_loss(ca, cb, np.array([0, 1]), 1e-3).data) > 0.3
 
     def test_empty_assignment_raises(self):
         with pytest.raises(EmptyAssignmentError):
-            coarse_loss(one_hot_maps(2), one_hot_maps(2), np.array([-1, -1]), 0.1)
+            streamed_coarse_loss(one_hot_maps(2), one_hot_maps(2), np.array([-1, -1]), 0.1)
 
     def test_floor_prevents_infinite_loss(self):
         # log P = -2000 at both off-diagonal labels: each adds -log(1e-12)
         # and no gradient
         ca, cb = (Tensor(m.data, requires_grad=True) for m in (one_hot_maps(2),) * 2)
-        loss_t = coarse_loss(ca, cb, np.array([1, 0]), 1e-3)
+        loss_t = streamed_coarse_loss(ca, cb, np.array([1, 0]), 1e-3)
         loss = float(loss_t.data)
         assert np.isfinite(loss) and loss <= -np.log(1e-12) + 1e-9
         T.backward(loss_t)
@@ -93,7 +99,7 @@ class TestCoarseLoss:
         cb = Tensor(rng.normal(size=(1, 5, 1, 3)))
 
         def fn(ca):
-            return coarse_loss(ca, cb, labels, 0.5)
+            return streamed_coarse_loss(ca, cb, labels, 0.5)
 
         rep = T.fd_check(fn, Tensor(rng.normal(size=(1, 5, 2, 2))), tol=1e-3)
         assert rep.passed, rep.max_rel_err
@@ -102,7 +108,7 @@ class TestCoarseLoss:
     def test_loss_and_gradients_equal_the_dense_chain(self, seed):
         a, b, labels, tau = two_block_case(seed)
         got = []
-        for loss_fn in (coarse_loss, dense_coarse_loss):
+        for loss_fn in (streamed_coarse_loss, dense_coarse_loss):
             ca, cb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
             loss = loss_fn(ca, cb, labels, tau)
             T.backward(loss)
@@ -126,7 +132,7 @@ class TestCoarseLoss:
 
         def fn(x):
             ca, cb = (x, Tensor(b)) if side == "a" else (Tensor(a), x)
-            return coarse_loss(ca, cb, labels, tau)
+            return streamed_coarse_loss(ca, cb, labels, tau)
 
         rep = T.fd_check(fn, Tensor(a if side == "a" else b), max_coords=40, tol=1e-4)
         assert rep.passed, rep.max_rel_err
@@ -149,7 +155,7 @@ class TestCoarseLoss:
         assert side * side == 4096
         tracemalloc.start()
         try:
-            T.backward(coarse_loss(ca, cb, labels, cfg.tau))
+            T.backward(streamed_coarse_loss(ca, cb, labels, cfg.tau))
             M.stream_select_coarse(ca, cb, cfg.tau, cfg.theta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -339,7 +345,7 @@ class TestTrainToy:
             ca, fa, cb, fb = model.forward_pair(Tensor(sample.image_a[None, None]),
                                                 Tensor(sample.image_b[None, None]))
             offs = M.fine_offsets(fa, fb, centers, centers, radius=2, tau=0.05)
-            loss = T.add(coarse_loss(ca, cb, labels, 0.1),
+            loss = T.add(streamed_coarse_loss(ca, cb, labels, 0.1),
                          T.mul(fine_loss(offs, np.zeros((2, 2))), 0.25))
             T.backward(loss)
             for name, p in params.items():
