@@ -389,21 +389,14 @@ def fine_offsets(fine_a: Tensor, fine_b: Tensor, centers_a: np.ndarray,
     """Differentiable expected (dy, dx) offsets, in fine-cell units.
 
     ``centers_*`` are [M, 2] integer (row, col) fine cells.  Windows that
-    overrun the B map are clamped to it: slots outside the map are masked
-    out of the softmax, which renormalizes over the cells inside.
+    overrun the B map are clamped to it: ``window_dot`` floors the slots
+    outside the map, so the softmax renormalizes over the cells inside.
     """
     check_temperature("fine_tau", tau)
     fa = T.l2_normalize(_as_single_map(fine_a), axis=0)
     fb = T.l2_normalize(_as_single_map(fine_b), axis=0)
-    m = len(centers_a)
-    c = fa.shape[0]
     w = 2 * radius + 1
-    cvec = T.reshape(T.window_gather(fa, centers_a[:, 0], centers_a[:, 1], 0), (m, c))
-    logits = T.window_dot(cvec, fb, centers_b[:, 0], centers_b[:, 1], radius)
-    logits = T.mul(T.reshape(logits, (m, w * w)), 1.0 / tau)
-    valid = T.window_valid_mask(fb.shape[1:], centers_b[:, 0], centers_b[:, 1],
-                                radius).reshape(m, w * w)
-    logits = T.add(logits, Tensor(np.where(valid, 0.0, -1e9)))
+    logits = T.window_dot(fa, fb, centers_a, centers_b, radius, 1.0 / tau)
     p = T.softmax(logits, axis=-1)
     off = np.arange(-radius, radius + 1, dtype=np.float64)
     grid = np.stack([np.repeat(off, w), np.tile(off, w)], axis=1)  # [w*w, (dy,dx)]

@@ -241,15 +241,18 @@ def gradients_composite(seed: int):
     # the map ops of the decoder, the patch embedding and fine refinement
     cw, cb = Tensor(rng.normal(size=(2, 2, 3, 3)) * 0.4), Tensor(np.zeros(2))
     dw, db = Tensor(rng.normal(size=(2, 1, 3, 3)) * 0.4), Tensor(rng.normal(size=2))
-    vd, w_win = Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(2, 2, 3, 3)))
+    w_dot, w_win = Tensor(rng.normal(size=(2, 9))), Tensor(rng.normal(size=(2, 2, 3, 3)))
 
     def map_loss(m):
         up = T.bilinear_upsample2x(T.conv2d(m, cw, cb, padding=1))      # [1, 2, 8, 8]
         dwc = T.depthwise_conv2d(T.transpose(up, (0, 2, 3, 1)), dw, db)
         f = T.reshape(T.transpose(dwc, (0, 3, 1, 2)), (2, 8, 8))
         win = T.window_gather(f, [2, 5], [3, 4], 1)
-        dots = T.window_dot(vd, f, [1, 7], [0, 6], 1)
-        return T.add(T.reduce_sum(T.mul(win, w_win)), T.reduce_sum(T.mul(dots, dots)))
+        # A and B maps of different sizes, B windows over two borders
+        dots = T.window_dot(f, T.slice_(f, (slice(None), slice(0, 7), slice(1, 8))),
+                            [[1, 0], [7, 6]], [[0, 6], [4, 0]], 1, 0.5)
+        return T.add(T.reduce_sum(T.mul(win, w_win)),
+                     T.reduce_sum(T.mul(T.softmax(dots, axis=-1), w_dot)))
 
     r3 = T.fd_check(map_loss, Tensor(rng.normal(size=(1, 2, 4, 4))), tol=1e-4)
 

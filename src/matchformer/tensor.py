@@ -10,8 +10,8 @@ dense ``conv2d`` ([B, C, H, W] maps, im2col + matmul; a 1x1 stride-1 kernel
 multiplies the map itself), a channels-last ``depthwise_conv2d`` ([B, H, W, C]
 maps; per slab of rows one einsum of the k*k taps, and for the input gradient
 one gather with the taps flipped), ``bilinear_upsample2x``, ``swap_halves``
-for cross attention, and ``window_gather`` and ``window_dot`` for fine
-refinement.
+for cross attention, and ``window_dot``, the one op of fine refinement's
+window logits (``window_gather`` crops whole windows but has no model caller).
 
 Four ops fuse what the model always runs back to back, so that less float64
 traffic goes through memory and fewer nodes go on the tape:
@@ -852,51 +852,54 @@ def window_gather(x: Tensor, rows: np.ndarray, cols: np.ndarray, radius: int) ->
     return _op("window_gather", val, (x,), bwd)
 
 
-def window_dot(v: Tensor, x: Tensor, rows: np.ndarray, cols: np.ndarray,
-               radius: int) -> Tensor:
-    """Dot products of ``v[m]`` with every cell of the square window of a
-    ``[C, H, W]`` map centred on ``(rows[m], cols[m])``.
+def window_dot(a: Tensor, b: Tensor, centers_a: np.ndarray, centers_b: np.ndarray,
+               radius: int, scale: float) -> Tensor:
+    """Fine refinement's window logits, ``[M, w*w]`` with ``w = 2*radius + 1``.
 
-    ``v`` is ``[M, C]``; returns ``[M, w, w]`` with ``w = 2*radius + 1``.
-    Out-of-bounds cells read the clamped edge cell (callers mask those
-    slots).  Runs one window slot at a time, so no ``[M, C, w, w]`` copy of
-    the windows is made.
+    Entry ``[m, t]`` is ``scale * <a[:, centers_a[m]], b[:, slot t]>`` over
+    the row-major slots of the window of ``b`` around ``centers_b[m]``, read
+    at the clamped cell; each slot outside ``b`` then gets -1e9 added, so a
+    softmax over a row renormalizes over the cells inside the map.  ``a`` and
+    ``b`` are ``[C, H, W]`` maps of one width (any H x W each), the centres
+    [M, 2] integer (row, col) cells, and every A centre lies inside ``a``.
+    Runs one slot at a time, so no ``[M, C, w, w]`` copy of the windows is made.
     """
-    v, x = _as_tensor(v), _as_tensor(x)
-    if x.ndim != 3:
-        raise ShapeError("window_dot expects a [C, H, W] map")
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    c, h, w = x.shape
-    m, n = len(rows), 2 * radius + 1
-    if v.shape != (m, c) or cols.shape != rows.shape:
-        raise ShapeError(f"window_dot needs [M, {c}] vectors and M centres, got {v.shape}")
-    rr, cc = _window_slots(rows, cols, radius)
-    # flat index of the clamped cell of each slot
-    cells = (np.clip(rr, 0, h - 1) * w + np.clip(cc, 0, w - 1)).reshape(m, n * n)
-    xt = np.ascontiguousarray(x.data.reshape(c, h * w).T)
+    a, b = _as_tensor(a), _as_tensor(b)
+    ka, kb = (np.asarray(k, dtype=np.intp) for k in (centers_a, centers_b))
+    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] \
+            or ka.ndim != 2 or ka.shape[1] != 2 or kb.shape != ka.shape:
+        raise ShapeError(f"window_dot needs two [C, H, W] maps of one width and [M, 2] "
+                         f"centres, got {a.shape}, {b.shape}, {ka.shape}, {kb.shape}")
+    c, ha, wa = a.shape
+    _, h, w = b.shape
+    if np.any((ka < 0) | (ka >= (ha, wa))):
+        raise ShapeError("window_dot: an A centre lies outside its map")
+    m, n = len(ka), 2 * radius + 1
+    rr, cc = _window_slots(kb[:, 0], kb[:, 1], radius)
+    r_in, c_in = np.clip(rr, 0, h - 1), np.clip(cc, 0, w - 1)
+    cells = (r_in * w + c_in).reshape(m, n * n)  # flat index of each slot's clamped cell
+    floor = np.where((r_in == rr) & (c_in == cc), 0.0, -1e9).reshape(m, n * n)
+    va = np.ascontiguousarray(a.data[:, ka[:, 0], ka[:, 1]].T)   # [M, C]
+    xt = np.ascontiguousarray(b.data.reshape(c, h * w).T)
     val = np.empty((m, n * n))
     for t in range(n * n):
-        val[:, t] = np.einsum("mc,mc->m", v.data, xt[cells[:, t]])
+        val[:, t] = np.einsum("mc,mc->m", va, xt[cells[:, t]])
+    val *= scale
+    val += floor
 
     def bwd(g):
-        g = g.reshape(m, n * n)
-        dv = np.zeros_like(v.data)
+        g = g * scale
+        dva = np.zeros_like(va)
         dxt = np.zeros_like(xt)
         for t in range(n * n):
-            dv += g[:, t, None] * xt[cells[:, t]]
-            np.add.at(dxt, cells[:, t], g[:, t, None] * v.data)
-        return (dv, dxt.T.reshape(x.shape))
+            dva += g[:, t, None] * xt[cells[:, t]]
+            np.add.at(dxt, cells[:, t], g[:, t, None] * va)
+        # in match order; the [H, W, C]-then-transposed layout fixes later sums' bits
+        da_t = np.zeros((ha, wa, c))
+        np.add.at(da_t, (ka[:, 0], ka[:, 1]), dva)
+        return (da_t.transpose(2, 0, 1), dxt.T.reshape(b.shape))
 
-    return _op("window_dot", val.reshape(m, n, n), (v, x), bwd)
-
-
-def window_valid_mask(shape_hw: tuple, rows: np.ndarray, cols: np.ndarray,
-                      radius: int) -> np.ndarray:
-    """Boolean [M, w, w]: which window slots fall inside the map."""
-    h, w = shape_hw
-    rr, cc = _window_slots(rows, cols, radius)
-    return ((rr >= 0) & (rr <= h - 1)) & ((cc >= 0) & (cc <= w - 1))
+    return _op("window_dot", val, (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------

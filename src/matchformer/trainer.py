@@ -267,8 +267,8 @@ def _fine_supervision(cfg: TrainConfig, model, pairs: np.ndarray,
     mapped = D.hom_apply(h_mat, M.cell_center_px(ka, r_f)[:, ::-1])
     gt_rc = (mapped[:, ::-1] + 0.5) / r_f - 0.5
     gt_off = gt_rc - kb
-    # windows may be clamped at the map border (masked in fine_offsets);
-    # only require the target itself to fall inside the window
+    # windows may be clamped at the map border (window_dot floors the slots
+    # outside it); only require the target itself to fall inside the window
     usable = (np.abs(gt_off) <= radius).all(axis=1)
     idx = np.flatnonzero(usable)
     if len(idx) > cfg.max_fine_matches:

@@ -305,6 +305,17 @@ class TestFineOffsets:
         rep = T.fd_check(loss, Tensor(maps[side]), tol=1e-5)
         assert rep.passed, rep.max_rel_err
 
+    def test_records_one_window_op(self):
+        # the gather of the A centres, the 1/tau scale and the border floor all
+        # live inside window_dot
+        fa, fb = (Tensor(np.ones((1, 3, 5, 6)), requires_grad=True) for _ in range(2))
+        T.active_tape().clear()
+        M.fine_offsets(fa, fb, self.centers_a, self.centers_b, radius=2, tau=0.5)
+        names = [node.name for node in T.active_tape().nodes]
+        T.active_tape().clear()
+        assert names == ["reshape", "l2_normalize", "reshape", "l2_normalize",
+                         "window_dot", "softmax", "matmul"]
+
     @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
     def test_fine_tau_domain(self, tau):
         fmap = Tensor(np.ones((4, 5, 6)))

@@ -695,44 +695,53 @@ class TestStructural:
         got = T.window_gather(Tensor(m), np.array([3]), np.array([4]), 2).data
         assert np.array_equal(got[0], m[:, 1:6, 2:7])
 
+    # A and B maps of different H x W; A centres (1, 2) and B centres (0, 5)
+    # repeat, and the B windows reach past every border of the 5 x 6 map
+    wd_a = np.array([[1, 2], [1, 2], [3, 0], [0, 4], [2, 3]])
+    wd_b = np.array([[2, 3], [0, 0], [4, 5], [0, 5], [0, 5]])
+
     def test_window_dot_matches_clamped_crop_oracle(self):
-        # interior windows and windows clamped at every border of a 5 x 6 map
         rng = np.random.default_rng(16)
-        x = rng.normal(size=(3, 5, 6))
-        rows, cols = np.array([2, 0, 4, 1, 3]), np.array([3, 0, 5, 5, 0])
-        v = rng.normal(size=(5, 3))
-        got = T.window_dot(Tensor(v), Tensor(x), rows, cols, 2).data
-        assert got.shape == (5, 5, 5)
-        for k in range(5):
-            for i in range(5):
-                for j in range(5):
-                    r = min(max(rows[k] + i - 2, 0), 4)
-                    c = min(max(cols[k] + j - 2, 0), 5)
-                    assert abs(got[k, i, j] - v[k] @ x[:, r, c]) < 1e-12
+        a, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 6))
+        got = T.window_dot(Tensor(a), Tensor(b), self.wd_a, self.wd_b, 2, 0.7).data
+        assert got.shape == (5, 25)
+        for k, ((ra, ca), (rb, cb)) in enumerate(zip(self.wd_a, self.wd_b)):
+            for t in range(25):
+                r, c = rb + t // 5 - 2, cb + t % 5 - 2
+                inside = 0 <= r < 5 and 0 <= c < 6
+                want = 0.7 * (a[:, ra, ca] @ b[:, min(max(r, 0), 4), min(max(c, 0), 5)]) \
+                    + (0.0 if inside else -1e9)
+                assert abs(got[k, t] - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_window_dot_gradients(self):
         rng = np.random.default_rng(17)
-        x = rng.normal(size=(3, 4, 4))
-        v = rng.normal(size=(3, 3))
-        rows, cols = np.array([0, 2, 3]), np.array([1, 2, 3])
-        w = Tensor(rng.normal(size=(3, 3, 3)))
+        a, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 6))
+        w = Tensor(rng.normal(size=(5, 9)))
 
-        def loss(vv, xx):
-            return T.reduce_sum(T.mul(T.window_dot(vv, xx, rows, cols, 1), w))
+        def loss(aa, bb):
+            logits = T.window_dot(aa, bb, self.wd_a, self.wd_b, 1, 0.7)
+            return T.reduce_sum(T.mul(T.softmax(logits, axis=-1), w))
 
-        for rep in (T.fd_check(lambda t: loss(t, Tensor(x)), Tensor(v)),
-                    T.fd_check(lambda t: loss(Tensor(v), t), Tensor(x))):
+        for rep in (T.fd_check(lambda t: loss(t, Tensor(b)), Tensor(a)),
+                    T.fd_check(lambda t: loss(Tensor(a), t), Tensor(b))):
             assert rep.passed, rep.max_rel_err
 
     def test_window_dot_empty_and_shape_errors(self):
-        x = Tensor(np.ones((3, 4, 4)))
-        none = np.zeros(0, dtype=int)
-        assert T.window_dot(Tensor(np.zeros((0, 3))), x, none, none, 2).shape == (0, 5, 5)
-        with pytest.raises(T.ShapeError):
-            T.window_dot(Tensor(np.ones((1, 2))), x, np.array([1]), np.array([1]), 1)
-        with pytest.raises(T.ShapeError):
-            T.window_dot(Tensor(np.ones((1, 4))), Tensor(np.ones((4, 4))),
-                         np.array([1]), np.array([1]), 1)
+        a = Tensor(np.ones((3, 4, 4)), requires_grad=True)
+        none = np.zeros((0, 2), dtype=int)
+        out = T.window_dot(a, Tensor(np.ones((3, 2, 6))), none, none, 2, 1.0)
+        assert out.shape == (0, 25)
+        T.backward(T.reduce_sum(out))
+        assert np.array_equal(a.grad, np.zeros((3, 4, 4)))
+        one = np.array([[1, 1]])
+        for bad in (lambda: T.window_dot(a, a, np.array([[4, 0]]), one, 1, 1.0),
+                    lambda: T.window_dot(a, a, np.array([[0, -1]]), one, 1, 1.0),
+                    lambda: T.window_dot(a, Tensor(np.ones((2, 4, 4))), one, one, 1, 1.0),
+                    lambda: T.window_dot(a, Tensor(np.ones((4, 4))), one, one, 1, 1.0),
+                    lambda: T.window_dot(a, a, np.array([[1, 1], [2, 2]]), one, 1, 1.0),
+                    lambda: T.window_dot(a, a, np.array([1, 1]), np.array([1, 1]), 1, 1.0)):
+            with pytest.raises(T.ShapeError):
+                bad()
 
     def test_take_pairs(self):
         p = Tensor(np.arange(20.0).reshape(4, 5))
@@ -818,7 +827,7 @@ def fd_cases(seed):
                                                               (1, 2, 4, 4)))
     wc = Tensor(rng.normal(size=(6, 6)))
     win = Tensor(rng.normal(size=(2, 2, 3, 3)))
-    vd = Tensor(rng.normal(size=(2, 2)))
+    wd = Tensor(rng.normal(size=(2, 9)))
     dw, db = Tensor(rng.normal(size=(2, 1, 3, 3)) * 0.4), Tensor(rng.normal(size=2))
     cases = [
         lambda x: T.reduce_sum(T.mul(T.sigmoid(x), w)),
@@ -849,8 +858,9 @@ def fd_cases(seed):
         (lambda m: T.reduce_sum(T.mul(c := T.conv2d(m, cw, np.zeros(2), padding=1), c)), m4),
         (lambda m: T.reduce_sum(T.mul(T.window_gather(m, [1, 2], [2, 1], 1), win)),
          Tensor(rng.normal(size=(2, 4, 4)))),
-        (lambda m: T.reduce_sum(T.mul(c := T.window_dot(vd, m, [1, 3], [2, 0], 1), c)),
-         Tensor(rng.normal(size=(2, 4, 4)))),
+        (lambda m: T.reduce_sum(T.mul(T.softmax(T.window_dot(
+            m, T.slice_(m, (slice(None), slice(1, 4), slice(0, 3))), [[1, 2], [3, 0]],
+            [[0, 2], [2, 0]], 1, 0.7), axis=-1), wd)), Tensor(rng.normal(size=(2, 4, 4)))),
         (lambda m: T.reduce_sum(T.mul(c := T.depthwise_conv2d(m, dw, db), c)),
          Tensor(rng.normal(size=(1, 4, 4, 2)))),
         (lambda m: T.reduce_sum(T.mul(c := T.depthwise_gelu(m, dw, db), c)),
