@@ -45,8 +45,8 @@ from .blocks import ATTENTION_KINDS  # noqa: E402
 from .encoder import (VARIANTS, make_config, output_plan,  # noqa: E402
                       parse_config_text, stage_plan)
 from .model import MatchModel  # noqa: E402
-from .trainer import (TrainConfig, TrainingDivergedError,  # noqa: E402
-                      config_from_dict, train_toy)
+from .trainer import (TrainConfig, config_from_dict, train_toy,  # noqa: E402
+                      write_metrics_csv)
 
 
 class CliError(Exception):
@@ -140,11 +140,8 @@ def cmd_shapes(args) -> int:
 
 def cmd_match(args) -> int:
     cfg = _run_config(args)
-    try:
-        img_a = D.read_pgm(args.image_a)
-        img_b = D.read_pgm(args.image_b)
-    except (OSError, D.ImageFormatError) as e:
-        raise CliError(str(e), EXIT_IO)
+    img_a = D.read_pgm(args.image_a)
+    img_b = D.read_pgm(args.image_b)
     matches = _match(img_a, img_b, _load_model(cfg, args.checkpoint), cfg)
     os.makedirs(args.out, exist_ok=True)
     M.save_matches(os.path.join(args.out, "matches.tsv"), matches)
@@ -163,12 +160,9 @@ def cmd_match(args) -> int:
 def cmd_train(args) -> int:
     cfg = _run_config(args)
     os.makedirs(args.out, exist_ok=True)
-    try:
-        result = train_toy(cfg, log_path=os.path.join(args.out, "metrics.csv"),
-                           checkpoint_path=os.path.join(args.out, "checkpoint.txt"),
-                           progress=args.progress)
-    except (T.NumericalError, TrainingDivergedError) as e:
-        raise CliError(str(e), EXIT_NUMERIC)
+    result = train_toy(cfg, progress=args.progress)
+    write_metrics_csv(os.path.join(args.out, "metrics.csv"), result.metrics)
+    result.model.save(os.path.join(args.out, "checkpoint.txt"))
     _write_manifest(args.out, {"command": "train", **asdict(cfg),
                                "holdout_precision": result.holdout_precision})
     print(f"holdout precision@1cell: {result.holdout_precision:.3f}")
@@ -178,19 +172,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _run_config(args)
-    try:
-        entries = D.load_manifest(args.manifest)
-    except (OSError, ValueError) as e:
-        raise CliError(str(e), EXIT_IO)
+    entries = D.load_manifest(args.manifest)
     fixed_matches = None
     model = None
     if args.matches:
         if len(entries) != 1:
             raise CliError("--matches needs a single-entry manifest", EXIT_USAGE)
-        try:
-            fixed_matches = M.load_matches(args.matches)
-        except (OSError, ValueError) as e:
-            raise CliError(str(e), EXIT_IO)
+        fixed_matches = M.load_matches(args.matches)
     else:
         model = _load_model(cfg, args.checkpoint)
     size = cfg.image_size
@@ -215,17 +203,18 @@ def cmd_eval(args) -> int:
             curve = np.zeros(len(E.MMA_THRESHOLDS))
         curves.append(curve)
     errs = np.array(corner_errs)
-    report = E.EvalReport(
-        accuracy_1px=float((errs < 1).mean()), accuracy_3px=float((errs < 3).mean()),
-        accuracy_5px=float((errs < 5).mean()),
-        mma_curve=np.mean(curves, axis=0), mean_matches=float(np.mean(counts)),
-        mean_inliers=float(np.mean(inlier_counts)), n_pairs=len(entries))
+    rows = [("pairs", len(entries))]
+    rows += [(f"accuracy@{t}px", round(float((errs < t).mean()), 4)) for t in (1, 3, 5)]
+    rows += [(f"mma@{t}px", round(float(v), 4))
+             for t, v in zip(E.MMA_THRESHOLDS, np.mean(curves, axis=0))]
+    rows += [("mean_matches", round(float(np.mean(counts)), 2)),
+             ("mean_inliers", round(float(np.mean(inlier_counts)), 2))]
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.csv"), "w") as fh:
         fh.write("metric,value\n")
-        for key, value in report.rows():
+        for key, value in rows:
             fh.write(f"{key},{value}\n")
-    for key, value in report.rows():
+    for key, value in rows:
         print(f"{key:>16}: {value}")
     _write_manifest(args.out, {"command": "eval", **asdict(cfg),
                                "manifest": args.manifest, "pairs": len(entries),

@@ -184,27 +184,6 @@ def mma(matches, h_gt: np.ndarray):
     return (errs[None, :] <= thresholds[:, None]).mean(axis=1), False
 
 
-@dataclass
-class EvalReport:
-    accuracy_1px: float
-    accuracy_3px: float
-    accuracy_5px: float
-    mma_curve: np.ndarray            # mean over pairs, thresholds 1..10 px
-    mean_matches: float
-    mean_inliers: float
-    n_pairs: int
-
-    def rows(self):
-        yield ("pairs", self.n_pairs)
-        yield ("accuracy@1px", round(self.accuracy_1px, 4))
-        yield ("accuracy@3px", round(self.accuracy_3px, 4))
-        yield ("accuracy@5px", round(self.accuracy_5px, 4))
-        for t, v in zip(MMA_THRESHOLDS, self.mma_curve):
-            yield (f"mma@{t}px", round(float(v), 4))
-        yield ("mean_matches", round(self.mean_matches, 2))
-        yield ("mean_inliers", round(self.mean_inliers, 2))
-
-
 # ---------------------------------------------------------------------------
 # FLOPs accounting
 # ---------------------------------------------------------------------------

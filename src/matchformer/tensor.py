@@ -89,16 +89,17 @@ _OPS = _UNCHECKED_OPS | frozenset((
     "bilinear_upsample2x", "attention", "linear_attention",
     "dual_softmax_nll"))  # matcher's streamed coarse loss
 
-# Fault injection for the self-test negative control: op name -> factor that
-# ``backward`` applies to the incoming gradient of that op's nodes.
-_FAULT: dict[str, float] = {}
+# Fault injection for the self-test negative control: ``backward`` scales the
+# incoming gradient of the faulted ops' nodes by FAULT_SCALE.
+FAULT_SCALE = 1.01
+_FAULT: set[str] = set()
 
 
-def inject_fault(op_name: str, scale: float = 1.01) -> None:
+def inject_fault(op_name: str) -> None:
     if op_name not in _OPS:
         raise ValueError(f"unknown op {op_name!r} for fault injection; "
                          f"valid ops: {', '.join(sorted(_OPS))}")
-    _FAULT[op_name] = scale
+    _FAULT.add(op_name)
 
 
 def clear_faults() -> None:
@@ -265,7 +266,7 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         if _FAULT and node.name in _FAULT:
-            g = g * _FAULT[node.name]  # every VJP is linear in g
+            g = g * FAULT_SCALE  # every VJP is linear in g
         for parent, pg in zip(node.parents, node.backward_fn(g)):
             _accumulate(parent, pg)
     tape.clear()

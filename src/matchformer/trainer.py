@@ -9,7 +9,9 @@ loss (``matcher.dual_softmax_nll``) and by the selection and mutual-best
 rule that ``match_pair`` uses (``matcher.stream_select``), so no step holds
 an N1 x N2 array.  Fine supervision switches on only after the coarse
 precision clears a warm-up bar, so the windows being supervised are not
-garbage.  Everything is bit-reproducible from (seed, config).
+garbage.  Everything is bit-reproducible from (seed, config).  ``train_toy``
+returns the model, the metrics rows and the held-out precision and writes no
+file; ``matchformer train`` writes them.
 """
 
 from __future__ import annotations
@@ -29,14 +31,6 @@ from .tensor import Tensor
 
 class EmptyAssignmentError(ValueError):
     """No labeled cells; the caller should skip this sample."""
-
-
-class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; carries the offending step index."""
-
-    def __init__(self, step: int, message: str):
-        super().__init__(f"step {step}: {message}")
-        self.step = step
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +270,9 @@ def _fine_supervision(cfg: TrainConfig, model, pairs: np.ndarray,
     return ka[idx], kb[idx], gt_off[idx]
 
 
-def train_toy(cfg: TrainConfig, log_path=None, checkpoint_path=None,
-              progress=None) -> TrainResult:
-    """Run the reference toy training loop; see module docstring."""
+def train_toy(cfg: TrainConfig, progress=None) -> TrainResult:
+    """Run the reference toy training loop; see module docstring.  A
+    ``NumericalError`` raised in a step names that step."""
     model = MatchModel(cfg.model_config(), seed=cfg.seed)
     state = AdamState.for_params(model.parameters())
     rng = np.random.default_rng(cfg.seed + 17)
@@ -288,53 +282,49 @@ def train_toy(cfg: TrainConfig, log_path=None, checkpoint_path=None,
     fine_active = False
 
     with T.tape_scope():  # a step that raises leaves no nodes behind
-        for step in range(cfg.steps):
-            sample = _sample_pair(cfg, step)
-            labels = D.gt_coarse_labels(sample.h_mat, cfg.image_size, r_c)
-            if (labels >= 0).sum() == 0:
-                continue
-            img_a = Tensor(sample.image_a[None, None])
-            img_b = Tensor(sample.image_b[None, None])
-            coarse_a, fine_a, coarse_b, fine_b = model.forward_pair(img_a, img_b)
-            coarse = M.coarse_pass(coarse_a, coarse_b, cfg.tau)
-            loss_c = coarse_loss(coarse, labels)
-            selected = M.stream_select(coarse, cfg.theta)
-            grids = (coarse.grid_a, coarse.grid_b)
-            precision = _step_precision(selected.pairs, labels, grids[0])
-            running_precision = 0.9 * running_precision + 0.1 * precision
-            if running_precision > cfg.fine_warmup_precision:
-                fine_active = True
+        try:
+            for step in range(cfg.steps):
+                sample = _sample_pair(cfg, step)
+                labels = D.gt_coarse_labels(sample.h_mat, cfg.image_size, r_c)
+                if (labels >= 0).sum() == 0:
+                    continue
+                img_a = Tensor(sample.image_a[None, None])
+                img_b = Tensor(sample.image_b[None, None])
+                coarse_a, fine_a, coarse_b, fine_b = model.forward_pair(img_a, img_b)
+                coarse = M.coarse_pass(coarse_a, coarse_b, cfg.tau)
+                loss_c = coarse_loss(coarse, labels)
+                selected = M.stream_select(coarse, cfg.theta)
+                grids = (coarse.grid_a, coarse.grid_b)
+                precision = _step_precision(selected.pairs, labels, grids[0])
+                running_precision = 0.9 * running_precision + 0.1 * precision
+                if running_precision > cfg.fine_warmup_precision:
+                    fine_active = True
 
-            loss_f_val = 0.0
-            loss = T.mul(loss_c, cfg.lambda_coarse)
-            if fine_active and cfg.lambda_fine > 0:
-                labeled = np.flatnonzero(labels >= 0)
-                gt_pairs = np.stack([labeled, labels[labeled]], axis=1)
-                ka, kb, gt_off = _fine_supervision(cfg, model, gt_pairs, sample.h_mat,
-                                                   grids, fine_a.shape[2:], rng)
-                if len(ka):
-                    offsets = M.fine_offsets(fine_a, fine_b, ka, kb,
-                                             radius=cfg.window // 2, tau=cfg.fine_tau)
-                    loss_f = fine_loss(offsets, gt_off)
-                    loss_f_val = float(loss_f.data)
-                    loss = T.add(loss, T.mul(loss_f, cfg.lambda_fine))
+                loss_f_val = 0.0
+                loss = T.mul(loss_c, cfg.lambda_coarse)
+                if fine_active and cfg.lambda_fine > 0:
+                    labeled = np.flatnonzero(labels >= 0)
+                    gt_pairs = np.stack([labeled, labels[labeled]], axis=1)
+                    ka, kb, gt_off = _fine_supervision(cfg, model, gt_pairs, sample.h_mat,
+                                                       grids, fine_a.shape[2:], rng)
+                    if len(ka):
+                        offsets = M.fine_offsets(fine_a, fine_b, ka, kb,
+                                                 radius=cfg.window // 2, tau=cfg.fine_tau)
+                        loss_f = fine_loss(offsets, gt_off)
+                        loss_f_val = float(loss_f.data)
+                        loss = T.add(loss, T.mul(loss_f, cfg.lambda_fine))
 
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                raise TrainingDivergedError(step, f"non-finite loss {loss_val}")
-            T.backward(loss)
-            adam_step(state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-            state.zero_grad()
-            metrics.append((step, float(loss_c.data), loss_f_val, precision))
-            if progress and step % progress == 0:
-                print(f"step {step:5d}  loss_c {float(loss_c.data):.4f}  "
-                      f"loss_f {loss_f_val:.4f}  precision {precision:.3f}")
+                T.backward(loss)
+                adam_step(state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+                state.zero_grad()
+                metrics.append((step, float(loss_c.data), loss_f_val, precision))
+                if progress and step % progress == 0:
+                    print(f"step {step:5d}  loss_c {float(loss_c.data):.4f}  "
+                          f"loss_f {loss_f_val:.4f}  precision {precision:.3f}")
+        except T.NumericalError as e:
+            raise T.NumericalError(f"step {step}: {e}") from e
 
     holdout = holdout_precision(model, cfg)
-    if log_path is not None:
-        write_metrics_csv(log_path, metrics)
-    if checkpoint_path is not None:
-        model.save(checkpoint_path)
     return TrainResult(model=model, metrics=metrics, holdout_precision=holdout)
 
 

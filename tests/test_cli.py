@@ -425,6 +425,17 @@ class TestTrain:
         assert lines[0] == "step,loss_coarse,loss_fine,precision"
         assert len(lines) == 3  # header + 2 steps
 
+    def test_diverging_step_exits_numeric_and_writes_no_run_files(self, tmp_path,
+                                                                 capsys):
+        # step 0's Adam update at this rate overflows step 1's forward
+        cfgfile = tmp_path / "toy.cfg"
+        cfgfile.write_text(TOY_CONFIG + "lr: 1e300\n")
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out), "--config", str(cfgfile)]) == 4
+        assert capsys.readouterr().err.startswith("numerical failure: step 1: ")
+        assert not (out / "metrics.csv").exists()
+        assert not (out / "checkpoint.txt").exists()
+
 
 class TestEval:
     def test_exact_matches_give_unit_accuracy(self, tmp_path, capsys):

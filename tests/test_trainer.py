@@ -12,9 +12,9 @@ from matchformer.data import make_pair, gt_coarse_labels
 from matchformer.model import MatchModel
 from matchformer.tensor import Tensor
 from matchformer.trainer import (AdamState, EmptyAssignmentError, TrainConfig,
-                                 TrainingDivergedError, adam_step, coarse_loss,
-                                 config_from_dict, fine_loss, holdout_precision,
-                                 train_toy)
+                                 adam_step, coarse_loss, config_from_dict,
+                                 fine_loss, holdout_precision, train_toy,
+                                 write_metrics_csv)
 
 TINY = dict(channels=(8, 8, 8, 16), coarse_channels=8, fine_channels=8,
             fusion_channels=8)
@@ -315,9 +315,9 @@ class TestAdamArena:
 
 
 class TestTrainToy:
-    def test_zero_steps_returns_initialization(self, tmp_path):
+    def test_zero_steps_returns_initialization(self):
         cfg = tiny_config(steps=0)
-        result = train_toy(cfg, checkpoint_path=tmp_path / "ckpt.txt")
+        result = train_toy(cfg)
         fresh = MatchModel(cfg.model_config(), seed=cfg.seed)
         for (_, a), (_, b) in zip(result.model.named_parameters(),
                                   fresh.named_parameters()):
@@ -357,7 +357,7 @@ class TestTrainToy:
 
     def test_metrics_log_format(self, tmp_path):
         path = tmp_path / "metrics.csv"
-        train_toy(tiny_config(steps=2), log_path=path)
+        write_metrics_csv(path, train_toy(tiny_config(steps=2)).metrics)
         lines = path.read_text().splitlines()
         assert lines[0] == "step,loss_coarse,loss_fine,precision"
         assert len(lines) == 3
@@ -370,20 +370,15 @@ class TestTrainToy:
         result = train_toy(tiny_config(steps=2))
         assert 0.0 <= result.holdout_precision <= 1.0
 
-    @pytest.mark.parametrize("error, corrupt", [
-        (TrainingDivergedError, lambda loss: T.mul(loss, np.nan)),
-        (T.NumericalError, lambda loss: T.log(T.mul(loss, -1.0))),
-    ])
-    def test_step_that_raises_leaves_an_empty_tape(self, monkeypatch, error, corrupt):
+    def test_step_that_raises_leaves_an_empty_tape(self, monkeypatch):
         # the step's forward graph is abandoned; its nodes must not stay on
-        # the global tape holding their activations
-        if error is TrainingDivergedError:  # a NaN the op checks let through
-            monkeypatch.setattr(T, "_UNCHECKED_OPS", T._OPS)
+        # the global tape holding their activations, and the error names
+        # the step
         real = trainer.coarse_loss
         monkeypatch.setattr(trainer, "coarse_loss",
-                            lambda *args: corrupt(real(*args)))
+                            lambda *args: T.log(T.mul(real(*args), -1.0)))
         T.active_tape().clear()
-        with pytest.raises(error):
+        with pytest.raises(T.NumericalError, match="^step 0: log produced non-finite"):
             train_toy(tiny_config(steps=1))
         assert len(T.active_tape()) == 0
 
