@@ -357,21 +357,24 @@ def _snapshots(path, names: set):
     """Yield each tensor's name, header shape and unparsed body line: after
     the magic line, a tensor is a name line, a ``shape:`` header and a body
     line.  Blank lines between tensors are skipped.  Each name is added to
-    ``names``; a name that comes twice is an error."""
-    with open(path) as fh:
-        if fh.readline().strip() != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic line)")
-        for line in fh:
-            name = line.strip()
-            if not name:
-                continue
-            if name in names:
-                raise ValueError(f"{path}: tensor {name!r} appears twice")
-            names.add(name)
-            header, body = fh.readline(), fh.readline()
-            if not body:
-                raise ValueError(f"{path}: truncated at tensor {name!r}")
-            yield name, _snapshot_shape(header), body
+    ``names``; a name that comes twice is an error, as is non-UTF-8 text."""
+    try:
+        with open(path) as fh:
+            if fh.readline().strip() != CHECKPOINT_MAGIC:
+                raise ValueError(f"{path}: not a checkpoint file (bad magic line)")
+            for line in fh:
+                name = line.strip()
+                if not name:
+                    continue
+                if name in names:
+                    raise ValueError(f"{path}: tensor {name!r} appears twice")
+                names.add(name)
+                header, body = fh.readline(), fh.readline()
+                if not body:
+                    raise ValueError(f"{path}: truncated at tensor {name!r}")
+                yield name, _snapshot_shape(header), body
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def load_checkpoint(path, into: Module | None = None) -> dict[str, np.ndarray] | None:
@@ -380,10 +383,11 @@ def load_checkpoint(path, into: Module | None = None) -> dict[str, np.ndarray] |
 
     Given a module ``into``, each tensor is parsed straight into that
     module's parameter of the same name instead, and nothing is returned.
-    Each name and header shape is checked before its body is parsed; names
-    the file lacks or the module lacks are reported at the end.  In either
-    mode a name that the file holds twice is an error.  A failed load can
-    leave the tensors read before the failure replaced.
+    Each name and header shape is checked before its body is parsed, and each
+    body before its parameter is replaced (a non-finite value is an error);
+    names the file lacks or the module lacks are reported at the end.  In
+    either mode a name that the file holds twice is an error.  A failed load
+    can leave the tensors read before the failure replaced.
     """
     names: set = set()
     if into is None:
@@ -394,7 +398,10 @@ def load_checkpoint(path, into: Module | None = None) -> dict[str, np.ndarray] |
         if p is not None:
             if p.data.shape != shape:
                 raise ValueError(f"checkpoint shape mismatch at {name}: {shape} vs {p.data.shape}")
-            p.data = _parse_body(shape, body)
+            value = _parse_body(shape, body)
+            if not np.isfinite(value).all():
+                raise ValueError(f"{path}: tensor {name!r} holds non-finite values")
+            p.data = value
     missing, extra = sorted(params.keys() - names), sorted(names - params.keys())
     if missing or extra:
         raise ValueError(f"checkpoint mismatch: missing={missing[:4]} extra={extra[:4]}")

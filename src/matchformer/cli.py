@@ -75,7 +75,7 @@ def _run_config(args) -> TrainConfig:
         try:
             with open(args.config) as fh:
                 raw = parse_config_text(fh.read())
-        except OSError as e:
+        except (OSError, ValueError) as e:  # unreadable, not UTF-8, or malformed
             raise CliError(f"cannot read config {args.config}: {e}", EXIT_IO)
     raw.update({key: value for key, value in vars(args).items()
                 if key in TrainConfig.__annotations__ and value is not None})
@@ -159,8 +159,8 @@ def cmd_match(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
-    os.makedirs(args.out, exist_ok=True)
     result = train_toy(cfg, progress=args.progress)
+    os.makedirs(args.out, exist_ok=True)
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), result.metrics)
     result.model.save(os.path.join(args.out, "checkpoint.txt"))
     _write_manifest(args.out, {"command": "train", **asdict(cfg),

@@ -46,14 +46,13 @@ def hom_is_valid(h_mat: np.ndarray) -> bool:
     return abs(np.linalg.det(h_mat)) > 1e-9
 
 
-def random_homography(seed: int, max_rot: float = 0.15, max_persp: float = 5e-4,
-                      max_trans: float = 4.0, max_scale: float = 0.08,
-                      size: tuple | None = None) -> np.ndarray:
-    """Rotation, anisotropic scale, translation, and mild perspective.
-
-    ``size`` = (height, width) centers the rotation/scale/perspective on the
-    image so mild draws keep most of the frame valid.  All-zero bounds give
-    the identity.  Degenerate draws are retried a bounded number of times.
+def random_homography(seed: int, size: tuple, max_rot: float = 0.15,
+                      max_persp: float = 5e-4, max_trans: float = 4.0,
+                      max_scale: float = 0.08) -> np.ndarray:
+    """Rotation, anisotropic scale, translation and mild perspective, centered
+    on the ``size`` = (height, width) image so mild draws keep most of the
+    frame valid.  All-zero bounds give the identity.  Degenerate draws are
+    retried a bounded number of times.
     """
     rng = np.random.default_rng(seed)
     for _ in range(100):
@@ -69,12 +68,10 @@ def random_homography(seed: int, max_rot: float = 0.15, max_persp: float = 5e-4,
             [sy * np.sin(theta), sy * np.cos(theta), ty],
             [px, py, 1.0],
         ])
-        if size is not None:
-            cy, cx = (size[0] - 1) / 2.0, (size[1] - 1) / 2.0
-            to_center = np.array([[1, 0, -cx], [0, 1, -cy], [0, 0, 1.0]])
-            from_center = np.array([[1, 0, cx], [0, 1, cy], [0, 0, 1.0]])
-            core = from_center @ core @ to_center
-        core = hom_normalize(core)
+        cy, cx = (size[0] - 1) / 2.0, (size[1] - 1) / 2.0
+        to_center = np.array([[1, 0, -cx], [0, 1, -cy], [0, 0, 1.0]])
+        from_center = np.array([[1, 0, cx], [0, 1, cy], [0, 0, 1.0]])
+        core = hom_normalize(from_center @ core @ to_center)
         if hom_is_valid(core):
             return core
     raise RuntimeError("random_homography: no invertible draw in 100 tries")
@@ -270,14 +267,15 @@ def save_manifest(path, entries) -> None:
 
 
 def load_manifest(path):
-    """The (seed, homography) samples of a ``save_manifest`` file; blank
-    lines are skipped, and a file with no sample line is an error."""
+    """The (seed, homography) samples of a ``save_manifest`` file of UTF-8
+    lines; blank lines are skipped, and a file with no sample line is an error."""
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
+                line = raw.decode()
+                if not line.strip():
+                    continue
                 seed_s, vals = line.split("\t")
                 seed = int(seed_s)
                 if seed < 0:

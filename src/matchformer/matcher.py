@@ -448,16 +448,17 @@ def save_matches(path, matches: MatchSet) -> None:
 
 
 def load_matches(path) -> MatchSet:
-    """Read a ``save_matches`` file; every data line holds five finite values."""
-    with open(path) as fh:
+    """Read a ``save_matches`` file; every UTF-8 data line holds five finite values."""
+    with open(path, "rb") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != MATCH_FILE_MAGIC:
+    if not lines or lines[0].strip() != MATCH_FILE_MAGIC.encode():
         raise ValueError(f"{path}: missing match-file header")
     rows = []
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
+    for lineno, raw in enumerate(lines[1:], 2):
         try:
+            line = raw.decode()
+            if not line.strip():
+                continue
             row = [float(v) for v in line.split("\t")]
             if len(row) != 5 or not np.isfinite(row).all():
                 raise ValueError(f"expected 5 finite tab-separated values, got {line!r}")

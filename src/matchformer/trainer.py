@@ -61,6 +61,8 @@ def fine_loss(pred_offsets: Tensor, gt_offsets: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+# Adam's moment decays and denominator floor: one value each, never varied.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # Elements per pass of ``adam_step``: 128 KB of each buffer, so the six
 # blocks one pass touches (768 KB) stay in L2.
 _ADAM_BLOCK = 1 << 14
@@ -104,34 +106,33 @@ class AdamState:
         self.grad.fill(0.0)
 
 
-def adam_step(state: AdamState, lr: float, beta1: float, beta2: float,
-              eps: float) -> None:
-    """Standard bias-corrected Adam update, in place on the arena.
+def adam_step(state: AdamState, lr: float) -> None:
+    """Bias-corrected Adam with the ``ADAM_*`` constants, in place on the arena.
 
     The update runs in blocks of ``_ADAM_BLOCK`` elements, one ufunc pass per
     operation of ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g`` and
     ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``, evaluated in that order.
     """
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
-    k1, k2 = 1.0 - beta1, 1.0 - beta2
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
+    k1, k2 = 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2
     buf_a, buf_b = state.scratch
     for start in range(0, state.data.size, _ADAM_BLOCK):
         end = min(start + _ADAM_BLOCK, state.data.size)
         p, g = state.data[start:end], state.grad[start:end]
         m, v = state.m[start:end], state.v[start:end]
         a, b = buf_a[:end - start], buf_b[:end - start]
-        np.multiply(m, beta1, out=m)
+        np.multiply(m, ADAM_BETA1, out=m)
         np.multiply(g, k1, out=a)
         np.add(m, a, out=m)
-        np.multiply(v, beta2, out=v)
+        np.multiply(v, ADAM_BETA2, out=v)
         np.multiply(g, k2, out=a)
         np.multiply(a, g, out=a)
         np.add(v, a, out=v)
         np.divide(v, c2, out=a)
         np.sqrt(a, out=a)
-        np.add(a, eps, out=a)
+        np.add(a, ADAM_EPS, out=a)
         np.divide(m, c1, out=b)
         np.multiply(b, lr, out=b)
         np.divide(b, a, out=b)
@@ -142,16 +143,15 @@ def adam_step(state: AdamState, lr: float, beta1: float, beta2: float,
 # Training configuration and loop
 # ---------------------------------------------------------------------------
 
+# The fine loss's weight (the coarse loss's is 1), and the most labeled pairs
+# that one step supervises the fine head with.
+FINE_LOSS_WEIGHT, MAX_FINE_MATCHES = 0.25, 48
+
 
 @dataclass
 class TrainConfig:
     steps: int = 2000
     lr: float = 3e-4
-    lambda_coarse: float = 1.0
-    lambda_fine: float = 0.25
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     variant: str = "lite"
     attention: str = "la"
@@ -171,7 +171,6 @@ class TrainConfig:
     max_trans: float = 3.0
     max_scale: float = 0.06
     fine_warmup_precision: float = 0.3
-    max_fine_matches: int = 48
 
     def __post_init__(self):
         """Every value gets its domain here, before any model is built.  The
@@ -182,14 +181,10 @@ class TrainConfig:
         check_input_extents(*self.image_size, what="image_size")
         h, w = self.image_size
         for names, valid, what in (
-            (("seed", "steps", "max_fine_matches"), lambda v: v >= 0, ">= 0"),
-            (("lr", "eps"), lambda v: 0 < v < np.inf, "finite and > 0"),
-            (("lambda_coarse", "lambda_fine"), lambda v: 0 <= v < np.inf,
-             "finite and >= 0"),
-            (("beta1", "beta2", "fine_warmup_precision"), lambda v: 0 <= v < 1,
-             "in [0, 1)"),
+            (("seed", "steps"), lambda v: v >= 0, ">= 0"),
+            (("lr",), lambda v: 0 < v < np.inf, "finite and > 0"),
             (("max_rot",), lambda v: 0 <= v <= np.pi, "in [0, pi]"),
-            (("max_scale",), lambda v: 0 <= v < 1, "in [0, 1)"),
+            (("max_scale", "fine_warmup_precision"), lambda v: 0 <= v < 1, "in [0, 1)"),
             # a larger shift leaves the pair no overlap to supervise
             (("max_trans",), lambda v: 0 <= v <= min(h, w),
              f"in [0, {min(h, w)}] px, the smaller image extent"),
@@ -201,8 +196,6 @@ class TrainConfig:
                 value = getattr(self, name)
                 if not valid(value):
                     raise ValueError(f"{name} must be {what}, got {value}")
-        if self.lambda_coarse == 0 and self.lambda_fine == 0:
-            raise ValueError("lambda_coarse and lambda_fine must not both be 0")
         M.check_temperature("tau", self.tau)
         M.check_temperature("fine_tau", self.fine_tau)
         M.check_theta(self.theta)
@@ -265,8 +258,8 @@ def _fine_supervision(cfg: TrainConfig, model, pairs: np.ndarray,
     # outside it); only require the target itself to fall inside the window
     usable = (np.abs(gt_off) <= radius).all(axis=1)
     idx = np.flatnonzero(usable)
-    if len(idx) > cfg.max_fine_matches:
-        idx = rng.choice(idx, size=cfg.max_fine_matches, replace=False)
+    if len(idx) > MAX_FINE_MATCHES:
+        idx = rng.choice(idx, size=MAX_FINE_MATCHES, replace=False)
     return ka[idx], kb[idx], gt_off[idx]
 
 
@@ -301,8 +294,8 @@ def train_toy(cfg: TrainConfig, progress=None) -> TrainResult:
                     fine_active = True
 
                 loss_f_val = 0.0
-                loss = T.mul(loss_c, cfg.lambda_coarse)
-                if fine_active and cfg.lambda_fine > 0:
+                loss = loss_c
+                if fine_active:
                     labeled = np.flatnonzero(labels >= 0)
                     gt_pairs = np.stack([labeled, labels[labeled]], axis=1)
                     ka, kb, gt_off = _fine_supervision(cfg, model, gt_pairs, sample.h_mat,
@@ -312,10 +305,10 @@ def train_toy(cfg: TrainConfig, progress=None) -> TrainResult:
                                                  radius=cfg.window // 2, tau=cfg.fine_tau)
                         loss_f = fine_loss(offsets, gt_off)
                         loss_f_val = float(loss_f.data)
-                        loss = T.add(loss, T.mul(loss_f, cfg.lambda_fine))
+                        loss = T.add(loss, T.mul(loss_f, FINE_LOSS_WEIGHT))
 
                 T.backward(loss)
-                adam_step(state, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+                adam_step(state, cfg.lr)
                 state.zero_grad()
                 metrics.append((step, float(loss_c.data), loss_f_val, precision))
                 if progress and step % progress == 0:

@@ -591,6 +591,20 @@ class TestLoadIntoModule:
         assert ("shape mismatch at attn.q.bias" if case == "shape"
                 else "checkpoint mismatch") in str(info.value)
 
+    @pytest.mark.parametrize("token", ["nan", "1e999", "-inf"])
+    def test_non_finite_value_is_an_error_before_its_parameter_is_replaced(
+            self, tmp_path, token):
+        module = B.Module()
+        module.a, module.b = Tensor(np.zeros(2)), Tensor(np.zeros(3))
+        kept = module.b.data
+        path = tmp_path / "ckpt.txt"
+        path.write_text(f"{MAGIC}\na\nshape: 2\n1.0 2.0\nb\nshape: 3\n1.0 {token} 3.0\n")
+        with pytest.raises(ValueError) as info:
+            load_checkpoint(path, into=module)
+        assert str(info.value) == f"{path}: tensor 'b' holds non-finite values"
+        assert module.a.data.tolist() == [1.0, 2.0]  # read before the failure
+        assert module.b.data is kept and not kept.any()
+
     def test_peak_memory_is_one_tensor_not_the_state(self, tmp_path):
         rng = np.random.default_rng(48)
         module = B.Module()

@@ -6,7 +6,7 @@ import pytest
 from matchformer import data as D
 from matchformer import matcher as M
 from matchformer import tensor as T
-from matchformer.blocks import ATTENTION_KINDS
+from matchformer.blocks import ATTENTION_KINDS, CHECKPOINT_MAGIC
 from matchformer.cli import build_parser, main
 from matchformer.encoder import VARIANTS, make_config, parse_config_text
 from matchformer.model import MatchModel
@@ -158,6 +158,26 @@ class TestMatch:
         err = capsys.readouterr().err
         assert str(ckpt) in err and f"tensor {lines[1]!r} appears twice" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("token", ["nan", "1e999"])
+    def test_non_finite_checkpoint_value_is_io_error(self, pgm_pair, tmp_path, capsys,
+                                                     spy_match_pair, token):
+        a, b = pgm_pair
+        cfgfile = tmp_path / "toy.cfg"
+        cfgfile.write_text(TOY_CONFIG)
+        ckpt = tmp_path / "ckpt.txt"
+        MatchModel(TrainConfig(**TOY_FIELDS).model_config(), seed=0).save(ckpt)
+        lines = ckpt.read_text().splitlines()
+        body = lines[3].split()
+        lines[3] = " ".join([token] + body[1:])
+        ckpt.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = main(["match", a, b, "--out", str(out), "--config", str(cfgfile),
+                     "--checkpoint", str(ckpt)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{ckpt}: tensor {lines[1]!r} holds non-finite values" in err
+        assert spy_match_pair == [] and not out.exists()
 
     def test_even_window_is_usage_error_before_the_model_runs(self, pgm_pair, tmp_path,
                                                                monkeypatch, capsys):
@@ -318,18 +338,22 @@ class TestTrain:
         assert (out / "metrics.csv").exists()
         assert (out / "manifest.txt").exists()
 
-    def test_batch_size_key_is_usage_error(self, tmp_path, monkeypatch):
-        # so are an even fine window, out-of-range matching values and an
-        # image_size that is not two positive multiples of 32
+    def test_batch_size_key_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # so are the trainer constants' former keys, an even fine window,
+        # out-of-range matching values and an image_size that is not two
+        # positive multiples of 32; each error names its key
         monkeypatch.setattr("matchformer.cli.train_toy",
                             lambda *a, **kw: pytest.fail("training ran"))
         cfgfile = tmp_path / "toy.cfg"
-        for extra in ("batch_size: 1\n", "window: 4\n", "theta: 1.5\n",
+        for extra in ("batch_size: 1\n", "lambda_coarse: 1\n", "lambda_fine: 1\n",
+                      "beta1: 1\n", "beta2: 1\n", "eps: 1\n", "max_fine_matches: 1\n",
+                      "window: 4\n", "theta: 1.5\n",
                       "theta: -0.1\n", "tau: 0\n", "tau: nan\n", "fine_tau: 0\n",
                       "image_size: 48 64\n", "image_size: 64 64 64\n"):
             cfgfile.write_text(TOY_CONFIG + extra)
             assert main(["train", "--out", str(tmp_path / "run"), "--config",
                          str(cfgfile)]) == 2
+            assert extra.split(":")[0] in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_negative_seed_or_steps_is_usage_error(self, tmp_path, monkeypatch, capsys):
@@ -433,8 +457,16 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--out", str(out), "--config", str(cfgfile)]) == 4
         assert capsys.readouterr().err.startswith("numerical failure: step 1: ")
-        assert not (out / "metrics.csv").exists()
-        assert not (out / "checkpoint.txt").exists()
+        assert not out.exists()  # so no metrics.csv or checkpoint.txt either
+
+    @pytest.mark.parametrize("text", ["variant lite\n", "steps: 1\nsteps: 2\n"])
+    def test_malformed_config_file_is_io_error_naming_it(self, tmp_path, capsys, text):
+        cfgfile = tmp_path / "toy.cfg"
+        cfgfile.write_text(text)
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out), "--config", str(cfgfile)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {cfgfile}: ")
+        assert not out.exists()
 
 
 class TestEval:
@@ -528,6 +560,29 @@ class TestEval:
                      "--out", str(tmp_path / "o")])
         assert code == 3
         assert f"{mfile}: line 2: " in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    HEADS = {"config": TOY_CONFIG, "manifest": "", "matches": M.MATCH_FILE_MAGIC + "\n",
+             "checkpoint": CHECKPOINT_MAGIC + "\n"}
+
+    @pytest.mark.parametrize("kind", HEADS)
+    def test_is_io_error_naming_the_file(self, pgm_pair, tmp_path, capsys, kind):
+        cfgfile, manifest = tmp_path / "toy.cfg", tmp_path / "pairs.tsv"
+        cfgfile.write_text(TOY_CONFIG)
+        D.save_manifest(manifest, [(0, np.eye(3))])
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(self.HEADS[kind].encode() + b"\xff\n")
+        argv = {"config": ["train", "--config", str(bad)],
+                "manifest": ["eval", "--manifest", str(bad)],
+                "matches": ["eval", "--manifest", str(manifest), "--matches", str(bad)],
+                "checkpoint": ["match", *pgm_pair, "--config", str(cfgfile),
+                               "--checkpoint", str(bad)]}[kind]
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "can't decode byte 0xff" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestBench:

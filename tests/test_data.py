@@ -57,7 +57,7 @@ class TestHomApply:
 
 class TestRandomHomography:
     def test_zero_bounds_give_identity(self):
-        h = D.random_homography(0, 0.0, 0.0, 0.0, 0.0)
+        h = D.random_homography(0, (64, 64), 0.0, 0.0, 0.0, 0.0)
         assert np.array_equal(h, np.eye(3))
 
     def test_inverse_composition(self):

@@ -1,6 +1,7 @@
 """Trainer: losses, Adam, short training loops, reproducibility."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -185,22 +186,19 @@ class TestFineLoss:
         assert fine_b.grad is not None and np.abs(fine_b.grad).sum() > 0
 
 
-ADAM = {k: getattr(TrainConfig(), k) for k in ("beta1", "beta2", "eps")}
-
-
 class TestAdam:
     def test_zero_gradients_leave_parameters_unchanged(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         state = AdamState.for_params([p])
         before = p.data.copy()
-        adam_step(state, lr=0.1, **ADAM)
+        adam_step(state, lr=0.1)
         assert np.array_equal(p.data, before)
 
     def test_first_step_moves_by_lr(self):
         p = Tensor(np.array([0.0]), requires_grad=True)
         state = AdamState.for_params([p])
         p.grad[...] = 1.0
-        adam_step(state, lr=0.1, **ADAM)
+        adam_step(state, lr=0.1)
         assert abs(p.data[0] + 0.1) < 1e-8  # bias-corrected ratio is 1
 
     def test_minimizes_quadratic(self):
@@ -208,7 +206,7 @@ class TestAdam:
         state = AdamState.for_params([p])
         for _ in range(500):
             p.grad[...] = 2.0 * p.data
-            adam_step(state, lr=0.05, **ADAM)
+            adam_step(state, lr=0.05)
         assert abs(p.data[0]) < 1e-3
 
 
@@ -231,7 +229,8 @@ class ListAdamState:
             p.grad = None
 
 
-def list_adam_step(state, lr, beta1, beta2, eps):
+def list_adam_step(state, lr):
+    beta1, beta2, eps = trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPS
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
@@ -308,8 +307,8 @@ class TestAdamArena:
             for p, q in zip(params, twins):
                 q.grad = rng.normal(size=p.data.shape)
                 p.grad[...] = q.grad
-            adam_step(state, lr=0.01, **ADAM)
-            list_adam_step(ref, lr=0.01, **ADAM)
+            adam_step(state, lr=0.01)
+            list_adam_step(ref, lr=0.01)
         for p, q in zip(params, twins):
             assert p.data.tobytes() == q.data.tobytes()
 
@@ -429,9 +428,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
 
-    def test_both_weights_zero_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(lambda_coarse=0.0, lambda_fine=0.0)
+    def test_fields_are_the_values_a_caller_sets(self):
+        # the loss weights, Adam's moments and the fine-match cap are trainer
+        # constants, not keys
+        assert [f.name for f in fields(TrainConfig)] == [
+            "steps", "lr", "seed", "variant", "attention", "patch_embed", "schedule",
+            "channels", "coarse_channels", "fine_channels", "fusion_channels",
+            "image_size", "tau", "fine_tau", "theta", "window", "max_rot",
+            "max_persp", "max_trans", "max_scale", "fine_warmup_precision"]
 
     def test_config_from_dict_roundtrip(self):
         cfg = config_from_dict({"steps": "7", "lr": "0.001", "attention": "sea",
@@ -445,11 +449,13 @@ class TestTrainConfig:
         assert cfg.patch_embed == "std" and cfg.schedule == "self_only"
 
     def test_unknown_key_rejected(self):
-        # so is a value outside its key's domain: an even or non-positive fine
-        # window, an image_size that is not two positive multiples of 32, a
-        # negative count, a non-finite or out-of-range rate, weight, moment or
-        # warp bound, and a model width below its minimum
+        # so are the trainer constants' former keys, and a value outside its
+        # key's domain: an even or non-positive fine window, an image_size that
+        # is not two positive multiples of 32, a negative count, a non-finite
+        # or out-of-range rate or warp bound, and a model width below its
+        # minimum
         for key, value in (("leerning_rate", "1"), ("batch_size", "1"),
+                           ("lambda_coarse", "1"), ("beta2", "0.999"),
                            ("window", "4"), ("window", "0"), ("image_size", "48 64"),
                            ("image_size", "0 64"), ("image_size", "64 64 64"),
                            ("seed", "-1"), ("steps", "-1"), ("max_rot", "nan"),
